@@ -6,15 +6,12 @@ net whose simulation yields a timeline of screen compositions, and renders
 each visible frame as a deterministic SVG sketch.
 """
 from .analysis import (
-    EventClass,
     ShotCategory,
     StateId,
     apply_stylesheet,
     classify_shot,
-    event_class,
     event_states,
     infer_target,
-    segment_states,
     validate,
 )
 from .ast import (
@@ -52,7 +49,6 @@ from .compiler import (
     CompiledStoryboard,
     CompileError,
     TimelineEntry,
-    compile_shot,
     compile_storyboard,
     composition_of_marking,
     shot_frames,
@@ -67,8 +63,8 @@ from .formatter import (
     format_subject,
 )
 from .generator import generate_sentence, generate_storyboard, random_composition
-from .lexer import GRAMMAR_VERSION, tokenize
-from .parser import parse_composition, parse_storyboard
+from .lexer import tokenize
+from .parser import parse_storyboard
 from .petri import Marking, Net, PetriToken, Place, Transition, enabled, fire, simulate
 from .render import FrameLayout, layout, render_frame, render_storyboard
 from .stylesheet import (

@@ -9,7 +9,12 @@ it while time passes.
 Crossing those two axes gives the four per-interval states used by the
 timeline: camera static or moving, composition holding or changing.  A
 "with" camera move keeps tracking until a lock or a "to" move supersedes
-it, so actor movement under tracking counts as camera-moving.
+it, so actor movement under tracking counts as camera-moving;
+``event_states`` is the one fold of that tracking mode.
+
+``fold_storyboard`` is the one pass over a board: it checks each
+composition and folds each shot's events over its opening frame, which
+yields the diagnostics and the completed frames the compiler lays out.
 """
 from __future__ import annotations
 
@@ -17,22 +22,19 @@ from dataclasses import replace
 from enum import Enum, IntEnum
 
 from .ast import (
-    CAMERA_TO_EVENTS,
-    CAMERA_WITH_EVENTS,
-    TO_EVENTS,
+    CameraRole,
     Composition,
     Cross,
     Enter,
     Exit,
     FlatComposition,
-    Lock,
     ScreenEvent,
     ScreenFraction,
     Shot,
     Storyboard,
     SubjectSpec,
+    normalize_positions,
     referenced_names,
-    shot_compositions,
 )
 from .diagnostics import (
     Diagnostic,
@@ -61,13 +63,9 @@ class ShotCategory(Enum):
     COMPOSITE = "Composite"  # dolly or crane travel
 
 
-class EventClass(Enum):
-    TO_COMPOSITION = "to"      # drives the frame toward a target
-    WITH_COMPOSITION = "with"  # maintains the frame while time passes
-
-
 class StateId(IntEnum):
-    """Four per-interval states: camera x composition."""
+    """Four per-interval states: camera x composition, numbered
+    ``1 + 2 * moving + changing``."""
 
     STATIC_HOLD = 1     # camera still, composition holding
     STATIC_CHANGE = 2   # camera still, actors rearrange the frame
@@ -84,19 +82,13 @@ class ContinuityError(ValueError):
         self.message = message
 
 
-def event_class(e: ScreenEvent) -> EventClass:
-    if isinstance(e, TO_EVENTS):
-        return EventClass.TO_COMPOSITION
-    return EventClass.WITH_COMPOSITION
-
-
 def classify_shot(shot: Shot) -> ShotCategory:
     """Category from the strongest camera move anywhere in the shot."""
     category = ShotCategory.SIMPLE
     for e in shot.events:
-        if e.verb in ("dolly", "crane"):
+        if e.camera is CameraRole.TRAVEL:
             return ShotCategory.COMPOSITE
-        if e.verb in ("pan", "continue"):
+        if e.camera is CameraRole.FIXED:
             category = ShotCategory.COMPLEX
     return category
 
@@ -119,10 +111,7 @@ def infer_target(current: Composition, e: ScreenEvent) -> Composition:
                 f"the entrance target must include {e.actor}",
             )
         return e.target
-    target = getattr(e, "target", None)
-    if target is not None:
-        return target
-    return current
+    return getattr(e, "target", None) or current
 
 
 def _apply_cross(current: Composition, e: Cross) -> Composition:
@@ -156,70 +145,35 @@ def _apply_exit(current: Composition, e: Exit) -> Composition:
     if at is None:
         raise ContinuityError(E_EXIT_ABSENT, f"{e.actor} is not on screen to exit")
     pi, si = at
-    planes = []
-    for index, plane in enumerate(current.planes):
-        if index != pi:
-            planes.append(plane)
-            continue
-        rest = plane.subjects[:si] + plane.subjects[si + 1:]
-        if rest:  # drop the plane entirely once emptied
-            planes.append(FlatComposition(plane.size, rest, span=plane.span))
+    plane = current.planes[pi]
+    rest = plane.subjects[:si] + plane.subjects[si + 1:]
+    planes = list(current.planes)
+    if rest:
+        planes[pi] = FlatComposition(plane.size, rest, span=plane.span)
+    else:
+        del planes[pi]  # drop the plane entirely once emptied
     if not planes:
         raise ContinuityError(E_EXIT_EMPTIES, f"{e.actor} leaving would empty the frame")
     return Composition(tuple(planes))
 
 
 def event_states(events: tuple[ScreenEvent, ...]) -> list[StateId]:
-    """Per-event StateId, folding the camera tracking mode left to right."""
+    """Each event's StateId, then the state of the shot's closing hold.
+
+    Folds the camera tracking mode left to right: a "with" camera move
+    starts tracking, a lock or a "to" camera move ends it, and actor
+    events run with the camera moving exactly while it tracks.
+    """
     states: list[StateId] = []
     tracking = False
     for e in events:
-        if isinstance(e, Lock):
-            tracking = False
-            states.append(StateId.STATIC_HOLD)
-        elif isinstance(e, CAMERA_WITH_EVENTS):
-            tracking = True
-            states.append(StateId.MOVING_HOLD)
-        elif isinstance(e, CAMERA_TO_EVENTS):
-            tracking = False
-            states.append(StateId.MOVING_CHANGE)
-        else:
-            changing = event_class(e) is EventClass.TO_COMPOSITION
-            if tracking:
-                states.append(StateId.MOVING_CHANGE if changing else StateId.MOVING_HOLD)
-            else:
-                states.append(StateId.STATIC_CHANGE if changing else StateId.STATIC_HOLD)
+        moving = tracking
+        if e.camera is not CameraRole.NONE:
+            moving = e.camera is not CameraRole.LOCK
+            tracking = moving and not e.drives_frame
+        states.append(StateId(1 + 2 * moving + e.drives_frame))
+    states.append(StateId(1 + 2 * tracking))
     return states
-
-
-def final_camera_state(events: tuple[ScreenEvent, ...]) -> StateId:
-    """State of the beat after the last event (the shot's closing hold)."""
-    tracking = False
-    for e in events:
-        if isinstance(e, Lock) or isinstance(e, CAMERA_TO_EVENTS):
-            tracking = False
-        elif isinstance(e, CAMERA_WITH_EVENTS):
-            tracking = True
-    return StateId.MOVING_HOLD if tracking else StateId.STATIC_HOLD
-
-
-def segment_states(shot: Shot) -> list[tuple[tuple[int, int], StateId]]:
-    """Segment the shot into runs of equal state over event indices.
-
-    Returns ``((lo, hi), state)`` pairs with half-open index ranges that
-    cover every event in order; a shot with no events is one degenerate
-    segment in state 1.
-    """
-    states = event_states(shot.events)
-    if not states:
-        return [((0, 0), StateId.STATIC_HOLD)]
-    segments: list[tuple[tuple[int, int], StateId]] = []
-    lo = 0
-    for i in range(1, len(states) + 1):
-        if i == len(states) or states[i] != states[lo]:
-            segments.append(((lo, i), states[lo]))
-            lo = i
-    return segments
 
 
 # --- stylesheet application --------------------------------------------
@@ -232,62 +186,96 @@ def apply_stylesheet(c: Composition, s: Stylesheet = DEFAULT_STYLESHEET) -> Comp
     the completed plane is not strictly left to right (a defaulted value
     colliding with an explicit one).  Idempotent.
     """
-    planes = []
-    for plane in c.planes:
-        defaults = s.positions_for(len(plane.subjects))
-        subjects = []
-        for index, subject in enumerate(plane.subjects):
-            profile = subject.profile if subject.profile is not None else s.default_profile
-            screen = subject.screen
-            if screen is None:
-                screen = ScreenFraction(defaults[index])
-            subjects.append(SubjectSpec(subject.name, profile, screen))
-        fractions = [subject.screen.fraction for subject in subjects]
-        if any(a >= b for a, b in zip(fractions, fractions[1:])):
-            raise StylesheetError(
-                "completed positions are not strictly left to right: "
-                + ", ".join(str(f) for f in fractions)
-            )
-        planes.append(FlatComposition(plane.size, tuple(subjects), span=plane.span))
-    return Composition(tuple(planes))
+    return Composition(tuple(_complete_plane(plane, s) for plane in c.planes))
 
 
-# --- continuity validation ----------------------------------------------
+def _complete_plane(plane: FlatComposition, s: Stylesheet) -> FlatComposition:
+    defaults = s.positions_for(len(plane.subjects))
+    subjects = tuple(
+        SubjectSpec(
+            subject.name,
+            subject.profile if subject.profile is not None else s.default_profile,
+            subject.screen if subject.screen is not None else ScreenFraction(defaults[index]),
+        )
+        for index, subject in enumerate(plane.subjects)
+    )
+    fractions = [subject.screen.fraction for subject in subjects]
+    if any(a >= b for a, b in zip(fractions, fractions[1:])):
+        raise StylesheetError(
+            "completed positions are not strictly left to right: "
+            + ", ".join(str(f) for f in fractions)
+        )
+    return FlatComposition(plane.size, subjects, span=plane.span)
+
+
+# --- the shared pass: validate and fold ---------------------------------
 
 _FALLBACK_SPAN = Span(0, 0)
 
 
-def validate(sb: Storyboard, s: Stylesheet = DEFAULT_STYLESHEET) -> list[Diagnostic]:
-    """Check a parsed storyboard; orderly, deterministic diagnostics.
+def fold_storyboard(
+    sb: Storyboard, s: Stylesheet = DEFAULT_STYLESHEET
+) -> tuple[list[Diagnostic], list[list[Composition]]]:
+    """Validate ``sb`` and fold each shot's frames, in one pass.
 
-    Composition shape first (duplicates, ordering, defaulting clashes),
-    then a continuity fold of each shot's events.  Events that fail are
-    reported and skipped, so one mistake does not cascade.
+    Returns the diagnostics, in a fixed order, and each shot's frames as
+    ``fold_shot`` gives them; the frames are only meaningful when no
+    diagnostic is an error.
     """
     diagnostics: list[Diagnostic] = []
+    frames_by_shot = []
     for shot in sb.shots:
-        for comp in shot_compositions(shot):
-            _check_composition(comp, s, _span_of(shot), diagnostics)
-        _check_events(shot, diagnostics)
-        for e in shot.events:
-            if e.verb not in s.duration_by_verb:
-                diagnostics.append(
-                    warning(
-                        W_NO_DURATION,
-                        _span_of(e),
-                        f"stylesheet has no duration for {e.verb!r}; 1 unit will be assumed",
-                    )
-                )
+        found, frames = fold_shot(shot, s)
+        diagnostics += found
+        frames_by_shot.append(frames)
     for join in sb.joins:
         if join.value not in s.duration_by_verb:
-            diagnostics.append(
-                warning(
-                    W_NO_DURATION,
-                    _FALLBACK_SPAN,
-                    f"stylesheet has no duration for {join.value!r}; 1 unit will be assumed",
-                )
-            )
-    return diagnostics
+            diagnostics.append(_no_duration(_FALLBACK_SPAN, join.value))
+    return diagnostics, frames_by_shot
+
+
+def validate(sb: Storyboard, s: Stylesheet = DEFAULT_STYLESHEET) -> list[Diagnostic]:
+    """Check a parsed storyboard; orderly, deterministic diagnostics."""
+    return fold_storyboard(sb, s)[0]
+
+
+def fold_shot(
+    shot: Shot, s: Stylesheet = DEFAULT_STYLESHEET
+) -> tuple[list[Diagnostic], list[Composition]]:
+    """Check one shot and fold its events over its opening frame.
+
+    Composition shape comes first in the report (duplicates, ordering,
+    defaulting clashes), then continuity, then missing durations.  An
+    event that fails is reported and skipped, so one mistake does not
+    cascade.  The frames are the opening frame and the frame after each
+    event, completed by the stylesheet with named anchors replaced by
+    their fractions.
+    """
+    fallback = _span_of(shot)
+    shape: list[Diagnostic] = []
+    continuity: list[Diagnostic] = []
+    timing: list[Diagnostic] = []
+    frame = _complete(shot.initial, s, fallback, shape)
+    frames = [frame]
+    lock_at: int | None = None
+    lock_used = True
+    for index, e in enumerate(shot.events):
+        target = getattr(e, "target", None)
+        if target is not None:
+            target = _complete(target, s, fallback, shape)
+        if e.camera is not CameraRole.NONE and not lock_used:
+            continuity.append(_lock_warning(shot, lock_at))
+        if e.camera is CameraRole.LOCK:
+            lock_at, lock_used = index, False
+        else:
+            lock_used = True  # a camera move or any actor action consumes the lock
+        frame = _apply_checked(frame, e, target, continuity)
+        frames.append(frame)
+        if e.verb not in s.duration_by_verb:
+            timing.append(_no_duration(_span_of(e), e.verb))
+    if not lock_used:
+        continuity.append(_lock_warning(shot, lock_at))
+    return shape + continuity + timing, frames
 
 
 def _span_of(node) -> Span:
@@ -295,10 +283,16 @@ def _span_of(node) -> Span:
     return span if span is not None else _FALLBACK_SPAN
 
 
-def _check_composition(
+def _complete(
     comp: Composition, s: Stylesheet, fallback: Span, diagnostics: list[Diagnostic]
-) -> None:
-    seen: dict[str, int] = {}
+) -> Composition:
+    """Check a written composition and complete it from the stylesheet.
+
+    Returns ``comp`` itself when some plane cannot be completed; that
+    problem is reported, and the fold goes on by subject names alone.
+    """
+    seen: set[str] = set()
+    planes = []
     for plane in comp.planes:
         span = plane.span if plane.span is not None else fallback
         for subject in plane.subjects:
@@ -306,7 +300,7 @@ def _check_composition(
                 diagnostics.append(
                     error(E_DUPLICATE, span, f"{subject.name} appears twice in one composition")
                 )
-            seen[subject.name] = 1
+            seen.add(subject.name)
         explicit = [sub.screen.fraction for sub in plane.subjects if sub.screen is not None]
         if any(a >= b for a, b in zip(explicit, explicit[1:])):
             diagnostics.append(
@@ -314,7 +308,7 @@ def _check_composition(
             )
             continue  # the defaulting check would only repeat the complaint
         try:
-            apply_stylesheet(Composition((plane,)), s)
+            planes.append(_complete_plane(plane, s))
         except StylesheetError:
             diagnostics.append(
                 error(
@@ -324,57 +318,49 @@ def _check_composition(
                     "spell out every position in this plane",
                 )
             )
+    if len(planes) < len(comp.planes):
+        return comp
+    return normalize_positions(Composition(tuple(planes)))
 
 
-def _check_events(shot: Shot, diagnostics: list[Diagnostic]) -> None:
-    current = shot.initial
-    lock_at: int | None = None
-    lock_used = True
-    for index, e in enumerate(shot.events):
-        span = _span_of(e)
-        if isinstance(e, Lock):
-            if not lock_used:
-                diagnostics.append(_lock_warning(shot, lock_at))
-            lock_at, lock_used = index, False
-        elif e.verb in ("pan", "dolly", "crane", "continue"):
-            if not lock_used:
-                diagnostics.append(_lock_warning(shot, lock_at))
-            lock_used = True
-        else:
-            lock_used = True  # any actor action consumes the lock
+def _apply_checked(
+    frame: Composition, e: ScreenEvent, target: Composition | None,
+    diagnostics: list[Diagnostic],
+) -> Composition:
+    """Frame after ``e``: ``target`` when it carries one, else inferred.
 
-        on_screen = set(current.subject_names())
-        if isinstance(e, Enter):
-            if e.actor in on_screen:
-                diagnostics.append(
-                    error(E_ENTER_ON_SCREEN, span, f"{e.actor} is already on screen")
-                )
-                continue
-        else:
-            missing = [name for name in referenced_names(e) if name not in on_screen]
-            if missing and not isinstance(e, (Cross, Exit)):
-                diagnostics.append(
-                    error(E_OFFSCREEN, span, f"{missing[0]} is not on screen")
-                )
-                continue
-        try:
-            nxt = infer_target(current, e)
-        except ContinuityError as failure:
-            diagnostics.append(error(failure.code, span, failure.message))
-            continue
-        if event_class(e) is EventClass.TO_COMPOSITION and not isinstance(e, (Cross, Exit)):
-            dropped = sorted(on_screen - set(nxt.subject_names()))
-            if dropped:
-                diagnostics.append(
-                    warning(
-                        W_DROPPED,
-                        span,
-                        f"target drops {', '.join(dropped)} without an exit",
-                    )
-                )
-        current = nxt
-    if not lock_used:
-        diagnostics.append(_lock_warning(shot, lock_at))
+    Returns ``frame`` unchanged when ``e`` cannot apply, and reports why.
+    """
+    span = _span_of(e)
+    on_screen = set(frame.subject_names())
+    if isinstance(e, Enter):
+        if e.actor in on_screen:
+            diagnostics.append(error(E_ENTER_ON_SCREEN, span, f"{e.actor} is already on screen"))
+            return frame
+    else:
+        missing = [name for name in referenced_names(e) if name not in on_screen]
+        if missing and not isinstance(e, (Cross, Exit)):
+            diagnostics.append(error(E_OFFSCREEN, span, f"{missing[0]} is not on screen"))
+            return frame
+    try:
+        after = infer_target(frame, e)
+    except ContinuityError as failure:
+        diagnostics.append(error(failure.code, span, failure.message))
+        return frame
+    if target is None:
+        return after
+    dropped = sorted(on_screen - set(target.subject_names()))
+    if dropped:
+        diagnostics.append(
+            warning(W_DROPPED, span, f"target drops {', '.join(dropped)} without an exit")
+        )
+    return target
+
+
+def _no_duration(span: Span, verb: str) -> Diagnostic:
+    return warning(
+        W_NO_DURATION, span, f"stylesheet has no duration for {verb!r}; 1 unit will be assumed"
+    )
 
 
 def _lock_warning(shot: Shot, lock_at: int | None) -> Diagnostic:

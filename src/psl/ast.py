@@ -13,7 +13,7 @@ to the same tree built programmatically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import ClassVar, Iterator, Union
@@ -160,149 +160,185 @@ class Composition:
 
 # --- screen events -----------------------------------------------------
 
-class ScreenEvent:
-    """Base class for everything that can change or hold the frame."""
+class CameraRole(Enum):
+    """What an event does with the camera."""
 
-    __slots__ = ()
+    NONE = "none"      # an actor action; the camera keeps doing what it did
+    LOCK = "lock"      # pins the camera
+    FIXED = "fixed"    # pans, or continues a move, from a fixed mount
+    TRAVEL = "travel"  # travels on a dolly or crane
+
+
+@dataclass(frozen=True, slots=True)
+class ScreenEvent:
+    """Base class for everything that can change or hold the frame.
+
+    Each event class declares its part of the vocabulary: its surface
+    ``verb`` (also its stylesheet duration key), its JSON ``tag``, its
+    canonical ``phrase`` (a ``str.format`` template over its fields and
+    ``verb``, where a bracketed clause shows only when its field is set),
+    whether it ``drives_frame`` toward a new composition (a "to" event) or
+    maintains it (a "with" event), and what it does with the ``camera``.
+    ``span`` is keyword-only, so ``__match_args__`` lists the event's own
+    fields in order.
+    """
+
     verb: ClassVar[str]
+    tag: ClassVar[str]
+    phrase: ClassVar[str]
+    drives_frame: ClassVar[bool] = False
+    camera: ClassVar[CameraRole] = CameraRole.NONE
+    span: Span | None = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 @dataclass(frozen=True, slots=True)
 class Lock(ScreenEvent):
     """Pin the camera; later actor movement plays against a held frame."""
 
-    verb: ClassVar[str] = "lock"
-    span: Span | None = field(default=None, compare=False, repr=False)
+    verb = tag = phrase = "lock"
+    camera = CameraRole.LOCK
 
 
 @dataclass(frozen=True, slots=True)
-class PanWith(ScreenEvent):
-    verb: ClassVar[str] = "pan"
+class CameraWith(ScreenEvent):
+    """Camera move that keeps ``subject`` framed, tracking it until a lock
+    or a "to" camera move; the subclasses name the rig."""
+
+    phrase = "{verb} with {subject}"
     subject: SubjectSpec
-    span: Span | None = field(default=None, compare=False, repr=False)
+
+
+class PanWith(CameraWith):
+    __slots__ = ()
+    verb, tag, camera = "pan", "pan-with", CameraRole.FIXED
+
+
+class DollyWith(CameraWith):
+    __slots__ = ()
+    verb, tag, camera = "dolly", "dolly-with", CameraRole.TRAVEL
+
+
+class CraneWith(CameraWith):
+    __slots__ = ()
+    verb, tag, camera = "crane", "crane-with", CameraRole.TRAVEL
 
 
 @dataclass(frozen=True, slots=True)
-class DollyWith(ScreenEvent):
-    verb: ClassVar[str] = "dolly"
-    subject: SubjectSpec
-    span: Span | None = field(default=None, compare=False, repr=False)
+class CameraTo(ScreenEvent):
+    """Camera move toward the ``target`` composition; the subclasses name
+    the rig."""
 
-
-@dataclass(frozen=True, slots=True)
-class CraneWith(ScreenEvent):
-    verb: ClassVar[str] = "crane"
-    subject: SubjectSpec
-    span: Span | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True, slots=True)
-class PanTo(ScreenEvent):
-    verb: ClassVar[str] = "pan"
+    phrase = "{verb} to {target}"
+    drives_frame = True
     target: Composition
-    span: Span | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
-class DollyTo(ScreenEvent):
-    verb: ClassVar[str] = "dolly"
-    target: Composition
-    span: Span | None = field(default=None, compare=False, repr=False)
+class PanTo(CameraTo):
+    __slots__ = ()
+    verb, tag, camera = "pan", "pan-to", CameraRole.FIXED
 
 
-@dataclass(frozen=True, slots=True)
-class CraneTo(ScreenEvent):
-    verb: ClassVar[str] = "crane"
-    target: Composition
-    span: Span | None = field(default=None, compare=False, repr=False)
+class DollyTo(CameraTo):
+    __slots__ = ()
+    verb, tag, camera = "dolly", "dolly-to", CameraRole.TRAVEL
 
 
-@dataclass(frozen=True, slots=True)
-class ContinueTo(ScreenEvent):
+class CraneTo(CameraTo):
+    __slots__ = ()
+    verb, tag, camera = "crane", "crane-to", CameraRole.TRAVEL
+
+
+class ContinueTo(CameraTo):
     """Keep the camera travelling into a new composition."""
 
-    verb: ClassVar[str] = "continue"
-    target: Composition
-    span: Span | None = field(default=None, compare=False, repr=False)
+    __slots__ = ()
+    verb, tag, camera = "continue", "continue-to", CameraRole.FIXED
 
 
 @dataclass(frozen=True, slots=True)
 class Speak(ScreenEvent):
-    verb: ClassVar[str] = "speak"
+    verb = tag = "speak"
+    phrase = "{actor} speaks"
     actor: str
-    span: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class React(ScreenEvent):
-    verb: ClassVar[str] = "react"
+    verb = tag = "react"
+    phrase = "{actor} reacts[ to {to}]"
     actor: str
     to: str | None = None
-    span: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class Use(ScreenEvent):
-    verb: ClassVar[str] = "use"
+    verb = tag = "use"
+    phrase = "{actor} uses {prop}"
     actor: str
     prop: str
-    span: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class Touch(ScreenEvent):
-    verb: ClassVar[str] = "touch"
+    verb = tag = "touch"
+    phrase = "{actor} touches {prop}"
     actor: str
     prop: str
-    span: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class Cross(ScreenEvent):
     """Actor passes in front of or behind an adjacent subject; they swap."""
 
-    verb: ClassVar[str] = "cross"
+    verb = tag = "cross"
+    phrase = "{actor} crosses {other}"
+    drives_frame = True
     actor: str
     other: str
-    span: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class Enter(ScreenEvent):
     """Entrance from a frame edge; carries the resulting composition."""
 
-    verb: ClassVar[str] = "enter"
+    verb = tag = "enter"
+    phrase = "{actor} enters from {side} to {target}"
+    drives_frame = True
     actor: str
     side: Side
     target: Composition
-    span: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class Exit(ScreenEvent):
-    verb: ClassVar[str] = "exit"
+    verb = tag = "exit"
+    phrase = "{actor} exits {side}"
+    drives_frame = True
     actor: str
     side: Side
-    span: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class Move(ScreenEvent):
     """Actor movement that rearranges the frame into the target."""
 
-    verb: ClassVar[str] = "move"
+    verb = tag = "move"
+    phrase = "{actor} moves to {target}"
+    drives_frame = True
     actor: str
     target: Composition
-    span: Span | None = field(default=None, compare=False, repr=False)
 
 
-#: Events that carry (or imply) a destination composition.
-TO_EVENTS = (PanTo, DollyTo, CraneTo, ContinueTo, Move, Enter, Exit, Cross)
-#: Events during which the current composition is maintained.
-WITH_EVENTS = (PanWith, DollyWith, CraneWith, Speak, React, Use, Touch, Lock)
-
-CAMERA_WITH_EVENTS = (PanWith, DollyWith, CraneWith)
-CAMERA_TO_EVENTS = (PanTo, DollyTo, CraneTo, ContinueTo)
+#: Every event class, in vocabulary order.
+EVENT_TYPES: tuple[type[ScreenEvent], ...] = (
+    Lock, PanWith, DollyWith, CraneWith, PanTo, DollyTo, CraneTo, ContinueTo,
+    Speak, React, Use, Touch, Cross, Enter, Exit, Move,
+)
+#: Surface verbs, each once, in vocabulary order.
+EVENT_VERBS = tuple(dict.fromkeys(cls.verb for cls in EVENT_TYPES))
+#: Camera moves by verb, in their "with" and their "to" form.
+CAMERA_WITH = {cls.verb: cls for cls in CameraWith.__subclasses__()}
+CAMERA_TO = {cls.verb: cls for cls in CameraTo.__subclasses__()}
 
 
 class ShotTransition(Enum):
@@ -341,23 +377,15 @@ class Storyboard:
 
 # --- small structural helpers ------------------------------------------
 
-def event_compositions(event: ScreenEvent) -> Iterator[Composition]:
-    """Compositions embedded in an event (zero or one today)."""
-    target = getattr(event, "target", None)
-    if target is not None:
-        yield target
-
-
-def shot_compositions(shot: Shot) -> Iterator[Composition]:
-    """Every composition written in a shot, initial one first."""
-    yield shot.initial
-    for event in shot.events:
-        yield from event_compositions(event)
-
-
 def storyboard_compositions(sb: Storyboard) -> Iterator[Composition]:
+    """Every composition written in a storyboard, each shot's opening one
+    before those its events carry."""
     for shot in sb.shots:
-        yield from shot_compositions(shot)
+        yield shot.initial
+        for event in shot.events:
+            target = getattr(event, "target", None)
+            if target is not None:
+                yield target
 
 
 def referenced_names(event: ScreenEvent) -> list[str]:
@@ -384,11 +412,9 @@ def normalize_positions(c: Composition) -> Composition:
             FlatComposition(
                 plane.size,
                 tuple(
-                    SubjectSpec(
-                        s.name,
-                        s.profile,
-                        None if s.screen is None else ScreenFraction(s.screen.fraction),
-                    )
+                    SubjectSpec(s.name, s.profile, ScreenFraction(s.screen.fraction))
+                    if isinstance(s.screen, ScreenAnchor)
+                    else s
                     for s in plane.subjects
                 ),
             )
@@ -396,17 +422,3 @@ def normalize_positions(c: Composition) -> Composition:
         )
     )
 
-
-_AST_CLASSES = (
-    SubjectSpec, FlatComposition, Composition, Shot, Storyboard,
-    Lock, PanWith, DollyWith, CraneWith, PanTo, DollyTo, CraneTo, ContinueTo,
-    Speak, React, Use, Touch, Cross, Enter, Exit, Move, ScreenFraction,
-)
-
-
-def field_annotations() -> dict[str, set[str]]:
-    """Field type annotations per node class; lets tests pin the alphabet."""
-    return {
-        cls.__name__: {f.type for f in fields(cls)}
-        for cls in _AST_CLASSES
-    }

@@ -16,20 +16,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analysis import ShotCategory, classify_shot, validate
-from .ast import Size, Storyboard, storyboard_compositions
-from .compiler import CompileError, compile_storyboard, timeline
+from .ast import EVENT_VERBS, Size, Storyboard, storyboard_compositions
+from .compiler import CompiledStoryboard, CompileError, compile_storyboard, timeline
 from .diagnostics import Diagnostic, has_errors
 from .formatter import format_storyboard
 from .generator import generate_sentence
 from .jsonio import SCHEMA_VERSION, net_to_dict, timeline_to_dict
 from .parser import parse_storyboard
-from .render import render_storyboard
-from .stylesheet import DEFAULT_STYLESHEET, Stylesheet, StylesheetError, load_stylesheet
-
-_EVENT_VERBS = (
-    "lock", "pan", "dolly", "crane", "continue",
-    "speak", "react", "use", "touch", "cross", "enter", "exit", "move",
-)
+from .render import render_compiled
+from .stylesheet import DEFAULT_STYLESHEET, Stylesheet, StylesheetError, parse_stylesheet
 
 
 class _Exit(Exception):
@@ -54,10 +49,9 @@ def _load_style(args: argparse.Namespace) -> Stylesheet:
     style_path = getattr(args, "style", None)
     if style_path is None:
         return DEFAULT_STYLESHEET
+    text = _read_source(style_path)
     try:
-        return load_stylesheet(style_path)
-    except OSError as err:
-        raise _Exit(2, f"psl: cannot read {style_path}: {err.strerror or err}") from None
+        return parse_stylesheet(text)
     except StylesheetError as err:
         raise _Exit(1, f"psl: bad stylesheet {style_path}: {err}") from None
 
@@ -85,6 +79,25 @@ def _load_checked(args: argparse.Namespace) -> tuple[Storyboard, Stylesheet]:
     return sb, style
 
 
+def _load_compiled(args: argparse.Namespace) -> CompiledStoryboard:
+    """Parse and compile ``args.file``, validating once; print problems,
+    raise on errors."""
+    style = _load_style(args)
+    source = _read_source(args.file)
+    sb, diagnostics = parse_storyboard(source)
+    compiled = None
+    if sb is not None:
+        try:
+            compiled = compile_storyboard(sb, style)
+            diagnostics = diagnostics + list(compiled.diagnostics)
+        except CompileError as err:
+            diagnostics = diagnostics + list(err.diagnostics)
+    _print_diagnostics(diagnostics, args.file, False)
+    if compiled is None:
+        raise _Exit(1, "")
+    return compiled
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     _load_checked(args)
     return 0
@@ -108,25 +121,19 @@ def cmd_fmt(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    sb, style = _load_checked(args)
-    compiled = _compile(sb, style)
+    compiled = _load_compiled(args)
     print(json.dumps(net_to_dict(compiled), indent=2))
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    sb, style = _load_checked(args)
-    compiled = _compile(sb, style)
+    compiled = _load_compiled(args)
     print(json.dumps(timeline_to_dict(timeline(compiled)), indent=2))
     return 0
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    sb, style = _load_checked(args)
-    try:
-        frames = render_storyboard(sb, style)
-    except CompileError as err:
-        raise _Exit(1, f"psl: {err}") from None
+    frames = render_compiled(_load_compiled(args))
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -139,13 +146,6 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compile(sb: Storyboard, style: Stylesheet):
-    try:
-        return compile_storyboard(sb, style)
-    except CompileError as err:
-        raise _Exit(1, f"psl: {err}") from None
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     sb, _ = _load_checked(args)
     categories = {category.value: 0 for category in ShotCategory}
@@ -155,7 +155,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     for comp in storyboard_compositions(sb):
         for plane in comp.planes:
             sizes[plane.size.name] += 1
-    verbs = {verb: 0 for verb in _EVENT_VERBS}
+    verbs = {verb: 0 for verb in EVENT_VERBS}
     total_events = 0
     for shot in sb.shots:
         for e in shot.events:

@@ -10,11 +10,12 @@ current marking spans.
 
 Transitions that change the frame retire the old subject tokens and
 install the new ones, carrying the entire destination as explicit effect
-tokens.  Those destinations are computed here, at compile time, by folding
-the shot's events over its opening composition with stylesheet defaults
-filled in and named anchors replaced by their fractions.  Transitions that
-merely maintain the frame pass subject tokens through untouched, so
-simulation preserves them bit for bit.
+tokens.  Those destinations come from ``analysis.fold_storyboard``, the
+one pass that validates the board and folds each shot's events over its
+opening composition, with stylesheet defaults filled in and named anchors
+replaced by their fractions.  Transitions that merely maintain the frame
+pass subject tokens through untouched, so simulation preserves them bit
+for bit.
 
 ``timeline`` replays the unique firing sequence and returns the visible
 screen state over time: which composition is up, which of the four
@@ -22,36 +23,23 @@ per-interval states applies, and whether the frame is mid-change.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from typing import Mapping
 
-from .analysis import (
-    StateId,
-    apply_stylesheet,
-    event_states,
-    final_camera_state,
-    infer_target,
-    validate,
-)
+from .analysis import StateId, event_states, fold_shot, fold_storyboard
 from .ast import (
-    CAMERA_TO_EVENTS,
-    CAMERA_WITH_EVENTS,
-    WITH_EVENTS,
     Composition,
     FlatComposition,
-    Lock,
     ScreenEvent,
     ScreenFraction,
     Shot,
     Storyboard,
     SubjectSpec,
-    normalize_positions,
     referenced_names,
 )
-from .diagnostics import Severity, has_errors
+from .diagnostics import Diagnostic, Severity, has_errors
 from .formatter import format_event
 from .petri import (
     Marking,
@@ -66,7 +54,12 @@ from .stylesheet import DEFAULT_STYLESHEET, HOLD_DURATION, Stylesheet
 
 
 class CompileError(ValueError):
-    """Storyboard rejected before net construction."""
+    """Storyboard rejected before net construction.
+
+    ``diagnostics`` holds everything the validating pass found.
+    """
+
+    diagnostics: tuple[Diagnostic, ...] = ()
 
 
 CAMERA_PLACE = "camera"
@@ -101,28 +94,23 @@ class CompiledStoryboard:
     #: Frame content before transition k, plus the final frame; the
     #: marking after step k reconstructs to ``compositions[k]`` exactly.
     compositions: tuple[Composition, ...]
+    #: Warnings the validating pass found (an error stops compilation).
+    diagnostics: tuple[Diagnostic, ...] = ()
+
+
+def _reject_errors(diagnostics: list[Diagnostic]) -> None:
+    if has_errors(diagnostics):
+        first = next(d for d in diagnostics if d.severity is Severity.ERROR)
+        failure = CompileError(f"storyboard does not validate: {first.code} {first.message}")
+        failure.diagnostics = tuple(diagnostics)
+        raise failure
 
 
 def shot_frames(shot: Shot, s: Stylesheet = DEFAULT_STYLESHEET) -> list[Composition]:
     """Opening frame plus the frame after each event, fully defaulted."""
-    frames = [normalize_positions(apply_stylesheet(shot.initial, s))]
-    for e in shot.events:
-        after = apply_stylesheet(infer_target(frames[-1], e), s)
-        frames.append(normalize_positions(after))
+    diagnostics, frames = fold_shot(shot, s)
+    _reject_errors(diagnostics)
     return frames
-
-
-def _camera_modes(shot: Shot) -> list[bool]:
-    """Tracking flag before each event and after the last one."""
-    modes = [False]
-    for e in shot.events:
-        if isinstance(e, Lock) or isinstance(e, CAMERA_TO_EVENTS):
-            modes.append(False)
-        elif isinstance(e, CAMERA_WITH_EVENTS):
-            modes.append(True)
-        else:
-            modes.append(modes[-1])
-    return modes
 
 
 def _subject_tokens(comp: Composition) -> dict[str, PetriToken]:
@@ -137,10 +125,6 @@ def _subject_tokens(comp: Composition) -> dict[str, PetriToken]:
                 screen=subject.screen.fraction,
             )
     return tokens
-
-
-def _camera_token(moving: bool) -> PetriToken:
-    return PetriToken.of(moving=moving)
 
 
 def composition_of_marking(marking: Marking) -> Composition:
@@ -186,74 +170,45 @@ class _Step:
     kind: str
     shot_index: int
     state: StateId
-    before: Composition
     after: Composition
     reads: tuple[str, ...] = ()  # subject names passed through untouched
 
-    @property
-    def moving(self) -> bool:
-        """Camera in motion while this step runs."""
-        return self.state in (StateId.MOVING_HOLD, StateId.MOVING_CHANGE)
-
 
 def _duration(s: Stylesheet, verb: str) -> Fraction:
-    got = s.duration_by_verb.get(verb)
-    if got is None:
-        # check-time validation flags this too; compiling proceeds anyway
-        warnings.warn(f"no duration for {verb!r}, using 1 unit", stacklevel=2)
-        return Fraction(1)
-    return got
+    """Stylesheet duration, or 1 unit when missing (validation warns, W203)."""
+    return s.duration_by_verb.get(verb, Fraction(1))
 
 
 def _reads(e: ScreenEvent) -> tuple[str, ...]:
-    if isinstance(e, WITH_EVENTS):
-        return tuple(dict.fromkeys(referenced_names(e)))
-    return ()
+    if e.drives_frame:
+        return ()
+    return tuple(dict.fromkeys(referenced_names(e)))
 
 
 def compile_storyboard(
     sb: Storyboard, s: Stylesheet = DEFAULT_STYLESHEET
 ) -> CompiledStoryboard:
-    """Validate, fold, and lay the chain out as a net."""
-    diagnostics = validate(sb, s)
-    if has_errors(diagnostics):
-        first = next(d for d in diagnostics if d.severity is Severity.ERROR)
-        raise CompileError(f"storyboard does not validate: {first.code} {first.message}")
+    """Validate and fold in one pass, then lay the chain out as a net.
 
-    frames_by_shot = [shot_frames(shot, s) for shot in sb.shots]
-    modes_by_shot = [_camera_modes(shot) for shot in sb.shots]
+    Raises CompileError, carrying every diagnostic, when the board does
+    not validate; otherwise the result carries the warnings.
+    """
+    diagnostics, frames_by_shot = fold_storyboard(sb, s)
+    _reject_errors(diagnostics)
 
     steps: list[_Step] = []
     for i, shot in enumerate(sb.shots):
         frames = frames_by_shot[i]
-        modes = modes_by_shot[i]
         states = event_states(shot.events)
         for j, e in enumerate(shot.events):
-            steps.append(
-                _Step(
-                    duration=_duration(s, e.verb),
-                    label=format_event(e),
-                    verb=e.verb,
-                    kind="event",
-                    shot_index=i,
-                    state=states[j],
-                    before=frames[j],
-                    after=frames[j + 1],
-                    reads=_reads(e),
-                )
-            )
+            steps.append(_Step(_duration(s, e.verb), format_event(e), e.verb, "event", i,
+                               states[j], frames[j + 1], _reads(e)))
         if i + 1 < len(sb.shots):
-            hold_state = StateId.MOVING_HOLD if modes[-1] else StateId.STATIC_HOLD
-            steps.append(
-                _Step(HOLD_DURATION, "hold", "hold", "hold", i, hold_state,
-                      frames[-1], frames[-1])
-            )
-            join = sb.joins[i]
-            steps.append(
-                _Step(_duration(s, join.value), join.value, join.value, "join", i,
-                      StateId.STATIC_CHANGE,
-                      frames[-1], frames_by_shot[i + 1][0])
-            )
+            join = sb.joins[i].value
+            steps.append(_Step(HOLD_DURATION, "hold", "hold", "hold", i, states[-1], frames[-1]))
+            steps.append(_Step(_duration(s, join), join, join, "join", i,
+                               StateId.STATIC_CHANGE, frames_by_shot[i + 1][0]))
+    compositions = (frames_by_shot[0][0], *(step.after for step in steps))
 
     subject_names = sorted(
         {name for frames in frames_by_shot for f in frames for name in f.subject_names()}
@@ -263,21 +218,22 @@ def compile_storyboard(
     places += [Place(control_place(k), PlaceKind.CONTROL) for k in range(len(steps) + 1)]
 
     # The camera token always describes the interval its marking spans, so
-    # each transition installs the motion flag of the step that follows it.
-    end_moving = modes_by_shot[-1][-1]
-    motion = [step.moving for step in steps] + [end_moving]
+    # each transition installs the motion flag of the step that follows it;
+    # after the last one, the last shot's closing hold (``states[-1]``).
+    motion = [step.state >= StateId.MOVING_HOLD for step in steps]
+    motion.append(states[-1] is StateId.MOVING_HOLD)
 
     transitions: list[Transition] = []
     info: dict[str, TransitionInfo] = {}
     for k, step in enumerate(steps, start=1):
         tid = f"t{k}"
-        changes = step.before != step.after
+        changes = compositions[k - 1] != step.after
         inputs = [control_place(k - 1)]
         outputs = [control_place(k)]
         effect: list[tuple[str, PetriToken]] = []
         if changes or step.kind == "join":
             after_tokens = _subject_tokens(step.after)
-            inputs += sorted(_subject_tokens(step.before))
+            inputs += sorted(_subject_tokens(compositions[k - 1]))
             outputs += sorted(after_tokens)
             effect += sorted(after_tokens.items())
         else:
@@ -288,7 +244,7 @@ def compile_storyboard(
         if motion[k] != motion[k - 1]:
             inputs.append(CAMERA_PLACE)
             outputs.append(CAMERA_PLACE)
-            effect.append((CAMERA_PLACE, _camera_token(motion[k])))
+            effect.append((CAMERA_PLACE, PetriToken.of(moving=motion[k])))
         transitions.append(
             Transition(tid, step.label, step.duration,
                        tuple(inputs), tuple(outputs), tuple(effect))
@@ -296,18 +252,13 @@ def compile_storyboard(
         info[tid] = TransitionInfo(step.kind, step.shot_index, step.state, changes, step.verb)
 
     initial: Marking = {p.id: () for p in places}
-    initial[CAMERA_PLACE] = (_camera_token(motion[0]),)
+    initial[CAMERA_PLACE] = (PetriToken.of(moving=motion[0]),)
     initial[control_place(0)] = (PetriToken(),)
     for pid, token in _subject_tokens(frames_by_shot[0][0]).items():
         initial[pid] = (token,)
 
     net = Net(tuple(places), tuple(transitions), initial)
-    compositions = (frames_by_shot[0][0], *(step.after for step in steps))
-    return CompiledStoryboard(sb, s, net, info, compositions)
-
-
-def compile_shot(shot: Shot, s: Stylesheet = DEFAULT_STYLESHEET) -> CompiledStoryboard:
-    return compile_storyboard(Storyboard((shot,)), s)
+    return CompiledStoryboard(sb, s, net, info, compositions, tuple(diagnostics))
 
 
 @dataclass(frozen=True, slots=True)
@@ -320,21 +271,21 @@ class TimelineEntry:
     composition: Composition
 
 
-def timeline(
-    compiled: CompiledStoryboard, final_hold: Fraction = HOLD_DURATION
-) -> list[TimelineEntry]:
+def timeline(compiled: CompiledStoryboard) -> list[TimelineEntry]:
     """Replay the net; one entry per interval the viewer can see.
 
     Zero-length intervals that change nothing (a lock firing, say) are
-    dropped; zero-length changes (a cut) stay as boundary markers.
+    dropped; zero-length changes (a cut) stay as boundary markers.  The
+    closing hold reads the camera token the last firing left behind.
     """
-    intervals = simulate(compiled.net, final_hold)
+    intervals = simulate(compiled.net)
     entries: list[TimelineEntry] = []
     last_shot = len(compiled.storyboard.shots) - 1
     for interval in intervals:
         comp = composition_of_marking(interval.marking)
         if interval.fired is None:
-            closing = final_camera_state(compiled.storyboard.shots[-1].events)
+            moving = interval.marking[CAMERA_PLACE][0].get("moving")
+            closing = StateId.MOVING_HOLD if moving else StateId.STATIC_HOLD
             entries.append(
                 TimelineEntry(interval.t0, interval.t1, last_shot, closing, False, comp)
             )

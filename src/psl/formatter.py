@@ -7,32 +7,18 @@ a fixed point, and reparsing formatted text reproduces the tree.
 """
 from __future__ import annotations
 
+import re
+
 from .ast import (
     Composition,
-    ContinueTo,
-    CraneTo,
-    CraneWith,
-    Cross,
-    DollyTo,
-    DollyWith,
-    Enter,
-    Exit,
-    FlatComposition,
-    Lock,
-    Move,
-    PanTo,
-    PanWith,
-    React,
     ScreenAnchor,
     ScreenEvent,
     ScreenFraction,
     Shot,
     ShotTransition,
-    Speak,
+    Side,
     Storyboard,
     SubjectSpec,
-    Touch,
-    Use,
 )
 
 _JOIN_TEXT = {ShotTransition.CUT: "Cut to", ShotTransition.DISSOLVE: "Dissolve to"}
@@ -52,12 +38,10 @@ def format_shot(shot: Shot) -> str:
 
 
 def format_composition(c: Composition) -> str:
-    return ", ".join(format_flat(p) for p in c.planes)
-
-
-def format_flat(plane: FlatComposition) -> str:
-    subjects = " and ".join(format_subject(s) for s in plane.subjects)
-    return f"{plane.size.name} on {subjects}"
+    return ", ".join(
+        f"{plane.size.name} on {' and '.join(format_subject(s) for s in plane.subjects)}"
+        for plane in c.planes
+    )
 
 
 def format_subject(s: SubjectSpec) -> str:
@@ -71,29 +55,24 @@ def format_subject(s: SubjectSpec) -> str:
     return out
 
 
+#: An optional clause of an event phrase and the field it shows.
+_CLAUSE = re.compile(r"\[([^\]]*\{(\w+)\}[^\]]*)\]")
+
+
 def format_event(e: ScreenEvent) -> str:
-    if isinstance(e, Lock):
-        return "lock"
-    if isinstance(e, (PanWith, DollyWith, CraneWith)):
-        return f"{e.verb} with {format_subject(e.subject)}"
-    if isinstance(e, (PanTo, DollyTo, CraneTo)):
-        return f"{e.verb} to {format_composition(e.target)}"
-    if isinstance(e, ContinueTo):
-        return f"continue to {format_composition(e.target)}"
-    if isinstance(e, Speak):
-        return f"{e.actor} speaks"
-    if isinstance(e, React):
-        return f"{e.actor} reacts" if e.to is None else f"{e.actor} reacts to {e.to}"
-    if isinstance(e, Use):
-        return f"{e.actor} uses {e.prop}"
-    if isinstance(e, Touch):
-        return f"{e.actor} touches {e.prop}"
-    if isinstance(e, Cross):
-        return f"{e.actor} crosses {e.other}"
-    if isinstance(e, Enter):
-        return f"{e.actor} enters from {e.side.value} to {format_composition(e.target)}"
-    if isinstance(e, Exit):
-        return f"{e.actor} exits {e.side.value}"
-    if isinstance(e, Move):
-        return f"{e.actor} moves to {format_composition(e.target)}"
-    raise TypeError(f"unknown event {e!r}")
+    """The event's phrase (see ``ScreenEvent``) filled in from its fields."""
+    phrase = e.phrase
+    if "[" in phrase:
+        phrase = _CLAUSE.sub(lambda m: m[1] if getattr(e, m[2]) is not None else "", phrase)
+    words = {name: _word(getattr(e, name)) for name in e.__match_args__}
+    return phrase.format(verb=e.verb, **words)
+
+
+def _word(value: object) -> object:
+    if isinstance(value, Composition):
+        return format_composition(value)
+    if isinstance(value, SubjectSpec):
+        return format_subject(value)
+    if isinstance(value, Side):
+        return value.value
+    return value

@@ -22,20 +22,15 @@ from typing import Sequence
 
 from .analysis import infer_target
 from .ast import (
+    CAMERA_TO,
+    CAMERA_WITH,
     Composition,
-    ContinueTo,
-    CraneTo,
-    CraneWith,
     Cross,
-    DollyTo,
-    DollyWith,
     Enter,
     Exit,
     FlatComposition,
     Lock,
     Move,
-    PanTo,
-    PanWith,
     Profile,
     React,
     ScreenAnchor,
@@ -70,8 +65,6 @@ _MAX_ON_SCREEN = 6
 
 def generate_sentence(seed: int, max_depth: int = 4) -> str:
     """Canonical text of a random valid storyboard; fixed per seed."""
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
     return format_storyboard(generate_storyboard(random.Random(seed), max_depth))
 
 
@@ -219,13 +212,10 @@ def _random_event(
         return Enter(actor, rng.choice(_SIDES), _retarget(rng, cur, extra=actor))
     if kind == "lock":
         return Lock()
-    if kind in ("pan_with", "dolly_with", "crane_with"):
-        subject = SubjectSpec(rng.choice(names))
-        cls = {"pan_with": PanWith, "dolly_with": DollyWith, "crane_with": CraneWith}[kind]
-        return cls(subject)
-    cls = {"pan_to": PanTo, "dolly_to": DollyTo,
-           "crane_to": CraneTo, "continue_to": ContinueTo}[kind]
-    return cls(_retarget(rng, cur))
+    verb, form = kind.split("_")
+    if form == "with":
+        return CAMERA_WITH[verb](SubjectSpec(rng.choice(names)))
+    return CAMERA_TO[verb](_retarget(rng, cur))
 
 
 def _retarget(rng: random.Random, cur: Composition, extra: str | None = None) -> Composition:

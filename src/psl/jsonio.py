@@ -13,26 +13,15 @@ only; they are derived artifacts, so nothing reads them back.
 """
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
 from .ast import (
+    EVENT_TYPES,
     Composition,
-    ContinueTo,
-    CraneTo,
-    CraneWith,
-    Cross,
-    DollyTo,
-    DollyWith,
-    Enter,
-    Exit,
     FlatComposition,
-    Lock,
-    Move,
-    PanTo,
-    PanWith,
     Profile,
-    React,
     ScreenAnchor,
     ScreenEvent,
     ScreenFraction,
@@ -41,35 +30,15 @@ from .ast import (
     ShotTransition,
     Side,
     Size,
-    Speak,
     Storyboard,
     SubjectSpec,
-    Touch,
-    Use,
 )
 from .compiler import CompiledStoryboard, TimelineEntry
-from .petri import MarkingInterval, PetriToken
+from .petri import PetriToken
 
 SCHEMA_VERSION = 1
 
-_EVENT_TAGS: dict[type, str] = {
-    Lock: "lock",
-    PanWith: "pan-with",
-    DollyWith: "dolly-with",
-    CraneWith: "crane-with",
-    PanTo: "pan-to",
-    DollyTo: "dolly-to",
-    CraneTo: "crane-to",
-    ContinueTo: "continue-to",
-    Speak: "speak",
-    React: "react",
-    Use: "use",
-    Touch: "touch",
-    Cross: "cross",
-    Enter: "enter",
-    Exit: "exit",
-    Move: "move",
-}
+_EVENT_BY_TAG = {cls.tag: cls for cls in EVENT_TYPES}
 
 
 # --- encoding ------------------------------------------------------------
@@ -78,15 +47,11 @@ def subject_to_dict(s: SubjectSpec) -> dict[str, Any]:
     out: dict[str, Any] = {"name": s.name}
     if s.profile is not None:
         out["profile"] = s.profile.value
-    if s.screen is not None:
-        out["screen"] = _screen_to_dict(s.screen)
+    if isinstance(s.screen, ScreenAnchor):
+        out["screen"] = {"anchor": s.screen.value}
+    elif s.screen is not None:
+        out["screen"] = {"at": str(s.screen.value)}
     return out
-
-
-def _screen_to_dict(screen: ScreenPosition) -> dict[str, str]:
-    if isinstance(screen, ScreenAnchor):
-        return {"anchor": screen.value}
-    return {"at": str(screen.value)}
 
 
 def composition_to_dict(c: Composition) -> dict[str, Any]:
@@ -99,34 +64,23 @@ def composition_to_dict(c: Composition) -> dict[str, Any]:
 
 
 def event_to_dict(e: ScreenEvent) -> dict[str, Any]:
-    out: dict[str, Any] = {"event": _EVENT_TAGS[type(e)]}
-    if isinstance(e, (PanWith, DollyWith, CraneWith)):
-        out["subject"] = subject_to_dict(e.subject)
-    elif isinstance(e, (PanTo, DollyTo, CraneTo, ContinueTo)):
-        out["target"] = composition_to_dict(e.target)
-    elif isinstance(e, Speak):
-        out["actor"] = e.actor
-    elif isinstance(e, React):
-        out["actor"] = e.actor
-        if e.to is not None:
-            out["to"] = e.to
-    elif isinstance(e, (Use, Touch)):
-        out["actor"] = e.actor
-        out["prop"] = e.prop
-    elif isinstance(e, Cross):
-        out["actor"] = e.actor
-        out["other"] = e.other
-    elif isinstance(e, Enter):
-        out["actor"] = e.actor
-        out["side"] = e.side.value
-        out["target"] = composition_to_dict(e.target)
-    elif isinstance(e, Exit):
-        out["actor"] = e.actor
-        out["side"] = e.side.value
-    elif isinstance(e, Move):
-        out["actor"] = e.actor
-        out["target"] = composition_to_dict(e.target)
+    """The event's tag, then each set field in declaration order."""
+    out: dict[str, Any] = {"event": e.tag}
+    for name in e.__match_args__:
+        value = getattr(e, name)
+        if value is not None:
+            out[name] = _field_to_json(value)
     return out
+
+
+def _field_to_json(value: object) -> object:
+    if isinstance(value, Composition):
+        return composition_to_dict(value)
+    if isinstance(value, SubjectSpec):
+        return subject_to_dict(value)
+    if isinstance(value, Side):
+        return value.value
+    return value
 
 
 def shot_to_dict(shot: Shot) -> dict[str, Any]:
@@ -186,30 +140,11 @@ def net_to_dict(compiled: CompiledStoryboard) -> dict[str, Any]:
         "psl_schema": SCHEMA_VERSION,
         "places": [{"id": p.id, "kind": p.kind.value} for p in net.places],
         "transitions": transitions,
-        "initial": _marking_to_dict(net.initial),
-    }
-
-
-def _marking_to_dict(marking: Mapping[str, tuple[PetriToken, ...]]) -> dict[str, Any]:
-    return {
-        pid: [_token_to_dict(t) for t in tokens]
-        for pid, tokens in marking.items()
-        if tokens
-    }
-
-
-def trajectory_to_dict(intervals: Sequence[MarkingInterval]) -> dict[str, Any]:
-    return {
-        "psl_schema": SCHEMA_VERSION,
-        "intervals": [
-            {
-                "t0": str(iv.t0),
-                "t1": str(iv.t1),
-                "fired": iv.fired,
-                "marking": _marking_to_dict(iv.marking),
-            }
-            for iv in intervals
-        ],
+        "initial": {
+            pid: [_token_to_dict(t) for t in tokens]
+            for pid, tokens in net.initial.items()
+            if tokens
+        },
     }
 
 
@@ -233,27 +168,33 @@ def timeline_to_dict(entries: Sequence[TimelineEntry]) -> dict[str, Any]:
 # --- decoding ------------------------------------------------------------
 
 def _require(data: Mapping[str, Any], key: str, kind: type) -> Any:
-    try:
-        value = data[key]
-    except (KeyError, TypeError):
-        raise ValueError(f"missing {key!r}") from None
+    if not isinstance(data, Mapping) or key not in data:
+        raise ValueError(f"missing {key!r}")
+    value = data[key]
     if not isinstance(value, kind):
         raise ValueError(f"{key!r} should be {kind.__name__}, got {type(value).__name__}")
     return value
 
 
+def _optional(data: Mapping[str, Any], key: str, kind: type, default: Any) -> Any:
+    return _require(data, key, kind) if key in data else default
+
+
 def _screen_from_dict(data: Mapping[str, Any]) -> ScreenPosition:
     if "anchor" in data:
-        return ScreenAnchor(data["anchor"])
+        return ScreenAnchor(_require(data, "anchor", str))
     if "at" in data:
-        return ScreenFraction(Fraction(data["at"]))
+        try:
+            return ScreenFraction(Fraction(_require(data, "at", str)))
+        except ZeroDivisionError:
+            raise ValueError(f"bad screen fraction {data['at']!r}") from None
     raise ValueError(f"screen position needs 'anchor' or 'at', got {sorted(data)}")
 
 
 def subject_from_dict(data: Mapping[str, Any]) -> SubjectSpec:
     name = _require(data, "name", str)
     profile = Profile(data["profile"]) if "profile" in data else None
-    screen = _screen_from_dict(data["screen"]) if "screen" in data else None
+    screen = _screen_from_dict(_require(data, "screen", dict)) if "screen" in data else None
     return SubjectSpec(name, profile, screen)
 
 
@@ -269,53 +210,44 @@ def composition_from_dict(data: Mapping[str, Any]) -> Composition:
     return Composition(tuple(planes))
 
 
+#: Field annotation -> (JSON type, decoder) for the fields events declare.
+_FIELD_FROM_JSON = {
+    "str": (str, str),
+    "Side": (str, Side),
+    "SubjectSpec": (dict, subject_from_dict),
+    "Composition": (dict, composition_from_dict),
+}
+
+
 def event_from_dict(data: Mapping[str, Any]) -> ScreenEvent:
     tag = _require(data, "event", str)
-    if tag == "lock":
-        return Lock()
-    if tag in ("pan-with", "dolly-with", "crane-with"):
-        cls = {"pan-with": PanWith, "dolly-with": DollyWith, "crane-with": CraneWith}[tag]
-        return cls(subject_from_dict(_require(data, "subject", dict)))
-    if tag in ("pan-to", "dolly-to", "crane-to", "continue-to"):
-        cls = {"pan-to": PanTo, "dolly-to": DollyTo,
-               "crane-to": CraneTo, "continue-to": ContinueTo}[tag]
-        return cls(composition_from_dict(_require(data, "target", dict)))
-    if tag == "speak":
-        return Speak(_require(data, "actor", str))
-    if tag == "react":
-        to = _require(data, "to", str) if "to" in data else None
-        return React(_require(data, "actor", str), to)
-    if tag in ("use", "touch"):
-        cls = Use if tag == "use" else Touch
-        return cls(_require(data, "actor", str), _require(data, "prop", str))
-    if tag == "cross":
-        return Cross(_require(data, "actor", str), _require(data, "other", str))
-    if tag == "enter":
-        return Enter(
-            _require(data, "actor", str),
-            Side(_require(data, "side", str)),
-            composition_from_dict(_require(data, "target", dict)),
-        )
-    if tag == "exit":
-        return Exit(_require(data, "actor", str), Side(_require(data, "side", str)))
-    if tag == "move":
-        return Move(
-            _require(data, "actor", str),
-            composition_from_dict(_require(data, "target", dict)),
-        )
-    raise ValueError(f"unknown event tag {tag!r}")
+    cls = _EVENT_BY_TAG.get(tag)
+    if cls is None:
+        raise ValueError(f"unknown event tag {tag!r}")
+    values = []
+    for f in fields(cls):
+        if not f.compare:
+            continue
+        kind, decode = _FIELD_FROM_JSON[f.type.removesuffix(" | None")]
+        if f.default is None and f.name not in data:
+            values.append(None)
+        else:
+            values.append(decode(_require(data, f.name, kind)))
+    return cls(*values)
 
 
 def shot_from_dict(data: Mapping[str, Any]) -> Shot:
     initial = composition_from_dict(_require(data, "initial", dict))
-    events = tuple(event_from_dict(e) for e in data.get("events", []))
+    events = tuple(event_from_dict(e) for e in _optional(data, "events", list, []))
     return Shot(initial, events)
 
 
 def storyboard_from_dict(data: Mapping[str, Any]) -> Storyboard:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a storyboard document is an object, got {type(data).__name__}")
     version = data.get("psl_schema", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported psl_schema {version!r}")
     shots = tuple(shot_from_dict(s) for s in _require(data, "shots", list))
-    joins = tuple(ShotTransition(j) for j in data.get("joins", []))
+    joins = tuple(ShotTransition(j) for j in _optional(data, "joins", list, []))
     return Storyboard(shots, joins)

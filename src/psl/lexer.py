@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum, auto
+from enum import Enum
 from fractions import Fraction
 
 from .ast import Size
@@ -27,45 +27,43 @@ from .diagnostics import (
     error,
 )
 
-#: Bumped when the surface grammar changes incompatibly.
-GRAMMAR_VERSION = "1"
-
-
 class TokenKind(Enum):
-    SIZE = auto()         # MS, "medium long shot", ...
-    FRACTION = auto()     # 1/3
-    IDENT = auto()        # subject name
-    COMMA = auto()
-    PERIOD = auto()
-    ON = auto()
-    AND = auto()
-    TO = auto()
-    WITH = auto()
-    SCREEN = auto()
-    AT = auto()
-    LOCK = auto()
-    PAN = auto()
-    DOLLY = auto()
-    CRANE = auto()
-    CONTINUE_TO = auto()  # "continue to"
-    CUT_TO = auto()       # "Cut to"
-    DISSOLVE_TO = auto()  # "Dissolve to"
-    FRONT = auto()
-    BACK = auto()
-    LEFT = auto()
-    RIGHT = auto()
-    CENTER = auto()
-    FAR = auto()
-    FROM = auto()
-    SPEAKS = auto()
-    REACTS = auto()
-    USES = auto()
-    TOUCHES = auto()
-    CROSSES = auto()
-    ENTERS = auto()
-    EXITS = auto()
-    MOVES = auto()
-    RESERVED = auto()     # keyword fragment outside any phrase ("cut", "shot")
+    """Token kinds; the kind of a one-word keyword has that word as value."""
+
+    SIZE = "<size>"              # MS, "medium long shot", ...
+    FRACTION = "<fraction>"      # 1/3
+    IDENT = "<name>"             # subject name
+    COMMA = ","
+    PERIOD = "."
+    ON = "on"
+    AND = "and"
+    TO = "to"
+    WITH = "with"
+    SCREEN = "screen"
+    AT = "at"
+    LOCK = "lock"
+    PAN = "pan"
+    DOLLY = "dolly"
+    CRANE = "crane"
+    CONTINUE_TO = "continue to"
+    CUT_TO = "cut to"
+    DISSOLVE_TO = "dissolve to"
+    FRONT = "front"
+    BACK = "back"
+    LEFT = "left"
+    RIGHT = "right"
+    CENTER = "center"
+    FAR = "far"
+    FROM = "from"
+    SPEAKS = "speaks"
+    REACTS = "reacts"
+    USES = "uses"
+    TOUCHES = "touches"
+    CROSSES = "crosses"
+    ENTERS = "enters"
+    EXITS = "exits"
+    MOVES = "moves"
+    RESERVED = "<reserved>"      # keyword fragment outside any phrase ("cut", "shot")
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,45 +79,10 @@ class Token:
         return Span(self.start, self.end)
 
 
-_KEYWORDS = {
-    "on": TokenKind.ON,
-    "and": TokenKind.AND,
-    "to": TokenKind.TO,
-    "with": TokenKind.WITH,
-    "screen": TokenKind.SCREEN,
-    "at": TokenKind.AT,
-    "lock": TokenKind.LOCK,
-    "pan": TokenKind.PAN,
-    "dolly": TokenKind.DOLLY,
-    "crane": TokenKind.CRANE,
-    "front": TokenKind.FRONT,
-    "back": TokenKind.BACK,
-    "left": TokenKind.LEFT,
-    "right": TokenKind.RIGHT,
-    "center": TokenKind.CENTER,
-    "far": TokenKind.FAR,
-    "from": TokenKind.FROM,
-    "speaks": TokenKind.SPEAKS,
-    "reacts": TokenKind.REACTS,
-    "uses": TokenKind.USES,
-    "touches": TokenKind.TOUCHES,
-    "crosses": TokenKind.CROSSES,
-    "enters": TokenKind.ENTERS,
-    "exits": TokenKind.EXITS,
-    "moves": TokenKind.MOVES,
-}
+_KEYWORDS = {kind.value: kind for kind in TokenKind if kind.value.isalpha()}
 
-# Single-word size spellings (abbreviations plus the hyphenated long forms).
-_SIZE_WORDS = {
-    "bcu": Size.BCU,
-    "cu": Size.CU,
-    "mcu": Size.MCU,
-    "ms": Size.MS,
-    "mls": Size.MLS,
-    "ls": Size.LS,
-    "vls": Size.VLS,
-    "close-up": Size.CU,
-}
+# Single-word size spellings (abbreviations plus the hyphenated long form).
+_SIZE_WORDS = {size.name.lower(): size for size in Size} | {"close-up": Size.CU}
 
 # Multi-word keywords, matched longest first over adjacent words.
 _PHRASES: dict[tuple[str, ...], tuple[TokenKind, object]] = {

@@ -34,20 +34,16 @@ from fractions import Fraction
 
 from . import ast
 from .ast import (
+    CAMERA_TO,
+    CAMERA_WITH,
     Composition,
     ContinueTo,
-    CraneTo,
-    CraneWith,
     Cross,
-    DollyTo,
-    DollyWith,
     Enter,
     Exit,
     FlatComposition,
     Lock,
     Move,
-    PanTo,
-    PanWith,
     Profile,
     React,
     ScreenAnchor,
@@ -72,13 +68,10 @@ from .diagnostics import (
 from .lexer import Token, TokenKind, tokenize
 
 _PROFILE_BY_KIND = {
-    TokenKind.FRONT: Profile.FRONT,
-    TokenKind.BACK: Profile.BACK,
-    TokenKind.LEFT: Profile.LEFT,
-    TokenKind.RIGHT: Profile.RIGHT,
+    kind: Profile(kind.value)
+    for kind in (TokenKind.FRONT, TokenKind.BACK, TokenKind.LEFT, TokenKind.RIGHT)
 }
-
-_SIDE_BY_KIND = {TokenKind.LEFT: Side.LEFT, TokenKind.RIGHT: Side.RIGHT}
+_SIDE_BY_KIND = {kind: Side(kind.value) for kind in (TokenKind.LEFT, TokenKind.RIGHT)}
 
 
 class _Failure(Exception):
@@ -252,16 +245,11 @@ class _Parser:
             return Lock(span=t.span)
         if t.kind in (TokenKind.PAN, TokenKind.DOLLY, TokenKind.CRANE):
             self.pos += 1
+            verb = t.kind.value
             if self.take(TokenKind.WITH):
-                subject = self.subject()
-                cls = {TokenKind.PAN: PanWith, TokenKind.DOLLY: DollyWith,
-                       TokenKind.CRANE: CraneWith}[t.kind]
-            else:
-                self.expect(TokenKind.TO, "'with' or 'to'")
-                subject = self.composition()
-                cls = {TokenKind.PAN: PanTo, TokenKind.DOLLY: DollyTo,
-                       TokenKind.CRANE: CraneTo}[t.kind]
-            return cls(subject, span=self._span_from(t))
+                return CAMERA_WITH[verb](self.subject(), span=self._span_from(t))
+            self.expect(TokenKind.TO, "'with' or 'to'")
+            return CAMERA_TO[verb](self.composition(), span=self._span_from(t))
         if t.kind is TokenKind.CONTINUE_TO:
             self.pos += 1
             target = self.composition()
@@ -323,31 +311,7 @@ def parse_storyboard(source: str) -> tuple[Storyboard | None, list[Diagnostic]]:
         diagnostics.append(error(E_EMPTY, Span(0, nbytes), "the storyboard is empty"))
         return None, _sorted(diagnostics)
     parser = _Parser(tokens, nbytes)
-    board = parser.storyboard(diagnostics)
-    if has_errors(diagnostics):
-        board = None
-    return board, _sorted(diagnostics)
-
-
-def parse_composition(source: str) -> tuple[Composition | None, list[Diagnostic]]:
-    """Parse a bare composition (no events, no period)."""
-    tokens, diagnostics = tokenize(source)
-    nbytes = len(source.encode("utf-8"))
-    if not tokens:
-        diagnostics.append(error(E_EMPTY, Span(0, nbytes), "the composition is empty"))
-        return None, _sorted(diagnostics)
-    parser = _Parser(tokens, nbytes)
-    comp: Composition | None
-    try:
-        comp = parser.composition()
-        if parser.peek() is not None:
-            diagnostics.append(parser.fail("end of composition"))
-    except _Failure as failure:
-        diagnostics.append(failure.diagnostic)
-        comp = None
-    if has_errors(diagnostics):
-        comp = None
-    return comp, _sorted(diagnostics)
+    return parser.storyboard(diagnostics), _sorted(diagnostics)
 
 
 def _sorted(diagnostics: list[Diagnostic]) -> list[Diagnostic]:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .stylesheet import HOLD_DURATION
 
@@ -47,18 +46,11 @@ class PetriToken:
     def of(cls, **attrs: object) -> "PetriToken":
         return cls(tuple(sorted(attrs.items())))
 
-    @classmethod
-    def from_mapping(cls, attrs: Mapping[str, object]) -> "PetriToken":
-        return cls(tuple(sorted(attrs.items())))
-
     def get(self, key: str, default: object = None) -> object:
         for k, v in self.attrs:
             if k == key:
                 return v
         return default
-
-    def as_dict(self) -> dict[str, object]:
-        return dict(self.attrs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,12 +88,6 @@ class Net:
                 if pid not in known:
                     raise ValueError(f"transition {t.id} uses unknown place {pid!r}")
 
-    def place(self, pid: str) -> Place:
-        for p in self.places:
-            if p.id == pid:
-                return p
-        raise KeyError(pid)
-
 
 class FireError(ValueError):
     """Firing a transition that is not enabled."""
@@ -109,14 +95,6 @@ class FireError(ValueError):
 
 class NetStructureError(ValueError):
     """Simulation refused: ambiguous choice or runaway net."""
-
-
-def full_marking(net: Net, tokens: Mapping[str, Iterable[PetriToken]]) -> Marking:
-    """A marking with every place present (empty tuples where unlisted)."""
-    marking: Marking = {p.id: () for p in net.places}
-    for pid, toks in tokens.items():
-        marking[pid] = tuple(toks)
-    return marking
 
 
 def enabled(net: Net, marking: Marking) -> list[Transition]:

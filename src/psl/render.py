@@ -24,7 +24,7 @@ from fractions import Fraction
 from xml.sax.saxutils import escape
 
 from .ast import Composition, Profile, Storyboard
-from .compiler import compile_storyboard, timeline
+from .compiler import CompiledStoryboard, compile_storyboard, timeline
 from .formatter import format_composition
 from .stylesheet import DEFAULT_STYLESHEET, Stylesheet
 
@@ -148,12 +148,17 @@ def render_frame(l: FrameLayout, stamp: str | None = None) -> str:
 
 
 def render_storyboard(sb: Storyboard, s: Stylesheet = DEFAULT_STYLESHEET) -> list[Frame]:
+    """Compile ``sb`` and sketch its timeline, as ``render_compiled`` does."""
+    return render_compiled(compile_storyboard(sb, s))
+
+
+def render_compiled(compiled: CompiledStoryboard) -> list[Frame]:
     """One plain frame per stable entry, a stamped one per visible change.
 
     Zero-length entries (cuts) draw nothing; file names count frames
     within each shot, starting over after every join.
     """
-    compiled = compile_storyboard(sb, s)
+    s = compiled.stylesheet
     frames: list[Frame] = []
     counts: dict[int, int] = {}
     for entry in timeline(compiled):

@@ -21,20 +21,17 @@ loaded file overlays the defaults key by key.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .ast import Profile, Size
+from .ast import EVENT_VERBS, Lock, Profile, ShotTransition, Size
 
 #: Verbs with a duration: every event verb plus the two joins.
-DURATION_VERBS = (
-    "speak", "react", "move", "cross", "enter", "exit", "use", "touch",
-    "pan", "dolly", "crane", "continue", "lock", "cut", "dissolve",
-)
+DURATION_VERBS = EVENT_VERBS + tuple(join.value for join in ShotTransition)
 
 #: Marker verbs that may legitimately take zero time.
-ZERO_OK_VERBS = ("lock", "cut")
+ZERO_OK_VERBS = (Lock.verb, ShotTransition.CUT.value)
 
 #: Length of the closing beat that keeps every shot's last composition visible.
 HOLD_DURATION = Fraction(1)
@@ -175,15 +172,6 @@ def parse_stylesheet(text: str, base: Stylesheet = DEFAULT_STYLESHEET) -> Styles
 def load_stylesheet(path: str, base: Stylesheet = DEFAULT_STYLESHEET) -> Stylesheet:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_stylesheet(handle.read(), base)
-
-
-def with_positions(s: Stylesheet, n: int, positions: tuple[Fraction, ...]) -> Stylesheet:
-    """A copy of ``s`` with one positions row replaced."""
-    table = dict(s.positions_by_cardinality)
-    table[n] = positions
-    sheet = replace(s, positions_by_cardinality=table)
-    validate_stylesheet(sheet)
-    return sheet
 
 
 def _int_suffix(key: str, prefix: str, lineno: int) -> int:

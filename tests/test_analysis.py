@@ -8,27 +8,28 @@ import pytest
 from conftest import parse_ok
 from psl.analysis import (
     ContinuityError,
-    EventClass,
     ShotCategory,
     StateId,
     apply_stylesheet,
     classify_shot,
-    event_class,
     event_states,
-    final_camera_state,
     infer_target,
-    segment_states,
     validate,
 )
 from psl.ast import (
+    EVENT_TYPES,
     Composition,
+    ContinueTo,
+    CraneTo,
     Cross,
+    DollyTo,
+    Enter,
     Exit,
+    Move,
+    PanTo,
     Profile,
     ScreenFraction,
     Side,
-    TO_EVENTS,
-    WITH_EVENTS,
 )
 from psl.diagnostics import (
     E_BAD_CROSS,
@@ -60,19 +61,18 @@ def events_of(text):
 
 def test_every_event_is_to_or_with():
     events = events_of(
-        "MS on Anna and Boris, lock, pan with Anna, dolly with Boris,"
+        "MS on Anna and Boris, lock, pan with Anna, dolly with Boris, crane with Anna,"
         " crane to LS on Anna and Boris, pan to MS on Anna and Boris,"
+        " dolly to MS on Anna and Boris,"
         " continue to MCU on Anna and Boris, Anna speaks, Boris reacts to Anna,"
         " Anna uses Boris, Anna touches Boris, Anna crosses Boris,"
         " Carla enters from left to MS on Anna and Boris and Carla,"
         " Carla exits right, Anna moves to MS on Boris and Anna."
     )
+    assert {type(e) for e in events} == set(EVENT_TYPES)
+    to_events = {PanTo, DollyTo, CraneTo, ContinueTo, Move, Enter, Exit, Cross}
     for e in events:
-        if isinstance(e, TO_EVENTS):
-            assert event_class(e) is EventClass.TO_COMPOSITION, e.verb
-        else:
-            assert isinstance(e, WITH_EVENTS)
-            assert event_class(e) is EventClass.WITH_COMPOSITION, e.verb
+        assert e.drives_frame is (type(e) in to_events), e.verb
 
 
 @pytest.mark.parametrize(
@@ -184,6 +184,7 @@ def test_event_states_walkthrough():
         StateId.STATIC_HOLD,     # lock parks the camera
         StateId.STATIC_CHANGE,   # cross after the lock
         StateId.MOVING_CHANGE,   # pan toward a new frame
+        StateId.STATIC_HOLD,     # closing hold: the "to" pan ended tracking
     ]
 
 
@@ -192,24 +193,14 @@ def test_state_ids_are_small_ints():
 
 
 def test_final_camera_state():
-    assert final_camera_state(events_of("MS on Anna.")) is StateId.STATIC_HOLD
-    assert final_camera_state(events_of("MS on Anna, pan with Anna.")) is StateId.MOVING_HOLD
-    assert final_camera_state(events_of("MS on Anna, pan with Anna, lock.")) is StateId.STATIC_HOLD
-    assert final_camera_state(
-        events_of("MS on Anna, pan with Anna, pan to CU on Anna.")
-    ) is StateId.STATIC_HOLD
-    assert final_camera_state(
-        events_of("MS on Anna, pan to CU on Anna, dolly with Anna.")
-    ) is StateId.MOVING_HOLD
+    def closing(text):
+        return event_states(events_of(text))[-1]
 
-
-def test_segment_states_groups_runs():
-    shot = shot_of("MS on Anna and Boris, Anna speaks, Boris speaks, Anna crosses Boris.")
-    assert segment_states(shot) == [
-        ((0, 2), StateId.STATIC_HOLD),
-        ((2, 3), StateId.STATIC_CHANGE),
-    ]
-    assert segment_states(shot_of("MS on Anna.")) == [((0, 0), StateId.STATIC_HOLD)]
+    assert closing("MS on Anna.") is StateId.STATIC_HOLD
+    assert closing("MS on Anna, pan with Anna.") is StateId.MOVING_HOLD
+    assert closing("MS on Anna, pan with Anna, lock.") is StateId.STATIC_HOLD
+    assert closing("MS on Anna, pan with Anna, pan to CU on Anna.") is StateId.STATIC_HOLD
+    assert closing("MS on Anna, pan to CU on Anna, dolly with Anna.") is StateId.MOVING_HOLD
 
 
 # --- stylesheet application ------------------------------------------------

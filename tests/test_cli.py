@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from conftest import BROKEN_DIR, CORPUS_DIR
+from conftest import BROKEN_DIR, CORPUS_DIR, parse_ok
+from psl import analysis, compiler
 from psl.cli import main
 
 CROSS = CORPUS_DIR / "07_cross.psl"
@@ -128,6 +129,29 @@ def test_simulate_rejects_broken_input(capsys):
     assert "E101" in err
 
 
+@pytest.mark.parametrize("command", ["compile", "simulate", "render"])
+def test_one_validating_fold_per_board(capsys, monkeypatch, tmp_path, command):
+    # One shared validate-and-fold pass per board, one continuity step per event.
+    counts = {"boards": 0, "events": 0}
+
+    def counting(key, func):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    fold = counting("boards", analysis.fold_storyboard)
+    monkeypatch.setattr(analysis, "fold_storyboard", fold)
+    monkeypatch.setattr(compiler, "fold_storyboard", fold)
+    monkeypatch.setattr(analysis, "infer_target", counting("events", analysis.infer_target))
+    path = CORPUS_DIR / "17_mixed.psl"
+    events = sum(len(shot.events) for shot in parse_ok(path.read_text(encoding="utf-8")).shots)
+    out_flag = ["--out", str(tmp_path)] if command == "render" else []
+    code, _, err = run(capsys, command, str(path), *out_flag)
+    assert (code, err) == (0, "")
+    assert counts == {"boards": 1, "events": events}
+
+
 # --- render -------------------------------------------------------------
 
 def test_render_writes_frames(capsys, tmp_path):
@@ -154,6 +178,14 @@ def test_render_respects_a_stylesheet(capsys, tmp_path):
     out_dir = tmp_path / "frames"
     code, out, _ = run(capsys, "render", str(CROSS), "--style", str(sheet), "--out", str(out_dir))
     assert code == 0
+
+
+def test_non_utf8_stylesheet_is_a_read_error(capsys, tmp_path):
+    sheet = tmp_path / "latin1.sheet"
+    sheet.write_bytes(b"size = \xff\n")
+    code, out, err = run(capsys, "check", "--style", str(sheet), str(CROSS))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"psl: {sheet} is not valid UTF-8")
 
 
 def test_bad_stylesheet_is_an_input_error(capsys, tmp_path):

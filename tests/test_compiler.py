@@ -11,7 +11,6 @@ from psl.ast import Profile, Size, normalize_positions
 from psl.compiler import (
     CAMERA_PLACE,
     CompileError,
-    compile_shot,
     compile_storyboard,
     composition_of_marking,
     control_place,
@@ -19,6 +18,7 @@ from psl.compiler import (
     subject_place,
     timeline,
 )
+from psl.diagnostics import W_NO_DURATION, Severity
 from psl.formatter import format_composition
 from psl.petri import PlaceKind, simulate
 from psl.stylesheet import DEFAULT_STYLESHEET, Stylesheet
@@ -39,14 +39,14 @@ def test_event_free_shot_compiles_to_an_empty_chain():
     assert sorted(p.id for p in c.net.places) == ["camera", "ctrl:0", "subject:Anna"]
     assert c.net.transitions == ()
     token = c.net.initial["subject:Anna"][0]
-    assert token.as_dict() == {
+    assert dict(token.attrs) == {
         "plane": 0,
         "slot": 0,
         "size": Size.MS,
         "profile": Profile.FRONT,
         "screen": Fraction(1, 2),
     }
-    assert c.net.initial[CAMERA_PLACE][0].as_dict() == {"moving": False}
+    assert dict(c.net.initial[CAMERA_PLACE][0].attrs) == {"moving": False}
     assert len(c.compositions) == 1
 
 
@@ -81,9 +81,10 @@ def test_missing_duration_falls_back_to_one_unit_with_a_warning():
         duration_by_verb={},
         figure_height_by_size=DEFAULT_STYLESHEET.figure_height_by_size,
     )
-    with pytest.warns(UserWarning, match="no duration for 'speak'"):
-        c = compiled_of("MS on Anna, Anna speaks.", sparse)
+    c = compiled_of("MS on Anna, Anna speaks.", sparse)
     assert c.net.transitions[0].duration == 1
+    assert [(d.code, d.severity) for d in c.diagnostics] == [(W_NO_DURATION, Severity.WARNING)]
+    assert "'speak'" in c.diagnostics[0].message
 
 
 def test_compile_rejects_invalid_storyboards():
@@ -152,12 +153,6 @@ def test_cut_is_instant_dissolve_takes_time():
     dissolve = compiled_of("MS on Anna.\nDissolve to CU on Anna.")
     assert cut.net.transitions[-1].duration == 0
     assert dissolve.net.transitions[-1].duration == 1
-
-
-def test_compile_shot_wraps_a_single_shot():
-    shot = parse_ok("MS on Anna.").shots[0]
-    c = compile_shot(shot)
-    assert len(c.storyboard.shots) == 1
 
 
 def test_shot_frames_match_a_hand_fold():
@@ -229,11 +224,6 @@ def test_dissolve_is_a_stamped_middle_entry():
         (Fraction(1), Fraction(2), True),
         (Fraction(2), Fraction(3), False),
     ]
-
-
-def test_final_hold_is_adjustable():
-    entries = timeline(compiled_of("MS on Anna."), final_hold=Fraction(5))
-    assert entries[-1].t1 - entries[-1].t0 == 5
 
 
 def test_terminal_state_keeps_tracking():

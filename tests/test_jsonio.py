@@ -17,9 +17,7 @@ from psl.jsonio import (
     storyboard_from_dict,
     storyboard_to_dict,
     timeline_to_dict,
-    trajectory_to_dict,
 )
-from psl.petri import simulate
 
 
 def test_schema_version_is_one():
@@ -51,6 +49,38 @@ def test_unsupported_schema_version_is_rejected():
     data["psl_schema"] = 99
     with pytest.raises(ValueError, match="unsupported psl_schema"):
         storyboard_from_dict(data)
+
+
+def _one_subject(subject):
+    return {"shots": [{"initial": {"planes": [{"size": "MS", "subjects": [subject]}]}}]}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [],
+        {"shots": _one_subject({"name": "Anna"})["shots"], "joins": 5},
+        _one_subject({"name": "Anna", "screen": {"at": [1]}}),
+        _one_subject({"name": "Anna", "screen": "at"}),
+        _one_subject({"name": "Anna", "screen": {"at": "1/0"}}),
+    ],
+    ids=["top-level-list", "joins-int", "at-list", "screen-string", "at-zero-denominator"],
+)
+def test_malformed_documents_are_value_errors(data):
+    with pytest.raises(ValueError):
+        storyboard_from_dict(data)
+
+
+def test_event_tags_are_schema_one():
+    sb = parse_ok(
+        "MS on Anna and Boris, lock, pan with Anna, dolly with Boris, crane with Anna,"
+        " pan to MS on Anna and Boris, dolly to MS on Anna and Boris,"
+        " crane to MS on Anna and Boris, continue to MS on Anna and Boris."
+    )
+    assert [event_to_dict(e)["event"] for e in sb.shots[0].events] == [
+        "lock", "pan-with", "dolly-with", "crane-with",
+        "pan-to", "dolly-to", "crane-to", "continue-to",
+    ]
 
 
 def test_event_tags_are_strict():
@@ -98,18 +128,6 @@ def test_net_dict_shape():
     assert t["shot"] == 0 and t["state"] == 1
     assert "ctrl:0" in t["inputs"] and "ctrl:1" in t["outputs"]
     assert set(data["initial"]) == {"camera", "ctrl:0", "subject:Anna"}  # only seeded places
-
-
-def test_trajectory_dict_shape():
-    c = compile_storyboard(parse_ok("MS on Anna, pan to CU on Anna."))
-    data = json.loads(json.dumps(trajectory_to_dict(simulate(c.net))))
-    assert data["psl_schema"] == SCHEMA_VERSION
-    first, last = data["intervals"][0], data["intervals"][-1]
-    assert (first["t0"], first["t1"], first["fired"]) == ("0", "2", "t1")
-    assert last["fired"] is None
-    assert first["marking"]["camera"] == [{"moving": True}]
-    assert first["marking"]["subject:Anna"][0]["size"] == "MS"
-    assert first["marking"]["subject:Anna"][0]["screen"] == "1/2"
 
 
 def test_timeline_dict_shape():

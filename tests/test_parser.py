@@ -29,7 +29,7 @@ from psl.ast import (
     Use,
 )
 from psl.diagnostics import E_EMPTY, E_NUMBER_RANGE, E_SYNTAX, Severity
-from psl.parser import parse_composition, parse_storyboard
+from psl.parser import parse_storyboard
 
 
 def test_minimal_shot():
@@ -171,19 +171,6 @@ def test_diagnostics_are_ordered_by_span():
     _, diagnostics = parse_storyboard("on Anna.\non Boris.\n")
     starts = [d.span.start for d in diagnostics]
     assert starts == sorted(starts)
-
-
-def test_parse_composition():
-    comp, diagnostics = parse_composition("MS on Anna and Boris")
-    assert not diagnostics
-    assert [s.name for s in comp.planes[0].subjects] == ["Anna", "Boris"]
-
-
-def test_parse_composition_rejects_trailing_text():
-    comp, diagnostics = parse_composition("MS on Anna.")
-    assert comp is None
-    assert [d.code for d in diagnostics] == [E_SYNTAX]
-    assert "end of composition" in diagnostics[0].message
 
 
 def test_warning_free_parse_has_no_diagnostics():

@@ -17,7 +17,6 @@ from psl.petri import (
     Transition,
     enabled,
     fire,
-    full_marking,
     simulate,
 )
 
@@ -40,8 +39,7 @@ def test_tokens_are_value_objects():
     assert a == b
     assert a.get("size") == "MS"
     assert a.get("missing") is None
-    assert b.as_dict() == {"size": "MS", "slot": 0}
-    assert PetriToken.from_mapping({"x": 1}) == PetriToken.of(x=1)
+    assert dict(b.attrs) == {"size": "MS", "slot": 0}
 
 
 def test_transition_rejects_negative_duration():
@@ -105,12 +103,6 @@ def test_fire_requires_enablement():
     net = chain([Fraction(1), Fraction(1)])
     with pytest.raises(FireError):
         fire(net, net.initial, net.transitions[1])
-
-
-def test_full_marking_fills_empty_places():
-    net = chain([Fraction(1)])
-    m = full_marking(net, {"a1": [PetriToken()]})
-    assert m["a0"] == () and len(m["a1"]) == 1
 
 
 def test_simulate_walks_the_chain():

@@ -15,7 +15,6 @@ from psl.stylesheet import (
     load_stylesheet,
     parse_stylesheet,
     validate_stylesheet,
-    with_positions,
 )
 
 
@@ -119,9 +118,3 @@ def test_load_from_file(tmp_path):
     s = load_stylesheet(str(path))
     assert s.duration_by_verb["pan"] == 5
 
-
-def test_with_positions_replaces_one_row():
-    s = with_positions(DEFAULT_STYLESHEET, 2, (Fraction(1, 5), Fraction(4, 5)))
-    assert s.positions_for(2) == (Fraction(1, 5), Fraction(4, 5))
-    with pytest.raises(StylesheetError):
-        with_positions(DEFAULT_STYLESHEET, 2, (Fraction(4, 5), Fraction(1, 5)))
