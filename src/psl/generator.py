@@ -6,10 +6,10 @@ only from off screen), so the output always parses back and validates
 clean.  Positions are drawn all-or-none per plane and strictly increasing,
 which keeps defaulting from ever colliding with an explicit value.
 
-``max_depth`` scales how much of the grammar a sentence may use: depth 1
-is the minimal "<SIZE> on <Name>." shape, depth 2 adds profiles and
-positions, depth 3 adds events and deep staging, depth 4 and up allows
-multi-shot storyboards with cuts and dissolves.
+``max_depth`` of ``generate_storyboard`` scales how much of the grammar a
+sentence may use: depth 1 is the minimal "<SIZE> on <Name>." shape, depth
+2 adds profiles and positions, depth 3 adds events and deep staging, depth
+4 and up allows multi-shot storyboards with cuts and dissolves.
 
 Determinism matters more than variety here: a fixed seed must yield the
 same text forever, because the roundtrip suite freezes on it.
@@ -63,9 +63,9 @@ _ANCHOR_BY_VALUE = {anchor.fraction: anchor for anchor in ScreenAnchor}
 _MAX_ON_SCREEN = 6
 
 
-def generate_sentence(seed: int, max_depth: int = 4) -> str:
-    """Canonical text of a random valid storyboard; fixed per seed."""
-    return format_storyboard(generate_storyboard(random.Random(seed), max_depth))
+def generate_sentence(seed: int) -> str:
+    """Canonical text of a random depth-4 storyboard; fixed per seed."""
+    return format_storyboard(generate_storyboard(random.Random(seed)))
 
 
 def generate_storyboard(rng: random.Random, max_depth: int = 4) -> Storyboard:

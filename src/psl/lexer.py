@@ -13,6 +13,7 @@ characters reported as errors) reproduces the source exactly.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -160,18 +161,20 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
         m = _NUMBER_RE.match(source, i)
         if m:
             flush_bad(i)
+            span = Span(to_byte[i], to_byte[m.end()])
             if m.group(1) is None:
-                span = Span(to_byte[i], to_byte[m.end()])
                 diagnostics.append(
                     error(E_BAD_CHAR, span, f"expected a fraction like 1/3, found {m.group()!r}")
                 )
             else:
                 num, den = m.group().split("/")
-                if int(den) == 0:
-                    span = Span(to_byte[i], to_byte[m.end()])
-                    diagnostics.append(error(E_NUMBER_RANGE, span, "fraction denominator is zero"))
-                else:
+                try:
                     raw.append((_FRACTION, m.group(), i, m.end(), Fraction(int(num), int(den))))
+                except ZeroDivisionError:
+                    diagnostics.append(error(E_NUMBER_RANGE, span, "fraction denominator is zero"))
+                except ValueError:  # int() refuses more digits than this limit
+                    limit = sys.get_int_max_str_digits()
+                    diagnostics.append(error(E_NUMBER_RANGE, span, f"fraction has more than {limit} digits"))
             i = m.end()
             continue
         if bad_start is None:

@@ -9,11 +9,11 @@ token through unchanged, or get a blank token if nothing was consumed from
 that place.
 
 The engine itself is generic: `enabled` and `fire` work on any net,
-including branching ones.  `simulate` additionally requires determinism
-(at most one enabled transition at every step) and returns the
-piecewise-constant marking trajectory, closing with a final hold so the
-last marking occupies a real interval.  Markings are values; firing never
-mutates.
+including branching ones.  `simulate` accepts nets in which each
+transition fires at most once and at most one transition is enabled at
+every step, and returns the piecewise-constant marking trajectory, closing
+with a final hold so the last marking occupies a real interval.  Markings
+are values; firing never mutates.
 """
 from __future__ import annotations
 
@@ -46,11 +46,11 @@ class PetriToken:
     def of(cls, **attrs: object) -> "PetriToken":
         return cls(tuple(sorted(attrs.items())))
 
-    def get(self, key: str, default: object = None) -> object:
+    def get(self, key: str) -> object:
         for k, v in self.attrs:
             if k == key:
                 return v
-        return default
+        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,13 +106,14 @@ def enabled(net: Net, marking: Marking) -> list[Transition]:
 
 
 def fire(net: Net, marking: Marking, transition: Transition) -> Marking:
-    """One firing step; returns the successor marking."""
+    """One firing step; returns the successor marking (other places keep their tuples)."""
     if any(not marking.get(pid, ()) for pid in transition.inputs):
         raise FireError(f"transition {transition.id} is not enabled")
-    out = {pid: list(tokens) for pid, tokens in marking.items()}
+    out = dict(marking)
     consumed: dict[str, PetriToken] = {}
     for pid in transition.inputs:
-        consumed[pid] = out[pid].pop(0)
+        consumed[pid] = out[pid][0]
+        out[pid] = out[pid][1:]
     explicit = dict(transition.effect)
     for pid in transition.outputs:
         if pid in explicit:
@@ -121,8 +122,8 @@ def fire(net: Net, marking: Marking, transition: Transition) -> Marking:
             token = consumed[pid]
         else:
             token = PetriToken()
-        out.setdefault(pid, []).append(token)
-    return {pid: tuple(tokens) for pid, tokens in out.items()}
+        out[pid] = (*out.get(pid, ()), token)
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,33 +136,32 @@ class MarkingInterval:
     fired: str | None  # transition id, None for the closing hold
 
 
-def simulate(
-    net: Net,
-    final_hold: Fraction = HOLD_DURATION,
-    max_steps: int = 100_000,
-) -> list[MarkingInterval]:
+def simulate(net: Net) -> list[MarkingInterval]:
     """Run the unique enabled transition to quiescence.
 
     Each interval shows the marking in force while the named transition
-    runs; the last interval holds the final marking for ``final_hold``.
-    Raises NetStructureError when more than one transition is enabled
-    (a branching net needs a policy, not a clock) or the net never stops.
+    runs; the last interval holds the final marking for ``HOLD_DURATION``.
+    A chain fires each transition once, so the run stops after at most
+    ``len(net.transitions) + 1`` steps.  Raises NetStructureError when
+    more than one transition is enabled (a branching net needs a policy,
+    not a clock) or the net has not stopped within that bound.
     """
+    bound = len(net.transitions) + 1
     trajectory: list[MarkingInterval] = []
     marking = dict(net.initial)
     clock = Fraction(0)
-    for _ in range(max_steps):
+    for _ in range(bound):
         choices = enabled(net, marking)
         if len(choices) > 1:
             names = ", ".join(t.id for t in choices)
             raise NetStructureError(f"not a chain: {names} are enabled together")
         if not choices:
             trajectory.append(
-                MarkingInterval(clock, clock + final_hold, marking, None)
+                MarkingInterval(clock, clock + HOLD_DURATION, marking, None)
             )
             return trajectory
         t = choices[0]
         trajectory.append(MarkingInterval(clock, clock + t.duration, marking, t.id))
         marking = fire(net, marking, t)
         clock += t.duration
-    raise NetStructureError(f"no quiescence after {max_steps} steps")
+    raise NetStructureError(f"no quiescence after {bound} steps")

@@ -1,28 +1,29 @@
 """Stylesheets: the numbers that turn sparse text into a full description.
 
-A stylesheet holds default profiles and sizes, per-cardinality screen
-positions, event durations in abstract time units, and figure heights as a
-fraction of frame height per shot size.  The built-in defaults put a lone
-subject at 1/2, a pair at 1/3 and 2/3, and fall back to even spacing
-k/(n+1) for cardinalities missing from the table.
+A stylesheet holds the default profile, per-cardinality screen positions,
+event durations in abstract time units, and figure heights as a fraction of
+frame height per shot size.  Cardinalities missing from the positions table
+get even spacing k/(n+1): a lone subject at 1/2, a pair at 1/3 and 2/3.
 
 The file format is flat ``key = value`` text with dotted keys::
 
     # comment lines and blank lines are ignored
     profile = front
-    size = MS
-    positions.2 = 1/3, 2/3
+    positions.2 = 1/4, 3/4
     duration.speak = 2
     height.MS = 0.75
 
-Values are exact rationals: integers, fractions like ``1/3``, or decimals
-like ``0.75`` (parsed exactly, never through binary floating point).  A
+Values are exact rationals in ASCII digits with an optional sign: integers,
+fractions like ``1/3``, or decimals like ``0.75`` (parsed exactly, never
+through binary floating point; ``1e5`` or ``1_000`` is a bad number).  A
 loaded file overlays the defaults key by key.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 from typing import Mapping
 
 from .ast import EVENT_VERBS, Lock, Profile, ShotTransition, Size
@@ -44,7 +45,6 @@ class StylesheetError(ValueError):
 @dataclass(frozen=True)
 class Stylesheet:
     default_profile: Profile = Profile.FRONT
-    default_size: Size = Size.MS
     positions_by_cardinality: Mapping[int, tuple[Fraction, ...]] = field(default_factory=dict)
     duration_by_verb: Mapping[str, Fraction] = field(default_factory=dict)
     figure_height_by_size: Mapping[Size, Fraction] = field(default_factory=dict)
@@ -58,13 +58,6 @@ class Stylesheet:
 
 
 DEFAULT_STYLESHEET = Stylesheet(
-    default_profile=Profile.FRONT,
-    default_size=Size.MS,
-    positions_by_cardinality={
-        1: (Fraction(1, 2),),
-        2: (Fraction(1, 3), Fraction(2, 3)),
-        3: (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),
-    },
     duration_by_verb={
         "speak": Fraction(2),
         "react": Fraction(1),
@@ -95,11 +88,16 @@ DEFAULT_STYLESHEET = Stylesheet(
 
 _PROFILES_BY_TEXT = {p.value: p for p in Profile}
 
+# The documented spellings only: an exponent would let a short value cost unbounded time.
+_NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]*)")
+
 
 def validate_stylesheet(s: Stylesheet) -> None:
     """Raise StylesheetError unless ``s`` is usable end to end."""
     for n, positions in s.positions_by_cardinality.items():
-        if n < 1 or len(positions) != n:
+        if n < 1:
+            raise StylesheetError(f"positions.{n}: the count must be at least 1")
+        if len(positions) != n:
             raise StylesheetError(f"positions.{n} must list exactly {n} values")
         if any(not (0 < p < 1) for p in positions):
             raise StylesheetError(f"positions.{n} must lie inside (0, 1)")
@@ -123,13 +121,12 @@ def validate_stylesheet(s: Stylesheet) -> None:
         raise StylesheetError("figure heights must shrink from BCU to VLS")
 
 
-def parse_stylesheet(text: str, base: Stylesheet = DEFAULT_STYLESHEET) -> Stylesheet:
-    """Overlay ``key = value`` lines from ``text`` onto ``base``."""
-    positions = dict(base.positions_by_cardinality)
-    durations = dict(base.duration_by_verb)
-    heights = dict(base.figure_height_by_size)
-    profile = base.default_profile
-    size = base.default_size
+def parse_stylesheet(text: str) -> Stylesheet:
+    """Overlay ``key = value`` lines from ``text`` onto the defaults."""
+    positions = dict(DEFAULT_STYLESHEET.positions_by_cardinality)
+    durations = dict(DEFAULT_STYLESHEET.duration_by_verb)
+    heights = dict(DEFAULT_STYLESHEET.figure_height_by_size)
+    profile = DEFAULT_STYLESHEET.default_profile
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -144,13 +141,11 @@ def parse_stylesheet(text: str, base: Stylesheet = DEFAULT_STYLESHEET) -> Styles
             if value not in _PROFILES_BY_TEXT:
                 raise StylesheetError(f"line {lineno}: unknown profile {value!r}")
             profile = _PROFILES_BY_TEXT[value]
-        elif key == "size":
-            try:
-                size = Size[value.upper()]
-            except KeyError:
-                raise StylesheetError(f"line {lineno}: unknown size {value!r}") from None
         elif key.startswith("positions."):
-            n = _int_suffix(key, "positions.", lineno)
+            try:
+                n = int(key[len("positions."):])
+            except ValueError:
+                raise StylesheetError(f"line {lineno}: bad key {key!r}") from None
             positions[n] = tuple(_rational(v, lineno) for v in value.split(","))
         elif key.startswith("duration."):
             verb = key[len("duration."):]
@@ -164,25 +159,25 @@ def parse_stylesheet(text: str, base: Stylesheet = DEFAULT_STYLESHEET) -> Styles
         else:
             raise StylesheetError(f"line {lineno}: unknown key {key!r}")
 
-    sheet = Stylesheet(profile, size, positions, durations, heights)
+    sheet = Stylesheet(profile, positions, durations, heights)
     validate_stylesheet(sheet)
     return sheet
 
 
-def load_stylesheet(path: str, base: Stylesheet = DEFAULT_STYLESHEET) -> Stylesheet:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_stylesheet(handle.read(), base)
-
-
-def _int_suffix(key: str, prefix: str, lineno: int) -> int:
+def load_stylesheet(path: str) -> Stylesheet:
+    """Parse the file at ``path``; OSError if it cannot be read."""
     try:
-        return int(key[len(prefix):])
-    except ValueError:
-        raise StylesheetError(f"line {lineno}: bad key {key!r}") from None
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise StylesheetError(f"{path} is not valid UTF-8") from None
+    return parse_stylesheet(text)
 
 
 def _rational(text: str, lineno: int) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise StylesheetError(f"line {lineno}: bad number {text.strip()!r}") from None
+    text = text.strip()
+    if _NUMBER_RE.fullmatch(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # "1/0", ".", or too many digits
+            pass
+    raise StylesheetError(f"line {lineno}: bad number {text!r}")

@@ -196,6 +196,33 @@ def test_bad_stylesheet_is_an_input_error(capsys, tmp_path):
     assert "bad number" in err
 
 
+@pytest.mark.parametrize(
+    "line, command, message",
+    [
+        ("size = MS", "check", "line 1: unknown key 'size'"),
+        ("duration.speak = 1e5000", "compile", "line 1: bad number '1e5000'"),
+        ("duration.speak = 1e5000", "simulate", "line 1: bad number '1e5000'"),
+        ("positions.1 = 1e-5000", "render", "line 1: bad number '1e-5000'"),
+    ],
+)
+def test_stylesheet_errors_exit_1_without_a_traceback(capsys, tmp_path, line, command, message):
+    sheet = tmp_path / "bad.sheet"
+    sheet.write_text(line + "\n", encoding="utf-8")
+    extra = ["--out", str(tmp_path / "frames")] if command == "render" else []
+    code, out, err = run(capsys, command, "--style", str(sheet), *extra, str(CROSS))
+    assert (code, out) == (1, "")
+    assert err == f"psl: bad stylesheet {sheet}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "fmt"])
+def test_over_long_fraction_is_a_diagnostic(capsys, tmp_path, command):
+    board = tmp_path / "big.psl"
+    board.write_text(f"MS on Anna at 1/{'9' * 5000}.\n", encoding="utf-8")
+    code, out, err = run(capsys, command, str(board))
+    assert (code, out) == (1, "")
+    assert f"{board}:14: E003 fraction has more than" in err
+
+
 # --- stats ---------------------------------------------------------------
 
 def test_stats_counts_categories_and_verbs(capsys):

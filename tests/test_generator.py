@@ -22,13 +22,13 @@ def test_seeds_spread_out():
 
 
 def test_depth_one_is_a_bare_shot():
-    assert generate_sentence(0, max_depth=1) == "VLS on Greta."
-    assert generate_sentence(1, max_depth=1) == "CU on Beatrix."
+    assert format_storyboard(generate_storyboard(random.Random(0), 1)) == "VLS on Greta."
+    assert format_storyboard(generate_storyboard(random.Random(1), 1)) == "CU on Beatrix."
 
 
 def test_depth_must_be_positive():
     with pytest.raises(ValueError):
-        generate_sentence(0, max_depth=0)
+        generate_storyboard(random.Random(0), 0)
 
 
 def test_generated_text_parses_validates_and_reprints(subtests=None):

@@ -1,6 +1,7 @@
 """Parsing: tree shapes, spans, error codes, and recovery."""
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -190,3 +191,97 @@ def test_reserved_word_is_not_a_name():
     assert sb is None
     assert [d.code for d in diagnostics] == [E_SYNTAX]
     assert any(d.severity is Severity.ERROR for d in diagnostics)
+
+
+# One malformed input per message site in lexer.py and parser.py, with the
+# full diagnostic list it yields: (code, start, end, message).  Two sites
+# cannot be reached and have no case: the 'right' after '3/4' (the parser
+# only enters that branch when 'left', 'right' or 'back' follows) and the
+# actor name in actor_event (only called when a name is next).
+_MAX_DIGITS = sys.get_int_max_str_digits()
+_LONG = "9" * (_MAX_DIGITS + 1)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("MS on Anna $.", [("E010", 11, 12, "unexpected character '$'")]),
+        ("MS on Anna at 5.", [
+            ("E010", 14, 15, "expected a fraction like 1/3, found '5'"),
+            ("E002", 15, 16, "expected a fraction after 'at', found '.'"),
+        ]),
+        ("MS on Anna at 1/0.", [
+            ("E003", 14, 17, "fraction denominator is zero"),
+            ("E002", 17, 18, "expected a fraction after 'at', found '.'"),
+        ]),
+        (f"MS on Anna at 1/{_LONG}.", [
+            ("E003", 14, 16 + len(_LONG), f"fraction has more than {_MAX_DIGITS} digits"),
+            ("E002", 16 + len(_LONG), 17 + len(_LONG), "expected a fraction after 'at', found '.'"),
+        ]),
+        ("MS on Anna-Lee.", [
+            ("E011", 6, 14, "'Anna-Lee' is not a keyword and names cannot contain '-'"),
+            ("E002", 14, 15, "expected a subject name, found '.'"),
+        ]),
+        ("# only a comment\n", [("E001", 0, 17, "the storyboard is empty")]),
+        ("MS on Anna. MS on Bob.", [
+            ("E002", 12, 14, "expected 'Cut to', 'Dissolve to', or end of storyboard, found 'MS'"),
+        ]),
+        ("MS on Anna", [("E002", 9, 10, "expected ',' or '.', found end of input")]),
+        ("MS on Anna Bob.", [("E002", 11, 14, "expected ',' or '.', found 'Bob'")]),
+        ("on Anna.", [("E002", 0, 2, "expected a shot size (MS, CU, ...), found 'on'")]),
+        ("MS Anna.", [("E002", 3, 7, "expected 'on', found 'Anna'")]),
+        ("MS on .", [("E002", 6, 7, "expected a subject name, found '.'")]),
+        ("MS on Anna 3/4 back front.", [
+            ("E002", 20, 25, "expected 'left' or 'right' after '3/4 back', found 'front'"),
+        ]),
+        ("MS on Anna screen far center.", [
+            ("E002", 22, 28, "expected 'left' or 'right' after 'screen far', found 'center'"),
+        ]),
+        ("MS on Anna screen top.", [
+            ("E002", 18, 21, "expected a screen position after 'screen', found 'top'"),
+        ]),
+        ("MS on Anna at left.", [("E002", 14, 18, "expected a fraction after 'at', found 'left'")]),
+        ("MS on Anna at 3/2.", [("E003", 14, 17, "screen position 3/2 is not inside (0, 1)")]),
+        ("MS on Anna,", [("E002", 10, 11, "expected an event, found end of input")]),
+        ("MS on Anna, pan left.", [("E002", 16, 20, "expected 'with' or 'to', found 'left'")]),
+        ("MS on Anna, front.", [
+            ("E002", 12, 17, "expected an event (lock, pan, dolly, crane, continue to, "
+                             "or a subject name), found 'front'"),
+        ]),
+        ("MS on Anna and Bob, Anna reacts to left.", [
+            ("E002", 35, 39, "expected a subject name after 'reacts to', found 'left'"),
+        ]),
+        ("MS on Anna and Bob, Anna uses.", [
+            ("E002", 29, 30, "expected a subject name after 'uses', found '.'"),
+        ]),
+        ("MS on Anna and Bob, Anna touches.", [
+            ("E002", 32, 33, "expected a subject name after 'touches', found '.'"),
+        ]),
+        ("MS on Anna and Bob, Anna crosses.", [
+            ("E002", 32, 33, "expected a subject name after 'crosses', found '.'"),
+        ]),
+        ("MS on Anna, Bob enters left.", [
+            ("E002", 23, 27, "expected 'from' after 'enters', found 'left'"),
+        ]),
+        ("MS on Anna, Bob enters from top.", [
+            ("E002", 28, 31, "expected 'left' or 'right', found 'top'"),
+        ]),
+        ("MS on Anna, Bob enters from left.", [
+            ("E002", 32, 33, "expected 'to' after the entrance side, found '.'"),
+        ]),
+        ("MS on Anna and Bob, Anna exits.", [
+            ("E002", 30, 31, "expected 'left' or 'right', found '.'"),
+        ]),
+        ("MS on Anna, Anna moves left.", [
+            ("E002", 23, 27, "expected 'to' after 'moves', found 'left'"),
+        ]),
+        ("MS on Anna, Anna sings.", [
+            ("E002", 17, 22, "expected an action verb (speaks, reacts, uses, touches, crosses, "
+                             "enters, exits, moves), found 'sings'"),
+        ]),
+    ],
+)
+def test_every_syntax_message_is_pinned(text, expected):
+    _, diagnostics = parse_storyboard(text)
+    got = [(d.code, d.span.start, d.span.end, d.message) for d in diagnostics]
+    assert got == expected

@@ -19,6 +19,7 @@ from psl.petri import (
     fire,
     simulate,
 )
+from psl.stylesheet import HOLD_DURATION
 
 
 def chain(durations, hold_effects=()):
@@ -99,6 +100,20 @@ def test_fire_creates_blank_tokens_for_fresh_outputs():
     assert after["b"] == (PetriToken(),)
 
 
+def test_fire_rewrites_only_the_places_it_touches():
+    places = tuple(Place(pid, PlaceKind.CONTROL) for pid in ("a", "b", "idle"))
+    t = Transition("t", "t", Fraction(1), ("a",), ("a", "b"))
+    first, second = PetriToken.of(n=1), PetriToken.of(n=2)
+    initial = {"a": (first, second), "b": (), "idle": (PetriToken.of(n=3),)}
+    net = Net(places, (t,), initial)
+    snapshot = dict(initial)
+    after = fire(net, initial, t)
+    assert after["idle"] is initial["idle"]  # untouched place: same tuple object
+    assert after["a"] == (second, first)  # FIFO: the oldest token is consumed
+    assert after["a"][1] is first and after["b"] == (PetriToken(),)
+    assert initial == snapshot  # the input marking is not changed
+
+
 def test_fire_requires_enablement():
     net = chain([Fraction(1), Fraction(1)])
     with pytest.raises(FireError):
@@ -107,11 +122,11 @@ def test_fire_requires_enablement():
 
 def test_simulate_walks_the_chain():
     net = chain([Fraction(2), Fraction(3)])
-    intervals = simulate(net, final_hold=Fraction(1))
+    intervals = simulate(net)
     assert [(iv.t0, iv.t1, iv.fired) for iv in intervals] == [
         (Fraction(0), Fraction(2), "t1"),
         (Fraction(2), Fraction(5), "t2"),
-        (Fraction(5), Fraction(6), None),
+        (Fraction(5), Fraction(5) + HOLD_DURATION, None),
     ]
     # each interval records the marking in force while its transition runs
     assert intervals[0].marking["a0"] and not intervals[0].marking["a1"]
@@ -120,7 +135,7 @@ def test_simulate_walks_the_chain():
 
 def test_simulate_handles_zero_durations():
     net = chain([Fraction(0), Fraction(1)])
-    intervals = simulate(net, final_hold=Fraction(1))
+    intervals = simulate(net)
     assert (intervals[0].t0, intervals[0].t1) == (Fraction(0), Fraction(0))
     assert (intervals[1].t0, intervals[1].t1) == (Fraction(0), Fraction(1))
 
@@ -141,11 +156,18 @@ def test_simulate_rejects_branching():
 
 
 def test_simulate_rejects_endless_nets():
-    places = (Place("a", PlaceKind.CONTROL),)
-    t = Transition("loop", "loop", Fraction(1), ("a",), ("a",))
-    net = Net(places, (t,), {"a": (PetriToken(),)})
-    with pytest.raises(NetStructureError, match="quiescence"):
-        simulate(net, max_steps=50)
+    # a ring of k transitions: a chain fires each once, so k + 1 steps is the bound
+    for k in (1, 3):
+        places = tuple(Place(f"a{i}", PlaceKind.CONTROL) for i in range(k))
+        ring = tuple(
+            Transition(f"t{i}", "loop", Fraction(1), (f"a{i}",), (f"a{(i + 1) % k}",))
+            for i in range(k)
+        )
+        initial = {p.id: () for p in places}
+        initial["a0"] = (PetriToken(),)
+        net = Net(places, ring, initial)
+        with pytest.raises(NetStructureError, match=f"no quiescence after {k + 1} steps"):
+            simulate(net)
 
 
 def test_interval_is_half_open_record():

@@ -64,9 +64,9 @@ def test_parse_decimals_exactly():
 
 
 def test_parse_profile_and_size():
-    s = parse_stylesheet("profile = back\nsize = cu\n")
-    assert s.default_profile is Profile.BACK
-    assert s.default_size is Size.CU
+    assert parse_stylesheet("profile = back\n").default_profile is Profile.BACK
+    with pytest.raises(StylesheetError, match="line 2: unknown key 'size'"):
+        parse_stylesheet("profile = back\nsize = cu\n")
 
 
 def test_parse_skips_comments_and_blanks():
@@ -80,9 +80,15 @@ def test_parse_skips_comments_and_blanks():
         ("nonsense", "key = value"),
         ("wat = 1", "unknown key"),
         ("profile = sideways", "unknown profile"),
-        ("size = XXL", "unknown size"),
+        ("size = XXL", "unknown key"),
         ("height.XXL = 1", "unknown size"),
         ("duration.speak = banana", "bad number"),
+        ("duration.speak = 1e5000", "bad number"),
+        ("duration.speak = 1_000", "bad number"),
+        ("duration.speak = \u0663", "bad number"),  # ARABIC-INDIC DIGIT THREE
+        ("positions.1 = 1e-5000", "bad number"),
+        ("positions.-1 = 1/2", "positions.-1: the count must be at least 1"),
+        ("positions.0 = 1/2", "positions.0: the count must be at least 1"),
         ("positions.x = 1/2", "bad key"),
         ("duration.teleport = 1", "unknown duration verb"),
         ("duration.speak = -1", "must not be negative"),
@@ -117,4 +123,13 @@ def test_load_from_file(tmp_path):
     path.write_text("duration.pan = 5\n", encoding="utf-8")
     s = load_stylesheet(str(path))
     assert s.duration_by_verb["pan"] == 5
+
+
+def test_load_rejects_non_utf8_and_passes_on_os_errors(tmp_path):
+    path = tmp_path / "latin1.sheet"
+    path.write_bytes(b"profile = \xff\n")
+    with pytest.raises(StylesheetError, match="latin1.sheet is not valid UTF-8"):
+        load_stylesheet(str(path))
+    with pytest.raises(OSError):
+        load_stylesheet(str(tmp_path / "missing.sheet"))
 
