@@ -271,18 +271,36 @@ class TimelineEntry:
     composition: Composition
 
 
+def _reads_subjects_only(t: Transition, subjects: set[str]) -> bool:
+    """True when firing ``t`` hands back, unchanged, each subject token it takes."""
+    explicit = {pid for pid, _ in t.effect}
+    return all(
+        pid in t.inputs and t.outputs.count(pid) == 1 and pid not in explicit
+        for pid in subjects.intersection((*t.inputs, *t.outputs))
+    )
+
+
 def timeline(compiled: CompiledStoryboard) -> list[TimelineEntry]:
     """Replay the net; one entry per interval the viewer can see.
 
     Zero-length intervals that change nothing (a lock firing, say) are
     dropped; zero-length changes (a cut) stay as boundary markers.  The
-    closing hold reads the camera token the last firing left behind.
+    closing hold reads the camera token the last firing left behind.  The
+    composition is rebuilt, from the subject places alone, only after a
+    firing that did more than read subject tokens.
     """
-    intervals = simulate(compiled.net)
+    net = compiled.net
+    intervals = simulate(net)
+    subjects = [p.id for p in net.places if p.kind is PlaceKind.SUBJECT]
+    subject_set = set(subjects)
+    reads_only = {t.id for t in net.transitions if _reads_subjects_only(t, subject_set)}
     entries: list[TimelineEntry] = []
     last_shot = len(compiled.storyboard.shots) - 1
+    fired_before: str | None = None
     for interval in intervals:
-        comp = composition_of_marking(interval.marking)
+        if fired_before not in reads_only:  # also true before the first firing
+            comp = composition_of_marking({pid: interval.marking[pid] for pid in subjects})
+        fired_before = interval.fired
         if interval.fired is None:
             moving = interval.marking[CAMERA_PLACE][0].get("moving")
             closing = StateId.MOVING_HOLD if moving else StateId.STATIC_HOLD

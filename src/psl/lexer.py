@@ -105,7 +105,7 @@ _PHRASES: dict[tuple[str, ...], tuple[TokenKind, object]] = {
 _PHRASE_WORDS = {w for phrase in _PHRASES for w in phrase} - set(_KEYWORDS)
 
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*")
-_NUMBER_RE = re.compile(r"\d+(/\d+)?")
+_NUMBER_RE = re.compile(r"[0-9]+(/[0-9]+)?")
 
 _WORD = "word"
 _FRACTION = "fraction"

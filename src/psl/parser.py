@@ -210,7 +210,7 @@ class _Parser:
                 return Profile.THREE_QUARTER_BACK_RIGHT
             if self.take(TokenKind.LEFT):
                 return Profile.THREE_QUARTER_LEFT
-            self.expect(TokenKind.RIGHT, "'left', 'right', or 'back' after '3/4'")
+            self.pos += 1  # the guard above leaves only 'right'
             return Profile.THREE_QUARTER_RIGHT
         return None
 
@@ -255,11 +255,11 @@ class _Parser:
             target = self.composition()
             return ContinueTo(target, span=self._span_from(t))
         if t.kind is TokenKind.IDENT:
-            return self.actor_event()
+            self.pos += 1
+            return self.actor_event(t)
         raise _Failure(self.fail("an event (lock, pan, dolly, crane, continue to, or a subject name)"))
 
-    def actor_event(self) -> ast.ScreenEvent:
-        actor = self.expect(TokenKind.IDENT, "a subject name")
+    def actor_event(self, actor: Token) -> ast.ScreenEvent:
         if self.take(TokenKind.SPEAKS):
             return Speak(actor.value, span=self._span_from(actor))
         if self.take(TokenKind.REACTS):

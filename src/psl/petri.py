@@ -12,8 +12,10 @@ The engine itself is generic: `enabled` and `fire` work on any net,
 including branching ones.  `simulate` accepts nets in which each
 transition fires at most once and at most one transition is enabled at
 every step, and returns the piecewise-constant marking trajectory, closing
-with a final hold so the last marking occupies a real interval.  Markings
-are values; firing never mutates.
+with a final hold so the last marking occupies a real interval.  It keeps
+transitions on waiting lists of empty places instead of rescanning the
+net, but each step still copies the marking, O(places), for the
+trajectory.  Markings are values; firing never mutates.
 """
 from __future__ import annotations
 
@@ -84,6 +86,8 @@ class Net:
             raise ValueError("duplicate place ids")
         known = set(ids)
         for t in self.transitions:
+            if len(set(t.inputs)) != len(t.inputs):
+                raise ValueError(f"transition {t.id} lists an input place twice")
             for pid in (*t.inputs, *t.outputs, *(pid for pid, _ in t.effect)):
                 if pid not in known:
                     raise ValueError(f"transition {t.id} uses unknown place {pid!r}")
@@ -145,23 +149,45 @@ def simulate(net: Net) -> list[MarkingInterval]:
     ``len(net.transitions) + 1`` steps.  Raises NetStructureError when
     more than one transition is enabled (a branching net needs a policy,
     not a clock) or the net has not stopped within that bound.
+
+    The net is not rescanned: each transition is ready or waits on one
+    empty input place, and only a firing's output places gain tokens, so
+    a firing rechecks just the ready transitions and those waiting on its
+    outputs.  A step costs O(arcs woken) plus the O(places) marking copy
+    that ``fire`` makes for the trajectory.
     """
     bound = len(net.transitions) + 1
     trajectory: list[MarkingInterval] = []
     marking = dict(net.initial)
     clock = Fraction(0)
+    ready: list[int] = []
+    waiting: dict[str, list[int]] = {}
+
+    def classify(indices: list[int]) -> None:
+        for i in indices:
+            empty = next(
+                (pid for pid in net.transitions[i].inputs if not marking.get(pid, ())), None
+            )
+            if empty is None:
+                ready.append(i)
+            else:
+                waiting.setdefault(empty, []).append(i)
+
+    classify(list(range(len(net.transitions))))
     for _ in range(bound):
-        choices = enabled(net, marking)
-        if len(choices) > 1:
-            names = ", ".join(t.id for t in choices)
+        if len(ready) > 1:
+            names = ", ".join(net.transitions[i].id for i in sorted(ready))
             raise NetStructureError(f"not a chain: {names} are enabled together")
-        if not choices:
+        if not ready:
             trajectory.append(
                 MarkingInterval(clock, clock + HOLD_DURATION, marking, None)
             )
             return trajectory
-        t = choices[0]
+        t = net.transitions[ready[0]]
         trajectory.append(MarkingInterval(clock, clock + t.duration, marking, t.id))
         marking = fire(net, marking, t)
         clock += t.duration
+        woken = ready + [i for pid in t.outputs for i in waiting.pop(pid, ())]
+        ready.clear()
+        classify(woken)
     raise NetStructureError(f"no quiescence after {bound} steps")

@@ -15,8 +15,9 @@ The file format is flat ``key = value`` text with dotted keys::
 
 Values are exact rationals in ASCII digits with an optional sign: integers,
 fractions like ``1/3``, or decimals like ``0.75`` (parsed exactly, never
-through binary floating point; ``1e5`` or ``1_000`` is a bad number).  A
-loaded file overlays the defaults key by key.
+through binary floating point; ``1e5`` or ``1_000`` is a bad number).  The
+count in a ``positions.N`` key is ASCII digits as well.  A loaded file
+overlays the defaults key by key.
 """
 from __future__ import annotations
 
@@ -90,6 +91,9 @@ _PROFILES_BY_TEXT = {p.value: p for p in Profile}
 
 # The documented spellings only: an exponent would let a short value cost unbounded time.
 _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]*)")
+# A count is ASCII digits; a minus sign is kept so that a negative count
+# gets validate_stylesheet's "at least 1" rather than "bad key".
+_COUNT_RE = re.compile(r"-?[0-9]+")
 
 
 def validate_stylesheet(s: Stylesheet) -> None:
@@ -142,8 +146,11 @@ def parse_stylesheet(text: str) -> Stylesheet:
                 raise StylesheetError(f"line {lineno}: unknown profile {value!r}")
             profile = _PROFILES_BY_TEXT[value]
         elif key.startswith("positions."):
+            count = key[len("positions."):]
             try:
-                n = int(key[len("positions."):])
+                if not _COUNT_RE.fullmatch(count):
+                    raise ValueError(count)
+                n = int(count)  # also refuses more digits than int() may read
             except ValueError:
                 raise StylesheetError(f"line {lineno}: bad key {key!r}") from None
             positions[n] = tuple(_rational(v, lineno) for v in value.split(","))

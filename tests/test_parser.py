@@ -194,10 +194,8 @@ def test_reserved_word_is_not_a_name():
 
 
 # One malformed input per message site in lexer.py and parser.py, with the
-# full diagnostic list it yields: (code, start, end, message).  Two sites
-# cannot be reached and have no case: the 'right' after '3/4' (the parser
-# only enters that branch when 'left', 'right' or 'back' follows) and the
-# actor name in actor_event (only called when a name is next).
+# full diagnostic list it yields: (code, start, end, message).  Spans are
+# byte offsets.
 _MAX_DIGITS = sys.get_int_max_str_digits()
 _LONG = "9" * (_MAX_DIGITS + 1)
 
@@ -278,6 +276,10 @@ _LONG = "9" * (_MAX_DIGITS + 1)
         ("MS on Anna, Anna sings.", [
             ("E002", 17, 22, "expected an action verb (speaks, reacts, uses, touches, crosses, "
                              "enters, exits, moves), found 'sings'"),
+        ]),
+        ("MS on Anna at \u0661/\u0663.", [  # ARABIC-INDIC DIGITS: fractions are ASCII
+            ("E010", 14, 19, "unexpected character '\u0661/\u0663'"),
+            ("E002", 19, 20, "expected a fraction after 'at', found '.'"),
         ]),
     ],
 )

@@ -1,10 +1,13 @@
 """The timed net: tokens, firing, and chain simulation."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import corpus_paths, parse_ok
 
+from psl.compiler import compile_storyboard
 from psl.petri import (
     FireError,
     Marking,
@@ -52,6 +55,14 @@ def test_net_rejects_duplicate_places():
     p = Place("a", PlaceKind.CONTROL)
     with pytest.raises(ValueError, match="duplicate place ids"):
         Net((p, p), (), {"a": ()})
+
+
+def test_net_rejects_a_transition_reading_a_place_twice():
+    # one token in "a" would look enabled, yet firing needs two
+    places = (Place("a", PlaceKind.CONTROL), Place("b", PlaceKind.CONTROL))
+    t = Transition("t", "t", Fraction(1), ("a", "a"), ("b",))
+    with pytest.raises(ValueError, match="transition t lists an input place twice"):
+        Net(places, (t,), {"a": (PetriToken(),), "b": ()})
 
 
 def test_net_rejects_unknown_arc_targets():
@@ -173,3 +184,141 @@ def test_simulate_rejects_endless_nets():
 def test_interval_is_half_open_record():
     iv = MarkingInterval(Fraction(0), Fraction(2), {}, "t1")
     assert (iv.t0, iv.t1, iv.fired) == (0, 2, "t1")
+
+
+# --- replay oracle ----------------------------------------------------------
+# ``simulate`` keeps waiting lists instead of rescanning the net; the
+# reference below rescans with ``enabled`` at every step, as the definition
+# reads.  Nets stay small: every interval holds a full marking.
+
+def rescanning_simulate(net: Net) -> list[MarkingInterval]:
+    bound = len(net.transitions) + 1
+    trajectory = []
+    marking = dict(net.initial)
+    clock = Fraction(0)
+    for _ in range(bound):
+        choices = enabled(net, marking)
+        if len(choices) > 1:
+            names = ", ".join(t.id for t in choices)
+            raise NetStructureError(f"not a chain: {names} are enabled together")
+        if not choices:
+            trajectory.append(MarkingInterval(clock, clock + HOLD_DURATION, marking, None))
+            return trajectory
+        t = choices[0]
+        trajectory.append(MarkingInterval(clock, clock + t.duration, marking, t.id))
+        marking = fire(net, marking, t)
+        clock += t.duration
+    raise NetStructureError(f"no quiescence after {bound} steps")
+
+
+def replay(run, net):
+    try:
+        return run(net)
+    except NetStructureError as failure:
+        return str(failure)
+
+
+_DURATIONS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3))
+
+
+def _net(rng, n_places, arcs, marked):
+    """Net over places p0..; ``arcs`` is a list of (inputs, outputs) index lists."""
+    places = tuple(Place(f"p{i}", PlaceKind.CONTROL) for i in range(n_places))
+    transitions = []
+    # ids out of net order, so that only the net can give the order of names
+    for k, (inputs, outputs) in zip(_shuffled(rng, range(len(arcs))), arcs):
+        effect = tuple(
+            (f"p{i}", PetriToken.of(by=k)) for i in dict.fromkeys(outputs) if rng.random() < 0.3
+        )
+        transitions.append(Transition(
+            f"t{k}", f"step {k}", rng.choice(_DURATIONS),
+            tuple(f"p{i}" for i in inputs), tuple(f"p{i}" for i in outputs), effect,
+        ))
+    initial = {p.id: () for p in places}
+    for i in marked:
+        initial[f"p{i}"] = (*initial[f"p{i}"], PetriToken.of(at=i))
+    return Net(places, tuple(transitions), initial)
+
+
+def _shuffled(rng, items):
+    items = list(items)
+    rng.shuffle(items)
+    return items
+
+
+def chains(rng):
+    for _ in range(30):
+        n = rng.randint(0, 6)
+        yield _net(rng, n + 1, [([k], [k + 1]) for k in range(n)], [0])
+
+
+def late_side_inputs(rng):
+    # control places 0..n, side places n+1..2n; side k is marked at the start,
+    # by an earlier transition, or never; inputs come in any order, so a
+    # transition may first wait on its side place rather than its control place
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        arcs = [([k, n + 1 + k], [k + 1]) for k in range(n)]
+        marked = [0]
+        for k in range(n):
+            fill = rng.choice(("start", "earlier", "never")) if k else "start"
+            if fill == "start":
+                marked.append(n + 1 + k)
+            elif fill == "earlier":
+                arcs[rng.randrange(k)][1].append(n + 1 + k)
+        yield _net(rng, 2 * n + 1, [(_shuffled(rng, i), o) for i, o in arcs], marked)
+
+
+def branchings(rng):
+    # a chain of 0-3 steps fills a hub place that 3-5 transitions read
+    for _ in range(30):
+        n, fan = rng.randint(0, 3), rng.randint(3, 5)
+        hub = n + 1 + fan
+        arcs = [([k], [k + 1]) for k in range(n)]
+        arcs[-1:] = [([n - 1], [n, hub])] if n else []
+        arcs += [([hub], [n + 1 + j]) for j in range(fan)]
+        yield _net(rng, hub + 1, _shuffled(rng, arcs), [0] if n else [hub])
+
+
+def rings(rng):
+    for k in range(1, 5):
+        yield _net(rng, k, [([i], [(i + 1) % k]) for i in range(k)], [0])
+
+
+def random_nets(rng):
+    # anything goes: several tokens a place, transitions without inputs,
+    # repeated outputs, effects
+    for _ in range(200):
+        n_places = rng.randint(1, 6)
+        arcs = [
+            (rng.sample(range(n_places), rng.randint(0, min(3, n_places))),
+             [rng.randrange(n_places) for _ in range(rng.randint(0, 3))])
+            for _ in range(rng.randint(0, 6))
+        ]
+        marked = [rng.randrange(n_places) for _ in range(rng.randint(0, 4))]
+        yield _net(rng, n_places, arcs, marked)
+
+
+def corpus_nets(rng):
+    for path in corpus_paths():
+        yield compile_storyboard(parse_ok(path.read_text(encoding="utf-8"))).net
+
+
+@pytest.mark.parametrize(
+    "family", [chains, late_side_inputs, branchings, rings, random_nets, corpus_nets],
+    ids=lambda family: family.__name__,
+)
+def test_simulate_matches_a_rescanning_replay(family):
+    rng = random.Random(family.__name__)
+    for net in family(rng):
+        assert replay(simulate, net) == replay(rescanning_simulate, net)
+
+
+def test_branching_names_every_enabled_transition_in_net_order():
+    rng = random.Random(7)
+    for net in branchings(rng):
+        message = replay(simulate, net)
+        named = message.removeprefix("not a chain: ").removesuffix(" are enabled together")
+        ids = named.split(", ")
+        assert len(ids) >= 3
+        assert ids == [t.id for t in net.transitions if t.id in ids]

@@ -90,6 +90,9 @@ def test_parse_skips_comments_and_blanks():
         ("positions.-1 = 1/2", "positions.-1: the count must be at least 1"),
         ("positions.0 = 1/2", "positions.0: the count must be at least 1"),
         ("positions.x = 1/2", "bad key"),
+        ("positions.\u0662 = 1/4, 3/4", "bad key"),  # ARABIC-INDIC DIGIT TWO
+        ("positions.1_0 = 1/2", "bad key"),
+        ("positions.+2 = 1/4, 3/4", "bad key"),
         ("duration.teleport = 1", "unknown duration verb"),
         ("duration.speak = -1", "must not be negative"),
         ("duration.speak = 0", "must be positive"),
