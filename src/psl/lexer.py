@@ -1,10 +1,15 @@
 """Lexer for prose storyboard text.
 
-The scanner first yields raw lexemes (words, fractions, punctuation), then a
-classification pass merges multi-word keywords ("Cut to", "medium long
-shot") with longest match and labels the rest.  Keywords are
-case-insensitive; subject names keep their spelling.  Lines whose first
-non-blank character is ``#`` are comments.
+One compiled scanner lexes each line in a single pass.  Each match is a
+run of blanks (space, tab, CR) and then one lexeme: a word or punctuation
+mark, a number, or a run of characters outside the alphabet (``#`` among
+them).  A word is classified by one dict lookup; keywords are
+case-insensitive and subject names keep their spelling.  Only the words
+that can open a multi-word keyword ("Cut to", "medium long shot") look
+ahead, longest match first, over the raw words that follow them.  A line
+whose first non-blank character (``str.isspace``) is ``#`` is a comment
+from there on; each line is checked once, so the rule is linear however
+many ``#`` a line holds.
 
 Spans are byte offsets into the UTF-8 encoding of the source, half open.
 Concatenating token lexemes plus the skipped gaps (whitespace, comments,
@@ -14,9 +19,11 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
+from typing import NamedTuple
 
 from .ast import Size
 from .diagnostics import (
@@ -67,8 +74,7 @@ class TokenKind(Enum):
     RESERVED = "<reserved>"      # keyword fragment outside any phrase ("cut", "shot")
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     lexeme: str
     start: int  # byte offset
@@ -79,11 +85,6 @@ class Token:
     def span(self) -> Span:
         return Span(self.start, self.end)
 
-
-_KEYWORDS = {kind.value: kind for kind in TokenKind if kind.value.isalpha()}
-
-# Single-word size spellings (abbreviations plus the hyphenated long form).
-_SIZE_WORDS = {size.name.lower(): size for size in Size} | {"close-up": Size.CU}
 
 # Multi-word keywords, matched longest first over adjacent words.
 _PHRASES: dict[tuple[str, ...], tuple[TokenKind, object]] = {
@@ -100,160 +101,125 @@ _PHRASES: dict[tuple[str, ...], tuple[TokenKind, object]] = {
     ("long", "shot"): (TokenKind.SIZE, Size.LS),
     ("very", "long", "shot"): (TokenKind.SIZE, Size.VLS),
 }
+_PHRASE_STARTS = frozenset(phrase[0] for phrase in _PHRASES)
 
-# Words that only occur inside phrases; reserved so they cannot be names.
-_PHRASE_WORDS = {w for phrase in _PHRASES for w in phrase} - set(_KEYWORDS)
+# Lowercased word or punctuation -> (kind, value).  Words that only occur
+# inside phrases are reserved so they cannot be names; size spellings
+# (abbreviations plus the hyphenated long form) win over both.
+_WORDS: dict[str, tuple[TokenKind, object]] = (
+    {word: (TokenKind.RESERVED, None) for phrase in _PHRASES for word in phrase}
+    | {kind.value: (kind, None) for kind in TokenKind if kind.value.isalpha() or kind.value in ",."}
+    | {size.name.lower(): (TokenKind.SIZE, size) for size in Size}
+    | {"close-up": (TokenKind.SIZE, Size.CU)}
+)
 
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*")
-_NUMBER_RE = re.compile(r"[0-9]+(/[0-9]+)?")
-
-_WORD = "word"
-_FRACTION = "fraction"
-_PUNCT = "punct"
+_SCAN = re.compile(
+    r"([ \t\r]*)(?:"                                              # blanks, then one lexeme:
+    r"([A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*|[,.])"  # a word or punctuation,
+    r"|([0-9]+(?:/[0-9]+)?)"                                     # a fraction or an integer,
+    r"|([^ \t\rA-Za-z0-9,.]+))"                                  # or characters outside the alphabet
+)
 
 
 def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
     """Lex ``source``; bad input yields diagnostics, never an exception."""
+    tokens, diagnostics, _ = lex(source)
+    return tokens, diagnostics
+
+
+def lex(source: str) -> tuple[list[Token], list[Diagnostic], Sequence[int]]:
+    """``tokenize``, plus the UTF-8 byte offset of each character index and of the end."""
     to_byte = _byte_offsets(source)
+    tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    raw: list[tuple[str, str, int, int, object]] = []  # (tag, lexeme, start, end, value)
-
-    i = 0
-    n = len(source)
-    bad_start: int | None = None
-
-    def flush_bad(upto: int) -> None:
-        nonlocal bad_start
-        if bad_start is not None:
-            span = Span(to_byte[bad_start], to_byte[upto])
-            diagnostics.append(
-                error(E_BAD_CHAR, span, f"unexpected character {source[bad_start:upto]!r}")
-            )
-            bad_start = None
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            flush_bad(i)
-            i += 1
-            continue
-        if ch == "#" and _at_line_start(source, i):
-            flush_bad(i)
-            eol = source.find("\n", i)
-            i = n if eol < 0 else eol
-            continue
-        if ch == ",":
-            flush_bad(i)
-            raw.append((_PUNCT, ",", i, i + 1, TokenKind.COMMA))
-            i += 1
-            continue
-        if ch == ".":
-            flush_bad(i)
-            raw.append((_PUNCT, ".", i, i + 1, TokenKind.PERIOD))
-            i += 1
-            continue
-        m = _WORD_RE.match(source, i)
-        if m:
-            flush_bad(i)
-            raw.append((_WORD, m.group(), i, m.end(), None))
-            i = m.end()
-            continue
-        m = _NUMBER_RE.match(source, i)
-        if m:
-            flush_bad(i)
-            span = Span(to_byte[i], to_byte[m.end()])
-            if m.group(1) is None:
-                diagnostics.append(
-                    error(E_BAD_CHAR, span, f"expected a fraction like 1/3, found {m.group()!r}")
-                )
-            else:
-                num, den = m.group().split("/")
+    bad_words: list[Diagnostic] = []  # reported after the other diagnostics
+    starts: list[int] = []  # indexes of the tokens that can open a phrase
+    breaks: set[int] = set()  # indexes of the tokens that follow a rejected word
+    pos = 0
+    for line in source.split("\n"):
+        line_end = pos + len(line)
+        rest = line.lstrip()
+        if rest.startswith("#"):  # a comment line: only the blanks before '#' are lexed
+            line = line[:len(line) - len(rest)]
+        for blanks, word, number, bad in _SCAN.findall(line):
+            start = pos + len(blanks)
+            if word:
+                pos = start + len(word)
+                low = word.lower()
+                hit = _WORDS.get(low)
+                if hit is not None:
+                    if low in _PHRASE_STARTS:
+                        starts.append(len(tokens))
+                    tokens.append(Token(hit[0], word, to_byte[start], to_byte[pos], hit[1]))
+                elif "-" in word:
+                    breaks.add(len(tokens))
+                    span = Span(to_byte[start], to_byte[pos])
+                    message = f"{word!r} is not a keyword and names cannot contain '-'"
+                    bad_words.append(error(E_BAD_WORD, span, message))
+                else:
+                    tokens.append(Token(TokenKind.IDENT, word, to_byte[start], to_byte[pos], word))
+            elif number:
+                pos = start + len(number)
+                span = Span(to_byte[start], to_byte[pos])
+                num, slash, den = number.partition("/")
+                if not slash:
+                    message = f"expected a fraction like 1/3, found {number!r}"
+                    diagnostics.append(error(E_BAD_CHAR, span, message))
+                    continue
                 try:
-                    raw.append((_FRACTION, m.group(), i, m.end(), Fraction(int(num), int(den))))
+                    value = Fraction(int(num), int(den))
                 except ZeroDivisionError:
                     diagnostics.append(error(E_NUMBER_RANGE, span, "fraction denominator is zero"))
                 except ValueError:  # int() refuses more digits than this limit
                     limit = sys.get_int_max_str_digits()
                     diagnostics.append(error(E_NUMBER_RANGE, span, f"fraction has more than {limit} digits"))
-            i = m.end()
-            continue
-        if bad_start is None:
-            bad_start = i
-        i += 1
-    flush_bad(n)
-
-    tokens = _classify(source, raw, to_byte, diagnostics)
-    return tokens, diagnostics
-
-
-def _at_line_start(source: str, i: int) -> bool:
-    j = source.rfind("\n", 0, i)
-    return source[j + 1:i].strip() == ""
+                else:
+                    tokens.append(Token(TokenKind.FRACTION, number, span.start, span.end, value))
+            else:
+                pos = start + len(bad)
+                span = Span(to_byte[start], to_byte[pos])
+                diagnostics.append(error(E_BAD_CHAR, span, f"unexpected character {bad!r}"))
+        pos = line_end + 1
+    if starts:
+        tokens = _merge_phrases(source, to_byte, tokens, starts, breaks)
+    return tokens, diagnostics + bad_words, to_byte
 
 
-def _byte_offsets(source: str) -> list[int]:
+def _byte_offsets(source: str) -> Sequence[int]:
     """Map each character index (and the end) to its UTF-8 byte offset."""
     if source.isascii():
-        return list(range(len(source) + 1))
-    offsets = [0]
-    total = 0
-    for ch in source:
-        total += len(ch.encode("utf-8"))
-        offsets.append(total)
-    return offsets
+        return range(len(source) + 1)
+    return list(accumulate(map(len, map(str.encode, source)), initial=0))
 
 
-def _classify(
+def _merge_phrases(
     source: str,
-    raw: list[tuple[str, str, int, int, object]],
-    to_byte: list[int],
-    diagnostics: list[Diagnostic],
+    to_byte: Sequence[int],
+    tokens: list[Token],
+    starts: list[int],
+    breaks: set[int],
 ) -> list[Token]:
-    tokens: list[Token] = []
-    i = 0
-    while i < len(raw):
-        tag, lexeme, start, end, value = raw[i]
-        if tag == _PUNCT:
-            tokens.append(Token(value, lexeme, to_byte[start], to_byte[end]))
-            i += 1
-            continue
-        if tag == _FRACTION:
-            tokens.append(Token(TokenKind.FRACTION, lexeme, to_byte[start], to_byte[end], value))
-            i += 1
-            continue
-        merged = False
-        for width in (3, 2):
-            if i + width > len(raw):
-                continue
-            window = raw[i:i + width]
-            if any(t[0] != _WORD for t in window):
-                continue
-            key = tuple(t[1].lower() for t in window)
+    """Merge each phrase, longest first, from the words that can open one.
+
+    A phrase is made of adjacent raw words: a rejected word (one that made
+    a diagnostic, not a token) ends the window, skipped characters do not.
+    """
+    # a merged lexeme keeps what lies between its words, so slice by characters
+    # (the byte offsets of an ASCII source are its character indexes)
+    to_char = to_byte if isinstance(to_byte, range) else {b: c for c, b in enumerate(to_byte)}
+    merged: list[Token] = []
+    done = 0  # tokens[:done] are in ``merged``
+    for i in starts:
+        if i < done:
+            continue  # a word inside the phrase just merged
+        end = next((k for k in (i + 1, i + 2) if k in breaks), i + 3) if breaks else i + 3
+        words = tuple([t.lexeme.lower() for t in tokens[i:end]])
+        for key in (words, words[:2]):
             hit = _PHRASES.get(key)
             if hit is not None:
-                kind, val = hit
-                last = window[-1]
-                tokens.append(
-                    Token(kind, source[start:last[3]], to_byte[start], to_byte[last[3]], val)
-                )
-                i += width
-                merged = True
+                first, last = tokens[i].start, tokens[i + len(key) - 1].end
+                merged += tokens[done:i]
+                merged.append(Token(hit[0], source[to_char[first]:to_char[last]], first, last, hit[1]))
+                done = i + len(key)
                 break
-        if merged:
-            continue
-        low = lexeme.lower()
-        if low in _SIZE_WORDS:
-            tokens.append(Token(TokenKind.SIZE, lexeme, to_byte[start], to_byte[end], _SIZE_WORDS[low]))
-        elif low in _KEYWORDS:
-            tokens.append(Token(_KEYWORDS[low], lexeme, to_byte[start], to_byte[end]))
-        elif low in _PHRASE_WORDS:
-            tokens.append(Token(TokenKind.RESERVED, lexeme, to_byte[start], to_byte[end]))
-        elif "-" in lexeme:
-            span = Span(to_byte[start], to_byte[end])
-            diagnostics.append(
-                error(E_BAD_WORD, span, f"{lexeme!r} is not a keyword and names cannot contain '-'")
-            )
-        else:
-            tokens.append(Token(TokenKind.IDENT, lexeme, to_byte[start], to_byte[end], lexeme))
-        i += 1
-    return tokens
+    return merged + tokens[done:]

@@ -65,7 +65,7 @@ from .diagnostics import (
     error,
     has_errors,
 )
-from .lexer import Token, TokenKind, tokenize
+from .lexer import Token, TokenKind, lex
 
 _PROFILE_BY_KIND = {
     kind: Profile(kind.value)
@@ -83,6 +83,7 @@ class _Failure(Exception):
 class _Parser:
     def __init__(self, tokens: list[Token], source_bytes: int) -> None:
         self.tokens = tokens
+        self.kinds = [t.kind for t in tokens] + [None]  # None marks the end of input
         self.pos = 0
         self.end = source_bytes
 
@@ -93,14 +94,12 @@ class _Parser:
         return self.tokens[i] if i < len(self.tokens) else None
 
     def at(self, kind: TokenKind) -> bool:
-        t = self.peek()
-        return t is not None and t.kind is kind
+        return self.kinds[self.pos] is kind
 
     def take(self, kind: TokenKind) -> Token | None:
-        if self.at(kind):
-            t = self.tokens[self.pos]
+        if self.kinds[self.pos] is kind:
             self.pos += 1
-            return t
+            return self.tokens[self.pos - 1]
         return None
 
     def expect(self, kind: TokenKind, what: str) -> Token:
@@ -305,8 +304,8 @@ class _Parser:
 
 def parse_storyboard(source: str) -> tuple[Storyboard | None, list[Diagnostic]]:
     """Parse a whole storyboard; returns (tree or None, diagnostics)."""
-    tokens, diagnostics = tokenize(source)
-    nbytes = len(source.encode("utf-8"))
+    tokens, diagnostics, to_byte = lex(source)
+    nbytes = to_byte[-1]
     if not tokens:
         diagnostics.append(error(E_EMPTY, Span(0, nbytes), "the storyboard is empty"))
         return None, _sorted(diagnostics)

@@ -1,6 +1,7 @@
 """Lexing: token kinds, byte spans, phrase merging, and bad input."""
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 from psl.ast import Size
@@ -140,3 +141,35 @@ def test_lexemes_reproduce_their_source_slice():
     offsets = [(t.start, t.end) for t in tokens]
     assert offsets == sorted(offsets)
     assert all(a[1] <= b[0] for a, b in zip(offsets, offsets[1:]))
+
+
+def test_phrase_words_merge_across_bad_characters_and_comments():
+    tokens, diagnostics = tokenize("cut @ to")
+    assert [(t.kind, t.lexeme, t.start, t.end) for t in tokens] == [(TokenKind.CUT_TO, "cut @ to", 0, 8)]
+    assert [(d.code, d.span.start, d.span.end) for d in diagnostics] == [(E_BAD_CHAR, 4, 5)]
+    tokens, _ = tokenize("Zoé medium\n# note\nlong shot")
+    assert [(t.kind, t.lexeme, t.start, t.end) for t in tokens] == [
+        (TokenKind.IDENT, "Zo", 0, 2),
+        (TokenKind.SIZE, "medium\n# note\nlong shot", 5, 28),
+    ]
+
+
+def test_blanks_outside_the_alphabet_still_open_a_comment():
+    # U+00A0 and form feed are blanks (str.isspace) but not lexer whitespace
+    for blank in ("\u00a0", "\x0c", " \x0c\t"):
+        tokens, diagnostics = tokenize(f"{blank}# note, on\nMS on Anna.")
+        assert [t.lexeme for t in tokens] == ["MS", "on", "Anna", "."]
+        assert [d.code for d in diagnostics] == [E_BAD_CHAR]
+
+
+def test_a_line_of_many_hashes_lexes_in_linear_time():
+    # '#' after a word is a bad character, however many there are; deciding
+    # that once per '#' by rescanning the line took over a second at this size
+    for filler in ("#" * 200_000, "@#" * 100_000):
+        started = time.perf_counter()
+        tokens, diagnostics = tokenize(f"MS on Anna {filler}.")
+        assert time.perf_counter() - started < 0.5
+        assert [(d.code, d.span.start, d.span.end) for d in diagnostics] == [(E_BAD_CHAR, 11, 200_011)]
+        assert [t.kind for t in tokens] == [
+            TokenKind.SIZE, TokenKind.ON, TokenKind.IDENT, TokenKind.PERIOD,
+        ]
