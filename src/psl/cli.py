@@ -21,7 +21,7 @@ from .compiler import CompiledStoryboard, CompileError, compile_storyboard, time
 from .diagnostics import Diagnostic, has_errors
 from .formatter import format_storyboard
 from .generator import generate_sentence
-from .jsonio import SCHEMA_VERSION, net_to_dict, timeline_to_dict
+from .jsonio import SCHEMA_VERSION, dumps, net_to_dict, timeline_to_dict
 from .parser import parse_storyboard
 from .render import render_compiled
 from .stylesheet import DEFAULT_STYLESHEET, Stylesheet, StylesheetError, parse_stylesheet
@@ -37,8 +37,13 @@ class _Exit(Exception):
 
 
 def _read_source(path: str) -> str:
+    """The file's text, less one leading UTF-8 byte-order mark.
+
+    Diagnostic offsets count from after the mark, and ``fmt --write``
+    writes canonical text without it.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as err:
         raise _Exit(2, f"psl: cannot read {path}: {err.strerror or err}") from None
     except UnicodeDecodeError as err:
@@ -122,13 +127,13 @@ def cmd_fmt(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     compiled = _load_compiled(args)
-    print(json.dumps(net_to_dict(compiled), indent=2))
+    print(dumps(net_to_dict(compiled)))
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     compiled = _load_compiled(args)
-    print(json.dumps(timeline_to_dict(timeline(compiled)), indent=2))
+    print(dumps(timeline_to_dict(timeline(compiled))))
     return 0
 
 
@@ -169,7 +174,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "verbs": verbs,
         "mean_events_per_shot": str(Fraction(total_events, len(sb.shots))),
     }
-    print(json.dumps(stats, indent=2))
+    print(dumps(stats))
     return 0
 
 

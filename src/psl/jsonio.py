@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 from typing import Any, Mapping, Sequence
 
 from .ast import (
@@ -163,6 +164,41 @@ def timeline_to_dict(entries: Sequence[TimelineEntry]) -> dict[str, Any]:
             for e in entries
         ],
     }
+
+
+def dumps(value: object) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for the payload types.
+
+    ``json`` uses its C encoder only without ``indent``, so indented output
+    would run the pure-Python one; this emitter lays out the indentation
+    itself and escapes strings with the C escaper.  It takes dicts with str
+    keys, lists, str, int, bool and None; any other type (a float, a tuple,
+    a Fraction, a non-str key) raises TypeError instead of slipping through.
+    """
+    return _encode(value, "\n")
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _encode(value: object, newline: str) -> str:
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is dict or kind is list:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = newline + "  "
+        if kind is dict:  # _string raises TypeError on a key that is not a str
+            items = [_string(k) + ": " + _encode(v, inner) for k, v in value.items()]
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        items = [_encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or kind is bool:
+        return _CONSTANTS[value]
+    raise TypeError(f"{kind.__name__} {value!r} has no JSON form")
 
 
 # --- decoding ------------------------------------------------------------

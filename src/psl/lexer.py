@@ -22,7 +22,7 @@ import sys
 from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .ast import Size
@@ -186,10 +186,15 @@ def lex(source: str) -> tuple[list[Token], list[Diagnostic], Sequence[int]]:
 
 
 def _byte_offsets(source: str) -> Sequence[int]:
-    """Map each character index (and the end) to its UTF-8 byte offset."""
+    """Map each character index (and the end) to its UTF-8 byte offset.
+
+    A lone surrogate, which has no UTF-8 form, counts the three bytes that
+    ``surrogatepass`` gives it (as does U+FFFD, which would replace it).
+    """
     if source.isascii():
         return range(len(source) + 1)
-    return list(accumulate(map(len, map(str.encode, source)), initial=0))
+    widths = map(len, map(str.encode, source, repeat("utf-8"), repeat("surrogatepass")))
+    return list(accumulate(widths, initial=0))
 
 
 def _merge_phrases(

@@ -9,16 +9,24 @@ token through unchanged, or get a blank token if nothing was consumed from
 that place.
 
 The engine itself is generic: `enabled` and `fire` work on any net,
-including branching ones.  `simulate` accepts nets in which each
-transition fires at most once and at most one transition is enabled at
-every step, and returns the piecewise-constant marking trajectory, closing
-with a final hold so the last marking occupies a real interval.  It keeps
+including branching ones, and `fire` returns a new marking without
+touching its input.  `simulate` accepts nets in which each transition
+fires at most once and at most one transition is enabled at every step,
+and returns the piecewise-constant marking trajectory, closing with a
+final hold so the last marking occupies a real interval.  It keeps
 transitions on waiting lists of empty places instead of rescanning the
-net, but each step still copies the marking, O(places), for the
-trajectory.  Markings are values; firing never mutates.
+net, and keeps one version list per place (the fat-node method of
+Driscoll, Sarnak, Sleator & Tarjan, "Making data structures persistent",
+1989): a firing appends only to the places it changed, and each
+interval's marking is a read-only view that bisects those lists.  A
+replay stores O(places + arcs) tuples, which is O(transitions + places)
+for nets whose transitions have a bounded number of arcs, as compiled
+storyboards do.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -113,11 +121,23 @@ def fire(net: Net, marking: Marking, transition: Transition) -> Marking:
     """One firing step; returns the successor marking (other places keep their tuples)."""
     if any(not marking.get(pid, ()) for pid in transition.inputs):
         raise FireError(f"transition {transition.id} is not enabled")
-    out = dict(marking)
+    return {**marking, **_changes(marking, transition)}
+
+
+def _changes(
+    marking: Mapping[str, tuple[PetriToken, ...]], transition: Transition
+) -> dict[str, tuple[PetriToken, ...]]:
+    """The new tuple of each place an enabled transition's firing changes.
+
+    Each input gives up its oldest token; each output gains its explicit
+    effect token, else the token consumed from it, else a blank one.
+    """
+    changed: dict[str, tuple[PetriToken, ...]] = {}
     consumed: dict[str, PetriToken] = {}
     for pid in transition.inputs:
-        consumed[pid] = out[pid][0]
-        out[pid] = out[pid][1:]
+        tokens = marking[pid]
+        consumed[pid] = tokens[0]
+        changed[pid] = tokens[1:]
     explicit = dict(transition.effect)
     for pid in transition.outputs:
         if pid in explicit:
@@ -126,8 +146,42 @@ def fire(net: Net, marking: Marking, transition: Transition) -> Marking:
             token = consumed[pid]
         else:
             token = PetriToken()
-        out[pid] = (*out.get(pid, ()), token)
-    return out
+        before = changed[pid] if pid in changed else marking.get(pid, ())
+        changed[pid] = (*before, token)
+    return changed
+
+
+class _MarkingView(Mapping[str, tuple[PetriToken, ...]]):
+    """Read-only marking after ``step`` firings, read from per-place version lists.
+
+    ``versions[pid]`` holds two parallel lists: the steps at which the
+    place changed, ascending, and the tuple it held from each of them on.
+    A place missing from the initial marking is absent until a firing
+    first outputs to it, as in the dicts ``fire`` returns.
+    """
+
+    __slots__ = ("_versions", "_step")
+
+    def __init__(self, versions: dict[str, tuple[list[int], list]], step: int) -> None:
+        self._versions = versions
+        self._step = step
+
+    def __getitem__(self, pid: str) -> tuple[PetriToken, ...]:
+        steps, values = self._versions[pid]
+        i = bisect_right(steps, self._step) - 1
+        if i < 0:
+            raise KeyError(pid)
+        return values[i]
+
+    def __iter__(self) -> Iterator[str]:
+        step = self._step
+        return (pid for pid, (steps, _) in self._versions.items() if steps[0] <= step)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,7 +190,7 @@ class MarkingInterval:
 
     t0: Fraction
     t1: Fraction
-    marking: Marking
+    marking: Mapping[str, tuple[PetriToken, ...]]
     fired: str | None  # transition id, None for the closing hold
 
 
@@ -153,12 +207,15 @@ def simulate(net: Net) -> list[MarkingInterval]:
     The net is not rescanned: each transition is ready or waits on one
     empty input place, and only a firing's output places gain tokens, so
     a firing rechecks just the ready transitions and those waiting on its
-    outputs.  A step costs O(arcs woken) plus the O(places) marking copy
-    that ``fire`` makes for the trajectory.
+    outputs.  One working marking changes in place, and each firing
+    appends its changed places' new tuples to their version lists, so a
+    step costs O(arcs touched) time and memory, and every interval's
+    marking is a view of those lists.
     """
     bound = len(net.transitions) + 1
     trajectory: list[MarkingInterval] = []
     marking = dict(net.initial)
+    versions = {pid: ([0], [tokens]) for pid, tokens in marking.items()}
     clock = Fraction(0)
     ready: list[int] = []
     waiting: dict[str, list[int]] = {}
@@ -174,18 +231,22 @@ def simulate(net: Net) -> list[MarkingInterval]:
                 waiting.setdefault(empty, []).append(i)
 
     classify(list(range(len(net.transitions))))
-    for _ in range(bound):
+    for step in range(bound):
         if len(ready) > 1:
             names = ", ".join(net.transitions[i].id for i in sorted(ready))
             raise NetStructureError(f"not a chain: {names} are enabled together")
+        view = _MarkingView(versions, step)
         if not ready:
-            trajectory.append(
-                MarkingInterval(clock, clock + HOLD_DURATION, marking, None)
-            )
+            trajectory.append(MarkingInterval(clock, clock + HOLD_DURATION, view, None))
             return trajectory
         t = net.transitions[ready[0]]
-        trajectory.append(MarkingInterval(clock, clock + t.duration, marking, t.id))
-        marking = fire(net, marking, t)
+        trajectory.append(MarkingInterval(clock, clock + t.duration, view, t.id))
+        changed = _changes(marking, t)
+        marking.update(changed)
+        for pid, tokens in changed.items():
+            steps, values = versions.setdefault(pid, ([], []))
+            steps.append(step + 1)
+            values.append(tokens)
         clock += t.duration
         woken = ready + [i for pid in t.outputs for i in waiting.pop(pid, ())]
         ready.clear()

@@ -56,6 +56,39 @@ def test_check_missing_file(capsys):
     assert err.startswith("psl: cannot read")
 
 
+BOM = "\ufeff".encode("utf-8")
+
+
+def test_a_leading_byte_order_mark_is_skipped(capsys, tmp_path):
+    path = tmp_path / "bom.psl"
+    path.write_bytes(BOM + b"MS on Anna, Boris speaks.\n")
+    code, out, err = run(capsys, "check", str(path))
+    # offsets count from after the mark: "Boris" starts at byte 12 of the text
+    assert (code, out, err) == (1, "", f"{path}:12: E101 Boris is not on screen\n")
+    path.write_bytes(BOM + b"ms ON Anna.")
+    for command in ("compile", "simulate", "stats"):
+        assert run(capsys, command, str(path))[0] == 0, command
+    code, out, err = run(capsys, "fmt", "--write", str(path))
+    assert (code, out, err) == (0, "", "")
+    assert path.read_bytes() == b"MS on Anna.\n"  # the canonical text drops the mark
+
+
+def test_only_one_byte_order_mark_is_skipped(capsys, tmp_path):
+    path = tmp_path / "two_boms.psl"
+    path.write_bytes(BOM + BOM + b"MS on Anna.\n")
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 1
+    assert err == f"{path}:0: E010 unexpected character '\\ufeff'\n"
+
+
+def test_a_stylesheet_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    sheet = tmp_path / "bom.sheet"
+    sheet.write_bytes(BOM + b"duration.cross = 4\n")
+    code, out, err = run(capsys, "simulate", "--style", str(sheet), str(CROSS))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["entries"][0]["t1"] == "4"  # the default cross takes 2
+
+
 def test_check_sorts_by_offset(capsys, tmp_path):
     path = tmp_path / "two.psl"
     path.write_text("on Anna.\non Boris.\n", encoding="utf-8")

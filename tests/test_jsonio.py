@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_paths, parse_ok
 from psl.compiler import compile_storyboard, timeline
@@ -11,6 +14,7 @@ from psl.jsonio import (
     SCHEMA_VERSION,
     composition_from_dict,
     composition_to_dict,
+    dumps,
     event_from_dict,
     event_to_dict,
     net_to_dict,
@@ -142,3 +146,32 @@ def test_timeline_dict_shape():
         for s in data["entries"][-1]["composition"]["planes"][0]["subjects"]
     ]
     assert names == ["Boris", "Anna"]
+
+
+# --- the indented emitter --------------------------------------------------
+
+_TEXT = st.text() | st.text(st.characters(categories=["Cs"]))  # lone surrogates too
+_PAYLOADS = st.recursive(
+    _TEXT | st.integers() | st.integers(-(2**200), 2**200) | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_PAYLOADS)
+@example({"a": {}, "b": [[], {}], "\u00e9\ud800": -(2**70)})
+def test_dumps_matches_indented_json(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, (1, 2), Fraction(1, 3), {1, 2}, {1: "one"}],
+    ids=["float", "tuple", "Fraction", "set", "int key"],
+)
+def test_dumps_refuses_types_outside_the_payload(value):
+    with pytest.raises(TypeError):
+        dumps(value)
+    with pytest.raises(TypeError):  # however deep it sits
+        dumps({"entries": [{"t0": value}]})

@@ -7,6 +7,7 @@ from fractions import Fraction
 from psl.ast import Size
 from psl.diagnostics import E_BAD_CHAR, E_BAD_WORD, E_NUMBER_RANGE
 from psl.lexer import TokenKind, tokenize
+from psl.parser import parse_storyboard
 
 
 def kinds(text: str) -> list[TokenKind]:
@@ -128,6 +129,20 @@ def test_spans_are_byte_offsets_for_non_ascii():
     raw = text.encode("utf-8")
     for t in tokens:
         assert raw[t.start:t.end].decode("utf-8") == t.lexeme
+
+
+def test_a_lone_surrogate_is_a_bad_character_three_bytes_wide():
+    # no UTF-8 form exists; the span counts the three bytes of its
+    # surrogatepass form, so the offsets after it are the same as for U+FFFD
+    text = "MS on Anna\ud800."
+    tokens, diagnostics = tokenize(text)
+    assert [d.code for d in diagnostics] == [E_BAD_CHAR]
+    assert (diagnostics[0].span.start, diagnostics[0].span.end) == (10, 13)
+    assert diagnostics[0].message == "unexpected character '\\ud800'"
+    assert (tokens[-1].kind, tokens[-1].start, tokens[-1].end) == (TokenKind.PERIOD, 13, 14)
+    assert tokenize(text.replace("\ud800", "\ufffd"))[0] == tokens
+    sb, parsed = parse_storyboard(text)
+    assert sb is None and parsed == diagnostics
 
 
 def test_lexemes_reproduce_their_source_slice():

@@ -181,15 +181,34 @@ def test_simulate_rejects_endless_nets():
             simulate(net)
 
 
+def test_simulated_markings_are_read_only_views_of_each_step():
+    # "b" is no key of the initial marking, so it appears only once filled
+    places = (Place("a", PlaceKind.CONTROL), Place("b", PlaceKind.CONTROL))
+    t = Transition("t", "t", Fraction(1), ("a",), ("b",))
+    token = PetriToken.of(n=1)
+    net = Net(places, (t,), {"a": (token,)})
+    before, after = (iv.marking for iv in simulate(net))
+    assert dict(before) == {"a": (token,)} and len(before) == 1
+    assert "b" not in before and before.get("b") is None
+    with pytest.raises(KeyError):
+        before["b"]
+    assert list(after.items()) == list(fire(net, net.initial, t).items())
+    assert after["a"] == () and after["b"] == (PetriToken(),)
+    with pytest.raises(TypeError):
+        after["a"] = (token,)
+
+
 def test_interval_is_half_open_record():
     iv = MarkingInterval(Fraction(0), Fraction(2), {}, "t1")
     assert (iv.t0, iv.t1, iv.fired) == (0, 2, "t1")
 
 
 # --- replay oracle ----------------------------------------------------------
-# ``simulate`` keeps waiting lists instead of rescanning the net; the
-# reference below rescans with ``enabled`` at every step, as the definition
-# reads.  Nets stay small: every interval holds a full marking.
+# ``simulate`` keeps waiting lists instead of rescanning the net, and
+# per-place version lists instead of whole markings; the reference below
+# rescans with ``enabled`` and fires with ``fire`` at every step, as the
+# definition reads.  Nets stay small: every interval of the reference holds
+# a full marking, which the simulated view must equal.
 
 def rescanning_simulate(net: Net) -> list[MarkingInterval]:
     bound = len(net.transitions) + 1
