@@ -174,17 +174,16 @@ class ScreenEvent:
     """Base class for everything that can change or hold the frame.
 
     Each event class declares its part of the vocabulary: its surface
-    ``verb`` (also its stylesheet duration key), its JSON ``tag``, its
-    canonical ``phrase`` (a ``str.format`` template over its fields and
-    ``verb``, where a bracketed clause shows only when its field is set),
-    whether it ``drives_frame`` toward a new composition (a "to" event) or
-    maintains it (a "with" event), and what it does with the ``camera``.
+    ``verb`` (also its stylesheet duration key), its canonical ``phrase``
+    (a ``str.format`` template over its fields and ``verb``, where a
+    bracketed clause shows only when its field is set), whether it
+    ``drives_frame`` toward a new composition (a "to" event) or maintains
+    it (a "with" event), and what it does with the ``camera``.
     ``span`` is keyword-only, so ``__match_args__`` lists the event's own
     fields in order.
     """
 
     verb: ClassVar[str]
-    tag: ClassVar[str]
     phrase: ClassVar[str]
     drives_frame: ClassVar[bool] = False
     camera: ClassVar[CameraRole] = CameraRole.NONE
@@ -195,7 +194,7 @@ class ScreenEvent:
 class Lock(ScreenEvent):
     """Pin the camera; later actor movement plays against a held frame."""
 
-    verb = tag = phrase = "lock"
+    verb = phrase = "lock"
     camera = CameraRole.LOCK
 
 
@@ -210,17 +209,17 @@ class CameraWith(ScreenEvent):
 
 class PanWith(CameraWith):
     __slots__ = ()
-    verb, tag, camera = "pan", "pan-with", CameraRole.FIXED
+    verb, camera = "pan", CameraRole.FIXED
 
 
 class DollyWith(CameraWith):
     __slots__ = ()
-    verb, tag, camera = "dolly", "dolly-with", CameraRole.TRAVEL
+    verb, camera = "dolly", CameraRole.TRAVEL
 
 
 class CraneWith(CameraWith):
     __slots__ = ()
-    verb, tag, camera = "crane", "crane-with", CameraRole.TRAVEL
+    verb, camera = "crane", CameraRole.TRAVEL
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,36 +234,36 @@ class CameraTo(ScreenEvent):
 
 class PanTo(CameraTo):
     __slots__ = ()
-    verb, tag, camera = "pan", "pan-to", CameraRole.FIXED
+    verb, camera = "pan", CameraRole.FIXED
 
 
 class DollyTo(CameraTo):
     __slots__ = ()
-    verb, tag, camera = "dolly", "dolly-to", CameraRole.TRAVEL
+    verb, camera = "dolly", CameraRole.TRAVEL
 
 
 class CraneTo(CameraTo):
     __slots__ = ()
-    verb, tag, camera = "crane", "crane-to", CameraRole.TRAVEL
+    verb, camera = "crane", CameraRole.TRAVEL
 
 
 class ContinueTo(CameraTo):
     """Keep the camera travelling into a new composition."""
 
     __slots__ = ()
-    verb, tag, camera = "continue", "continue-to", CameraRole.FIXED
+    verb, camera = "continue", CameraRole.FIXED
 
 
 @dataclass(frozen=True, slots=True)
 class Speak(ScreenEvent):
-    verb = tag = "speak"
+    verb = "speak"
     phrase = "{actor} speaks"
     actor: str
 
 
 @dataclass(frozen=True, slots=True)
 class React(ScreenEvent):
-    verb = tag = "react"
+    verb = "react"
     phrase = "{actor} reacts[ to {to}]"
     actor: str
     to: str | None = None
@@ -272,7 +271,7 @@ class React(ScreenEvent):
 
 @dataclass(frozen=True, slots=True)
 class Use(ScreenEvent):
-    verb = tag = "use"
+    verb = "use"
     phrase = "{actor} uses {prop}"
     actor: str
     prop: str
@@ -280,7 +279,7 @@ class Use(ScreenEvent):
 
 @dataclass(frozen=True, slots=True)
 class Touch(ScreenEvent):
-    verb = tag = "touch"
+    verb = "touch"
     phrase = "{actor} touches {prop}"
     actor: str
     prop: str
@@ -290,7 +289,7 @@ class Touch(ScreenEvent):
 class Cross(ScreenEvent):
     """Actor passes in front of or behind an adjacent subject; they swap."""
 
-    verb = tag = "cross"
+    verb = "cross"
     phrase = "{actor} crosses {other}"
     drives_frame = True
     actor: str
@@ -301,7 +300,7 @@ class Cross(ScreenEvent):
 class Enter(ScreenEvent):
     """Entrance from a frame edge; carries the resulting composition."""
 
-    verb = tag = "enter"
+    verb = "enter"
     phrase = "{actor} enters from {side} to {target}"
     drives_frame = True
     actor: str
@@ -311,7 +310,7 @@ class Enter(ScreenEvent):
 
 @dataclass(frozen=True, slots=True)
 class Exit(ScreenEvent):
-    verb = tag = "exit"
+    verb = "exit"
     phrase = "{actor} exits {side}"
     drives_frame = True
     actor: str
@@ -322,7 +321,7 @@ class Exit(ScreenEvent):
 class Move(ScreenEvent):
     """Actor movement that rearranges the frame into the target."""
 
-    verb = tag = "move"
+    verb = "move"
     phrase = "{actor} moves to {target}"
     drives_frame = True
     actor: str

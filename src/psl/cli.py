@@ -18,7 +18,7 @@ from pathlib import Path
 from .analysis import ShotCategory, classify_shot, validate
 from .ast import EVENT_VERBS, Size, Storyboard, storyboard_compositions
 from .compiler import CompiledStoryboard, CompileError, compile_storyboard, timeline
-from .diagnostics import Diagnostic, has_errors
+from .diagnostics import Diagnostic, has_errors, in_source_order
 from .formatter import format_storyboard
 from .generator import generate_sentence
 from .jsonio import SCHEMA_VERSION, dumps, net_to_dict, timeline_to_dict
@@ -62,8 +62,7 @@ def _load_style(args: argparse.Namespace) -> Stylesheet:
 
 
 def _print_diagnostics(diagnostics: list[Diagnostic], path: str, as_json: bool) -> None:
-    ordered = sorted(diagnostics, key=lambda d: (d.span.start, d.span.end, d.code))
-    for d in ordered:
+    for d in in_source_order(diagnostics):
         if as_json:
             line = json.dumps({"psl_schema": SCHEMA_VERSION, **d.to_dict()})
         else:

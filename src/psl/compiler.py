@@ -19,7 +19,9 @@ for bit.
 
 ``timeline`` replays the unique firing sequence and returns the visible
 screen state over time: which composition is up, which of the four
-per-interval states applies, and whether the frame is mid-change.
+per-interval states applies, and whether the frame is mid-change.  The
+frame is rebuilt from the subject tokens only after a firing that
+changed the frame.
 """
 from __future__ import annotations
 
@@ -271,15 +273,6 @@ class TimelineEntry:
     composition: Composition
 
 
-def _reads_subjects_only(t: Transition, subjects: set[str]) -> bool:
-    """True when firing ``t`` hands back, unchanged, each subject token it takes."""
-    explicit = {pid for pid, _ in t.effect}
-    return all(
-        pid in t.inputs and t.outputs.count(pid) == 1 and pid not in explicit
-        for pid in subjects.intersection((*t.inputs, *t.outputs))
-    )
-
-
 def timeline(compiled: CompiledStoryboard) -> list[TimelineEntry]:
     """Replay the net; one entry per interval the viewer can see.
 
@@ -287,20 +280,18 @@ def timeline(compiled: CompiledStoryboard) -> list[TimelineEntry]:
     dropped; zero-length changes (a cut) stay as boundary markers.  The
     closing hold reads the camera token the last firing left behind.  The
     composition is rebuilt, from the subject places alone, only after a
-    firing that did more than read subject tokens.
+    firing that changed the frame: one that keeps it (a join between equal
+    frames included) leaves subject tokens that rebuild to the same frame.
     """
     net = compiled.net
     intervals = simulate(net)
     subjects = [p.id for p in net.places if p.kind is PlaceKind.SUBJECT]
-    subject_set = set(subjects)
-    reads_only = {t.id for t in net.transitions if _reads_subjects_only(t, subject_set)}
     entries: list[TimelineEntry] = []
     last_shot = len(compiled.storyboard.shots) - 1
-    fired_before: str | None = None
+    changed = True  # nothing has been built before the first interval
     for interval in intervals:
-        if fired_before not in reads_only:  # also true before the first firing
+        if changed:
             comp = composition_of_marking({pid: interval.marking[pid] for pid in subjects})
-        fired_before = interval.fired
         if interval.fired is None:
             moving = interval.marking[CAMERA_PLACE][0].get("moving")
             closing = StateId.MOVING_HOLD if moving else StateId.STATIC_HOLD
@@ -309,12 +300,13 @@ def timeline(compiled: CompiledStoryboard) -> list[TimelineEntry]:
             )
             continue
         meta = compiled.info[interval.fired]
-        if interval.t0 == interval.t1 and not meta.changes:
+        changed = meta.changes
+        if interval.t0 == interval.t1 and not changed:
             continue
         entries.append(
             TimelineEntry(
                 interval.t0, interval.t1, meta.shot_index,
-                meta.state, meta.changes, comp,
+                meta.state, changed, comp,
             )
         )
     return entries

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 
 class Severity(Enum):
@@ -83,3 +84,8 @@ def warning(code: str, span: Span, message: str) -> Diagnostic:
 
 def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity is Severity.ERROR for d in diagnostics)
+
+
+def in_source_order(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:
+    """Sorted by span start, then span end, then code: the order printed."""
+    return sorted(diagnostics, key=lambda d: (d.span.start, d.span.end, d.code))

@@ -64,6 +64,7 @@ from .diagnostics import (
     Span,
     error,
     has_errors,
+    in_source_order,
 )
 from .lexer import Token, TokenKind, lex
 
@@ -308,10 +309,6 @@ def parse_storyboard(source: str) -> tuple[Storyboard | None, list[Diagnostic]]:
     nbytes = to_byte[-1]
     if not tokens:
         diagnostics.append(error(E_EMPTY, Span(0, nbytes), "the storyboard is empty"))
-        return None, _sorted(diagnostics)
+        return None, in_source_order(diagnostics)
     parser = _Parser(tokens, nbytes)
-    return parser.storyboard(diagnostics), _sorted(diagnostics)
-
-
-def _sorted(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
-    return sorted(diagnostics, key=lambda d: (d.span.start, d.span.end, d.code))
+    return parser.storyboard(diagnostics), in_source_order(diagnostics)

@@ -172,9 +172,10 @@ def parse_stylesheet(text: str) -> Stylesheet:
 
 
 def load_stylesheet(path: str) -> Stylesheet:
-    """Parse the file at ``path``; OSError if it cannot be read."""
+    """Parse the file at ``path``, less one leading UTF-8 byte-order mark;
+    OSError if it cannot be read."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise StylesheetError(f"{path} is not valid UTF-8") from None
     return parse_stylesheet(text)

@@ -241,6 +241,28 @@ def test_timeline_grows_by_one_entry_per_positive_event():
         assert len(timeline(compiled_of(text))) == n + 1, n
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "MS on Anna.\nCut to MS on Anna.",
+        "MS on Anna and Bob, Anna moves to MS on Anna and Bob.",
+        "MS on Anna and Bob, lock, Anna crosses Bob, Bob speaks, pan with Bob.",
+    ],
+    ids=["join-between-equal-frames", "to-event-keeps-the-frame", "lock"],
+)
+def test_timeline_compositions_match_the_direct_fold(text):
+    c = compiled_of(text)
+    assert not all(meta.changes for meta in c.info.values())  # some firing keeps the frame
+    visible = [
+        c.compositions[k]
+        for k, interval in enumerate(simulate(c.net))
+        if interval.fired is None
+        or interval.t0 < interval.t1
+        or c.info[interval.fired].changes
+    ]
+    assert [e.composition for e in timeline(c)] == visible
+
+
 def test_full_corpus_compiles_and_replays():
     for path in corpus_paths():
         sb = parse_ok(path.read_text(encoding="utf-8"))

@@ -40,6 +40,13 @@ ALL_FORMS = [
     " from left to MS on Anna and Boris and Carla, Carla exits right, Anna"
     " moves to MS on Boris and Anna.",
     "VLS on Anna.\nCut to MS on Anna.\nDissolve to CU on Anna 3/4 right.",
+    "MS on Anna and Boris, lock, pan with Anna, dolly with Boris,"
+    " crane with Anna, crane to LS on Anna and Boris,"
+    " dolly to MS on Anna and Boris, pan to MS on Anna and Boris,"
+    " continue to MCU on Anna and Boris, Anna speaks, Boris reacts,"
+    " Boris reacts to Anna, Anna uses Boris, Anna touches Boris,"
+    " Anna crosses Boris, Carla enters from left to MS on Anna and Boris"
+    " and Carla, Carla exits right, Anna moves to MS on Boris and Anna.",
 ]
 
 

@@ -128,6 +128,12 @@ def test_load_from_file(tmp_path):
     assert s.duration_by_verb["pan"] == 5
 
 
+def test_load_skips_one_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "marked.sheet"
+    path.write_bytes(b"\xef\xbb\xbfprofile = left\n")
+    assert load_stylesheet(str(path)).default_profile is Profile.LEFT
+
+
 def test_load_rejects_non_utf8_and_passes_on_os_errors(tmp_path):
     path = tmp_path / "latin1.sheet"
     path.write_bytes(b"profile = \xff\n")
