@@ -14,14 +14,15 @@ a bare head.  Background planes fade by 15% opacity per plane step and
 are drawn first.
 
 Output is byte-deterministic: fixed attribute order, every coordinate
-formatted to two decimals, no timestamps, no randomness.
+formatted to two decimals, no timestamps, no randomness.  Escaping is
+local, so loading this module loads no XML or HTTP code; the layout and
+figure memos of ``render_compiled`` live for one call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from xml.sax.saxutils import escape
 
 from .ast import Composition, Profile, Storyboard
 from .compiler import CompiledStoryboard, compile_storyboard, timeline
@@ -74,11 +75,15 @@ def layout(c: Composition, s: Stylesheet = DEFAULT_STYLESHEET) -> FrameLayout:
     return FrameLayout(FRAME_WIDTH, FRAME_HEIGHT, tuple(figures), format_composition(c))
 
 
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _fmt(value: float) -> str:
-    return f"{round(value, 2) + 0.0:.2f}"
+    return "0.00" if (text := f"{value:.2f}") == "-0.00" else text
 
 
-def _figure_svg(fig: Figure, frame_w: int, frame_h: int) -> list[str]:
+def _figure_svg(fig: Figure, frame_w: int, frame_h: int) -> str:
     h = float(fig.height) * frame_h
     x = float(fig.x) * frame_w
     r = h / 8.0
@@ -87,7 +92,7 @@ def _figure_svg(fig: Figure, frame_w: int, frame_h: int) -> list[str]:
     opacity = 0.85 ** fig.plane
     stroke = max(1.0, h / 60.0)
     parts = [
-        f'<g class="figure" data-name="{escape(fig.name)}" opacity="{_fmt(opacity)}" '
+        f'<g class="figure" data-name="{_escape(fig.name)}" opacity="{_fmt(opacity)}" '
         f'stroke="#1a1a1a" stroke-width="{_fmt(stroke)}" stroke-linecap="round" fill="none">',
         f'<circle class="head" cx="{_fmt(x)}" cy="{_fmt(head_cy)}" r="{_fmt(r)}"/>',
         f'<line class="torso" x1="{_fmt(x)}" y1="{_fmt(y_top + 2 * r)}" '
@@ -114,11 +119,15 @@ def _figure_svg(fig: Figure, frame_w: int, frame_h: int) -> list[str]:
             f'x2="{_fmt(x - r * math.sin(a))}" y2="{_fmt(head_cy - 0.3 * r * math.cos(a))}"/>'
         )
     parts.append("</g>")
-    return parts
+    return "\n".join(parts)
 
 
 def render_frame(l: FrameLayout, stamp: str | None = None) -> str:
     """One self-contained SVG 1.1 document for a laid-out frame."""
+    return _frame_svg(l, stamp, {})
+
+
+def _frame_svg(l: FrameLayout, stamp: str | None, drawn: dict[Figure, str]) -> str:
     total_h = l.height + CAPTION_BAND
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -132,16 +141,18 @@ def render_frame(l: FrameLayout, stamp: str | None = None) -> str:
         '<g class="figures" clip-path="url(#frame-clip)">',
     ]
     for fig in l.figures:
-        lines.extend(_figure_svg(fig, l.width, l.height))
+        if (svg := drawn.get(fig)) is None:
+            svg = drawn[fig] = _figure_svg(fig, l.width, l.height)
+        lines.append(svg)
     lines.append("</g>")
     if stamp is not None:
         lines.append(
             f'<text class="stamp" x="{l.width - 8}" y="20" text-anchor="end" '
-            f'font-family="monospace" font-size="14" fill="#aa3333">{escape(stamp)}</text>'
+            f'font-family="monospace" font-size="14" fill="#aa3333">{_escape(stamp)}</text>'
         )
     lines.append(
         f'<text class="caption" x="{l.width // 2}" y="{l.height + 25}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12" fill="#222222">{escape(l.caption)}</text>'
+        f'font-family="monospace" font-size="12" fill="#222222">{_escape(l.caption)}</text>'
     )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -161,6 +172,8 @@ def render_compiled(compiled: CompiledStoryboard) -> list[Frame]:
     s = compiled.stylesheet
     frames: list[Frame] = []
     counts: dict[int, int] = {}
+    layouts: dict[Composition, FrameLayout] = {}
+    drawn: dict[Figure, str] = {}  # every layout here has the same frame size
     for entry in timeline(compiled):
         if entry.t0 == entry.t1:
             continue
@@ -168,5 +181,7 @@ def render_compiled(compiled: CompiledStoryboard) -> list[Frame]:
         counts[entry.shot_index] = index
         filename = f"shot{entry.shot_index + 1:02d}_frame{index:02d}.svg"
         stamp = "in transition" if entry.in_transition else None
-        frames.append(Frame(filename, render_frame(layout(entry.composition, s), stamp)))
+        if (l := layouts.get(entry.composition)) is None:
+            l = layouts[entry.composition] = layout(entry.composition, s)
+        frames.append(Frame(filename, _frame_svg(l, stamp, drawn)))
     return frames

@@ -2,15 +2,39 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import psl
 from conftest import BROKEN_DIR, CORPUS_DIR, parse_ok
 from psl import analysis, compiler
 from psl.cli import main
 
 CROSS = CORPUS_DIR / "07_cross.psl"
 OFFSCREEN = BROKEN_DIR / "b06_offscreen.psl"
+
+
+#: Packages no command calls, which a stray import would load at start-up.
+UNCALLED = ("xml", "http", "email", "ssl", "socket", "urllib.request")
+
+
+def modules_after(code):
+    """Every module loaded in a fresh interpreter that runs ``code``,
+    with this test run's ``psl`` first on the path."""
+    src = str(Path(psl.__file__).resolve().parent.parent)
+    script = f"import sys; sys.path.insert(0, {src!r}); {code}; print(*sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, timeout=120)
+    return set(done.stdout.split())
+
+
+def test_importing_the_cli_loads_no_xml_http_or_socket_module():
+    loaded = modules_after("import psl.cli") - modules_after("pass")
+    assert "psl.render" in loaded
+    assert sorted(m for m in loaded if any(m == p or m.startswith(p + ".") for p in UNCALLED)) == []
 
 
 def run(capsys, *argv):

@@ -2,21 +2,29 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_paths, parse_ok
+from psl import render
 from psl.ast import Profile, Size
-from psl.compiler import shot_frames
+from psl.compiler import compile_storyboard, shot_frames, timeline
+from psl.generator import generate_storyboard
 from psl.render import (
     CAPTION_BAND,
     FRAME_HEIGHT,
     FRAME_WIDTH,
     layout,
+    render_compiled,
     render_frame,
     render_storyboard,
 )
 from psl.stylesheet import DEFAULT_STYLESHEET
+
+fixed = settings(derandomize=True, deadline=None)
 
 
 def frame_of(text):
@@ -125,3 +133,53 @@ def test_every_corpus_frame_renders():
         for frame in render_storyboard(sb):
             assert frame.svg.startswith("<svg"), path.name
             assert frame.filename.endswith(".svg")
+
+
+# --- the local helpers against what they replace -------------------------
+
+@fixed
+@given(st.text() | st.lists(st.sampled_from(["&", "<", ">", "&amp;", '"', "'", "a"])).map("".join))
+def test_escape_matches_saxutils(text):
+    assert render._escape(text) == escape(text)
+
+
+def rounded_then_formatted(value):
+    return f"{round(value, 2) + 0.0:.2f}"
+
+
+@fixed
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_fmt_matches_rounding_then_formatting(value):
+    assert render._fmt(value) == rounded_then_formatted(value)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (-0.0, "0.00"),
+        (-0.004, "0.00"),
+        (-0.005, "-0.01"),  # the double lies just below -0.005
+        (0.005, "0.01"),    # and this one just above 0.005
+        (2.675, "2.67"),    # the double lies just below 2.675
+        (1e15 + 0.125, "1000000000000000.12"),  # an exact tie goes to even
+    ],
+)
+def test_fmt_edge_values(value, text):
+    assert render._fmt(value) == rounded_then_formatted(value) == text
+
+
+# --- render_compiled on generated boards ---------------------------------
+
+@fixed
+@given(st.randoms(use_true_random=False), st.integers(1, 6))
+def test_render_is_deterministic_and_matches_unmemoised_frames(rng, depth):
+    compiled = compile_storyboard(generate_storyboard(rng, depth))
+    frames = render_compiled(compiled)
+    again = render_compiled(compiled)
+    assert [(f.filename, f.svg) for f in frames] == [(f.filename, f.svg) for f in again]
+    s = compiled.stylesheet
+    assert [f.svg for f in frames] == [
+        render_frame(layout(e.composition, s), "in transition" if e.in_transition else None)
+        for e in timeline(compiled)
+        if e.t0 != e.t1
+    ]

@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psl.ast import Profile, Size
 from psl.stylesheet import (
@@ -142,3 +145,59 @@ def test_load_rejects_non_utf8_and_passes_on_os_errors(tmp_path):
     with pytest.raises(OSError):
         load_stylesheet(str(tmp_path / "missing.sheet"))
 
+
+# --- mutated stylesheets -------------------------------------------------
+
+BENCH_STYLE = Path(__file__).resolve().parent.parent / "perfbench" / "bench.style"
+DEFAULT_KEYS = "\n".join(
+    [f"profile = {DEFAULT_STYLESHEET.default_profile.value}"]
+    + [f"positions.{n} = {', '.join(map(str, DEFAULT_STYLESHEET.positions_for(n)))}"
+       for n in (1, 2, 3)]
+    + [f"duration.{verb} = {d}" for verb, d in DEFAULT_STYLESHEET.duration_by_verb.items()]
+    + [f"height.{size.name.lower()} = {h}"
+       for size, h in DEFAULT_STYLESHEET.figure_height_by_size.items()]
+)
+#: Single characters, plus a few fragments that one character cannot reach.
+_EDITS = (
+    st.sampled_from(["/0", "0/", "٢", "positions.", "height."])
+    | st.sampled_from(list("=.,/#-+_e \n\t0123456789"))
+    | st.characters()
+)
+
+
+@st.composite
+def mutated_stylesheets(draw):
+    """A valid stylesheet after one to eight edits, each inserting,
+    deleting or replacing text at one place in one line.  Edits favour
+    the ends of lines, where a key starts and a value ends."""
+    lines = draw(st.sampled_from([BENCH_STYLE.read_text(encoding="utf-8"), DEFAULT_KEYS]))
+    lines = lines.splitlines()
+    for _ in range(draw(st.integers(1, 8))):
+        row = draw(st.integers(0, len(lines) - 1))
+        line = lines[row]
+        at = draw(st.sampled_from([0, len(line)]) | st.integers(0, len(line)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        kept = line[at:] if edit == "insert" else line[at + 1:]
+        lines[row] = line[:at] + ("" if edit == "delete" else draw(_EDITS)) + kept
+    return "\n".join(lines)
+
+
+def test_the_unmutated_stylesheets_parse():
+    assert parse_stylesheet(BENCH_STYLE.read_text(encoding="utf-8")).duration_by_verb["pan"] == 2
+    sheet, default = parse_stylesheet(DEFAULT_KEYS), DEFAULT_STYLESHEET
+    assert sheet.default_profile is default.default_profile
+    assert sheet.duration_by_verb == default.duration_by_verb
+    assert sheet.figure_height_by_size == default.figure_height_by_size
+    assert [sheet.positions_for(n) for n in (1, 2, 3, 4)] == [
+        default.positions_for(n) for n in (1, 2, 3, 4)
+    ]
+
+
+@settings(derandomize=True, deadline=None)
+@given(mutated_stylesheets())
+def test_mutated_stylesheets_parse_or_raise_stylesheet_error(text):
+    try:
+        sheet = parse_stylesheet(text)
+    except StylesheetError:
+        return
+    assert isinstance(sheet, Stylesheet)
