@@ -39,11 +39,12 @@ class _Exit(Exception):
 def _read_source(path: str) -> str:
     """The file's text, less one leading UTF-8 byte-order mark.
 
-    Diagnostic offsets count from after the mark, and ``fmt --write``
-    writes canonical text without it.
+    Line endings are kept as they are, so diagnostic offsets count the
+    file's bytes from after the mark; ``fmt --write`` writes canonical
+    text without it.
     """
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_bytes().decode("utf-8-sig")
     except OSError as err:
         raise _Exit(2, f"psl: cannot read {path}: {err.strerror or err}") from None
     except UnicodeDecodeError as err:
@@ -70,7 +71,7 @@ def _print_diagnostics(diagnostics: list[Diagnostic], path: str, as_json: bool) 
         print(line, file=sys.stderr)
 
 
-def _load_checked(args: argparse.Namespace) -> tuple[Storyboard, Stylesheet]:
+def _load_checked(args: argparse.Namespace) -> Storyboard:
     """Parse and validate ``args.file``; print problems, raise on errors."""
     style = _load_style(args)
     source = _read_source(args.file)
@@ -80,7 +81,7 @@ def _load_checked(args: argparse.Namespace) -> tuple[Storyboard, Stylesheet]:
     _print_diagnostics(diagnostics, args.file, getattr(args, "json", False))
     if sb is None or has_errors(diagnostics):
         raise _Exit(1, "")
-    return sb, style
+    return sb
 
 
 def _load_compiled(args: argparse.Namespace) -> CompiledStoryboard:
@@ -151,7 +152,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    sb, _ = _load_checked(args)
+    sb = _load_checked(args)
     categories = {category.value: 0 for category in ShotCategory}
     for shot in sb.shots:
         categories[classify_shot(shot).value] += 1

@@ -4,9 +4,11 @@ One compiled scanner lexes each line in a single pass.  Each match is a
 run of blanks (space, tab, CR) and then one lexeme: a word or punctuation
 mark, a number, or a run of characters outside the alphabet (``#`` among
 them).  A word is classified by one dict lookup; keywords are
-case-insensitive and subject names keep their spelling.  Only the words
-that can open a multi-word keyword ("Cut to", "medium long shot") look
-ahead, longest match first, over the raw words that follow them.  A line
+case-insensitive and subject names keep their spelling.  A word that can
+end a multi-word keyword ("Cut to", "medium long shot") looks back,
+longest match first, over the raw words before it; since no such word
+opens or continues a keyword, this finds the phrases that a longest match
+from the first word would.  A line
 whose first non-blank character (``str.isspace``) is ``#`` is a comment
 from there on; each line is checked once, so the rule is linear however
 many ``#`` a line holds.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left
 from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
@@ -86,7 +89,7 @@ class Token(NamedTuple):
         return Span(self.start, self.end)
 
 
-# Multi-word keywords, matched longest first over adjacent words.
+# Multi-word keywords, each merged from adjacent words at its last word, longest first.
 _PHRASES: dict[tuple[str, ...], tuple[TokenKind, object]] = {
     ("cut", "to"): (TokenKind.CUT_TO, None),
     ("dissolve", "to"): (TokenKind.DISSOLVE_TO, None),
@@ -101,7 +104,7 @@ _PHRASES: dict[tuple[str, ...], tuple[TokenKind, object]] = {
     ("long", "shot"): (TokenKind.SIZE, Size.LS),
     ("very", "long", "shot"): (TokenKind.SIZE, Size.VLS),
 }
-_PHRASE_STARTS = frozenset(phrase[0] for phrase in _PHRASES)
+_PHRASE_ENDS = frozenset(phrase[-1] for phrase in _PHRASES)
 
 # Lowercased word or punctuation -> (kind, value).  Words that only occur
 # inside phrases are reserved so they cannot be names; size spellings
@@ -133,8 +136,7 @@ def lex(source: str) -> tuple[list[Token], list[Diagnostic], Sequence[int]]:
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
     bad_words: list[Diagnostic] = []  # reported after the other diagnostics
-    starts: list[int] = []  # indexes of the tokens that can open a phrase
-    breaks: set[int] = set()  # indexes of the tokens that follow a rejected word
+    floor = 0  # phrases start at tokens[floor] or later: none spans a rejected word
     pos = 0
     for line in source.split("\n"):
         line_end = pos + len(line)
@@ -148,11 +150,21 @@ def lex(source: str) -> tuple[list[Token], list[Diagnostic], Sequence[int]]:
                 low = word.lower()
                 hit = _WORDS.get(low)
                 if hit is not None:
-                    if low in _PHRASE_STARTS:
-                        starts.append(len(tokens))
+                    if low in _PHRASE_ENDS:
+                        back = tokens[max(floor, len(tokens) - 2):]
+                        words = [t.lexeme.lower() for t in back]
+                        for n in range(len(back), 0, -1):
+                            phrase = _PHRASES.get((*words[-n:], low))
+                            if phrase is not None:
+                                # the lexeme keeps what lies between the words
+                                start = bisect_left(to_byte, back[-n].start)
+                                word = source[start:pos]
+                                hit = phrase
+                                del tokens[-n:]
+                                break
                     tokens.append(Token(hit[0], word, to_byte[start], to_byte[pos], hit[1]))
                 elif "-" in word:
-                    breaks.add(len(tokens))
+                    floor = len(tokens)
                     span = Span(to_byte[start], to_byte[pos])
                     message = f"{word!r} is not a keyword and names cannot contain '-'"
                     bad_words.append(error(E_BAD_WORD, span, message))
@@ -180,8 +192,6 @@ def lex(source: str) -> tuple[list[Token], list[Diagnostic], Sequence[int]]:
                 span = Span(to_byte[start], to_byte[pos])
                 diagnostics.append(error(E_BAD_CHAR, span, f"unexpected character {bad!r}"))
         pos = line_end + 1
-    if starts:
-        tokens = _merge_phrases(source, to_byte, tokens, starts, breaks)
     return tokens, diagnostics + bad_words, to_byte
 
 
@@ -196,35 +206,3 @@ def _byte_offsets(source: str) -> Sequence[int]:
     widths = map(len, map(str.encode, source, repeat("utf-8"), repeat("surrogatepass")))
     return list(accumulate(widths, initial=0))
 
-
-def _merge_phrases(
-    source: str,
-    to_byte: Sequence[int],
-    tokens: list[Token],
-    starts: list[int],
-    breaks: set[int],
-) -> list[Token]:
-    """Merge each phrase, longest first, from the words that can open one.
-
-    A phrase is made of adjacent raw words: a rejected word (one that made
-    a diagnostic, not a token) ends the window, skipped characters do not.
-    """
-    # a merged lexeme keeps what lies between its words, so slice by characters
-    # (the byte offsets of an ASCII source are its character indexes)
-    to_char = to_byte if isinstance(to_byte, range) else {b: c for c, b in enumerate(to_byte)}
-    merged: list[Token] = []
-    done = 0  # tokens[:done] are in ``merged``
-    for i in starts:
-        if i < done:
-            continue  # a word inside the phrase just merged
-        end = next((k for k in (i + 1, i + 2) if k in breaks), i + 3) if breaks else i + 3
-        words = tuple([t.lexeme.lower() for t in tokens[i:end]])
-        for key in (words, words[:2]):
-            hit = _PHRASES.get(key)
-            if hit is not None:
-                first, last = tokens[i].start, tokens[i + len(key) - 1].end
-                merged += tokens[done:i]
-                merged.append(Token(hit[0], source[to_char[first]:to_char[last]], first, last, hit[1]))
-                done = i + len(key)
-                break
-    return merged + tokens[done:]

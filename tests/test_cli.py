@@ -12,6 +12,8 @@ import psl
 from conftest import BROKEN_DIR, CORPUS_DIR, parse_ok
 from psl import analysis, compiler
 from psl.cli import main
+from psl.diagnostics import in_source_order
+from psl.stylesheet import DEFAULT_STYLESHEET
 
 CROSS = CORPUS_DIR / "07_cross.psl"
 OFFSCREEN = BROKEN_DIR / "b06_offscreen.psl"
@@ -111,6 +113,32 @@ def test_a_stylesheet_may_start_with_a_byte_order_mark(capsys, tmp_path):
     code, out, err = run(capsys, "simulate", "--style", str(sheet), str(CROSS))
     assert (code, err) == (0, "")
     assert json.loads(out)["entries"][0]["t1"] == "4"  # the default cross takes 2
+
+
+@pytest.mark.parametrize(("newline", "found"), [
+    ("\r\n", [("E101", b"Anna speaks"), ("E101", b"Dan speaks")]),
+    # a lone CR is a blank, not a line break, so that '#' opens no comment
+    ("\r", [("E010", b"#"), ("E002", b"Dan is")]),
+], ids=["crlf", "lone-cr"])
+def test_offsets_count_file_bytes_whatever_the_line_endings(capsys, tmp_path, newline, found):
+    lines = ["MS on Boris.", "Cut to MS on Boris, Anna speaks.", "Cut to MS on Carla, Dan speaks.",
+             "# Dan is off screen", ""]
+    raw = newline.join(lines).encode("utf-8")
+    path = tmp_path / "board.psl"
+    path.write_bytes(raw)
+    # what the library finds in the file's own characters
+    sb, expected = psl.parse_storyboard(raw.decode("utf-8"))
+    if sb is not None:
+        expected = in_source_order(expected + analysis.validate(sb, DEFAULT_STYLESHEET))
+    assert [(d.code, d.span.start) for d in expected] == [(code, raw.index(at)) for code, at in found]
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [d.render(str(path)) for d in expected]
+    code, out, err = run(capsys, "check", "--json", str(path))
+    assert (code, out) == (1, "")
+    assert [(r["code"], r["span"]["start"], r["span"]["end"]) for r in map(json.loads, err.splitlines())] == [
+        (d.code, d.span.start, d.span.end) for d in expected
+    ]
 
 
 def test_check_sorts_by_offset(capsys, tmp_path):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from psl.ast import Size
 from psl.diagnostics import E_BAD_CHAR, E_BAD_WORD, E_NUMBER_RANGE
-from psl.lexer import TokenKind, tokenize
+from psl.lexer import _PHRASES, TokenKind, tokenize
 from psl.parser import parse_storyboard
 
 
@@ -57,6 +57,14 @@ def test_longest_phrase_wins():
     # "medium close up" must not split into "medium" + "close up"
     tokens, _ = tokenize("medium close up on Anna")
     assert tokens[0].kind is TokenKind.SIZE and tokens[0].value is Size.MCU
+
+
+def test_no_word_that_ends_a_phrase_opens_or_continues_one():
+    # the lexer merges a phrase at its last word, longest first; under this
+    # condition that finds the phrases a longest match from the first word would
+    finals = {words[-1] for words in _PHRASES}
+    inner = {word for words in _PHRASES for word in words[:-1]}
+    assert finals and inner and not finals & inner
 
 
 def test_join_phrases():

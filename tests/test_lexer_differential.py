@@ -30,6 +30,8 @@ _INSERTS = (
     "cut\n# note\nto", "Cut @ to", "dissolve%to", "continue\nto", "medium @ long shot",
     "very\n#\nlong shot", "big\x0cclose up", "close #x up", "medium close-up", "long 12 shot",
     "medium stage-left shot", "CLOSE UP", "cut", "to", "medium", "long", "shot", "close", "up",
+    "medium medium shot", "close up up", "cut cut to", "big close close up", "very long long shot",
+    "continue to to", "medium long stage-left shot", "big close-up up", "medium close stage-left up",
 )
 
 
