@@ -5,11 +5,14 @@ input is at fault (syntax, continuity, failed roundtrips), 2 when the
 invocation is (unknown flags, unreadable files, unwritable directories).
 Diagnostics go to standard error; artifacts (canonical text, JSON,
 file listings) go to standard output.  Every command is a pure function
-of its inputs, so repeated runs print identical bytes.
+of its inputs, so repeated runs print identical bytes.  ``main`` may be
+called many times in one process: it builds the argument parser on its
+first call and reuses it, and reads its input files anew on every call.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -192,7 +195,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``psl`` parser, built on the first call; every later call
+    returns the same object, so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="psl",
         description="Parse, check, format, compile, simulate, and sketch prose storyboards.",

@@ -23,14 +23,19 @@ OFFSCREEN = BROKEN_DIR / "b06_offscreen.psl"
 UNCALLED = ("xml", "http", "email", "ssl", "socket", "urllib.request")
 
 
-def modules_after(code):
-    """Every module loaded in a fresh interpreter that runs ``code``,
-    with this test run's ``psl`` first on the path."""
+def fresh_stdout(code):
+    """What a fresh interpreter that runs ``code`` prints, with this test
+    run's ``psl`` first on the path."""
     src = str(Path(psl.__file__).resolve().parent.parent)
-    script = f"import sys; sys.path.insert(0, {src!r}); {code}; print(*sorted(sys.modules))"
+    script = f"import sys; sys.path.insert(0, {src!r})\n{code}"
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           check=True, timeout=120)
-    return set(done.stdout.split())
+    return done.stdout
+
+
+def modules_after(code):
+    """Every module loaded in a fresh interpreter that runs ``code``."""
+    return set(fresh_stdout(f"{code}\nprint(*sorted(sys.modules))").split())
 
 
 def test_importing_the_cli_loads_no_xml_http_or_socket_module():
@@ -359,3 +364,61 @@ def test_no_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_the_parser_is_built_on_the_first_call_only():
+    # Counts parsers created in a fresh interpreter: none at import (so
+    # start-up does not pay for them), some on the first call, none after.
+    script = (
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    made.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import psl.cli\n"
+        "counts = [len(made)]\n"
+        "for _ in range(2):\n"
+        f"    assert psl.cli.main(['check', {str(CROSS)!r}]) == 0\n"
+        "    counts.append(len(made))\n"
+        "print(counts[0], counts[1] - counts[0], counts[2] - counts[1])\n"
+    )
+    at_import, first, second = map(int, fresh_stdout(script).split())
+    assert at_import == 0
+    assert first > 0
+    assert second == 0
+
+
+def test_a_reused_parser_behaves_like_a_fresh_one(capsys, tmp_path):
+    messy = tmp_path / "messy.psl"
+    messy.write_text("ms ON Anna,Anna speaks.\n", encoding="utf-8")
+    sheet = tmp_path / "slow.sheet"
+    sheet.write_text("duration.cross = 4\n", encoding="utf-8")
+    calls = [
+        ["check", str(CROSS)],
+        ["check", "--json", str(OFFSCREEN)],
+        ["render", str(CROSS)],
+        ["check", "--bogus", str(CROSS)],
+        ["check", "--help"],
+        ["fmt", str(messy)],
+        ["simulate", "--style", str(sheet), str(CROSS)],
+    ]
+
+    def one_round():
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                code = ("SystemExit", stop.code)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    # The second round's clean check runs after the first round's usage errors.
+    first, second = one_round(), one_round()
+    assert [code for code, _, _ in first] == [
+        0, 1, ("SystemExit", 2), ("SystemExit", 2), ("SystemExit", 0), 0, 0]
+    assert second == first
+    assert first[0] == (0, "", "")
