@@ -7,12 +7,17 @@ Diagnostics go to standard error; artifacts (canonical text, JSON,
 file listings) go to standard output.  Every command is a pure function
 of its inputs, so repeated runs print identical bytes.  ``main`` may be
 called many times in one process: it builds the argument parser on its
-first call and reuses it, and reads its input files anew on every call.
+first call and reuses it, and reads its input files anew on every call,
+parsing a stylesheet only when its text differs from the last one parsed.
+``main`` pauses the cyclic garbage collector for the call and restores
+the caller's setting on return: the pipeline's objects form no reference
+cycles, so collections during a command would find nothing to free.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -54,13 +59,22 @@ def _read_source(path: str) -> str:
         raise _Exit(2, f"psl: {path} is not valid UTF-8: {err}") from None
 
 
+@functools.lru_cache(maxsize=1)
+def _parse_style(text: str) -> Stylesheet:
+    """The stylesheet ``text`` describes, parsed again only when the text
+    differs from the last call's.  No command changes a ``Stylesheet``, so
+    calls may share one, as they share ``DEFAULT_STYLESHEET``; a text that
+    fails to parse raises and is not kept."""
+    return parse_stylesheet(text)
+
+
 def _load_style(args: argparse.Namespace) -> Stylesheet:
     style_path = getattr(args, "style", None)
     if style_path is None:
         return DEFAULT_STYLESHEET
     text = _read_source(style_path)
     try:
-        return parse_stylesheet(text)
+        return _parse_style(text)
     except StylesheetError as err:
         raise _Exit(1, f"psl: bad stylesheet {style_path}: {err}") from None
 
@@ -239,13 +253,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except _Exit as stop:
-        if stop.message:
-            print(stop.message, file=sys.stderr)
-        return stop.code
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except _Exit as stop:
+            if stop.message:
+                print(stop.message, file=sys.stderr)
+            return stop.code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

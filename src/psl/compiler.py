@@ -61,7 +61,9 @@ class CompileError(ValueError):
     ``diagnostics`` holds everything the validating pass found.
     """
 
-    diagnostics: tuple[Diagnostic, ...] = ()
+    def __init__(self, message: str, diagnostics: tuple[Diagnostic, ...]) -> None:
+        super().__init__(message)
+        self.diagnostics = diagnostics
 
 
 CAMERA_PLACE = "camera"
@@ -103,9 +105,11 @@ class CompiledStoryboard:
 def _reject_errors(diagnostics: list[Diagnostic]) -> None:
     if has_errors(diagnostics):
         first = next(d for d in diagnostics if d.severity is Severity.ERROR)
-        failure = CompileError(f"storyboard does not validate: {first.code} {first.message}")
-        failure.diagnostics = tuple(diagnostics)
-        raise failure
+        # Raised unnamed: an exception kept in a local of the frame its
+        # traceback holds would make a cycle that only the collector frees.
+        raise CompileError(
+            f"storyboard does not validate: {first.code} {first.message}", tuple(diagnostics)
+        )
 
 
 def shot_frames(shot: Shot, s: Stylesheet = DEFAULT_STYLESHEET) -> list[Composition]:

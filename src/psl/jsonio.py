@@ -88,20 +88,25 @@ def net_to_dict(compiled: CompiledStoryboard) -> dict[str, Any]:
 
 
 def timeline_to_dict(entries: Sequence[TimelineEntry]) -> dict[str, Any]:
-    return {
-        "psl_schema": SCHEMA_VERSION,
-        "entries": [
+    """The timeline document.  Consecutive entries that hold the same
+    ``Composition`` object, as ``timeline`` gives them, share one dict."""
+    out = []
+    comp = frame = None
+    for e in entries:
+        if e.composition is not comp:
+            comp = e.composition
+            frame = composition_to_dict(comp)
+        out.append(
             {
                 "t0": str(e.t0),
                 "t1": str(e.t1),
                 "shot": e.shot_index,
                 "state": int(e.state),
                 "in_transition": e.in_transition,
-                "composition": composition_to_dict(e.composition),
+                "composition": frame,
             }
-            for e in entries
-        ],
-    }
+        )
+    return {"psl_schema": SCHEMA_VERSION, "entries": out}
 
 
 def dumps(value: object) -> str:
@@ -112,14 +117,19 @@ def dumps(value: object) -> str:
     itself and escapes strings with the C escaper.  It takes dicts with str
     keys, lists, str, int, bool and None; any other type (a float, a tuple,
     a Fraction, a non-str key) raises TypeError instead of slipping through.
+
+    A dict is encoded once for each run of places that hold the same
+    object one after another at the same indentation, such as the frame
+    that consecutive timeline entries share: the text of the last dict
+    encoded at each indentation is kept for the call, and only that one.
     """
-    return _encode(value, "\n")
+    return _encode(value, "\n", {})
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _encode(value: object, newline: str) -> str:
+def _encode(value: object, newline: str, last: dict[str, tuple[object, str]]) -> str:
     kind = type(value)
     if kind is str:
         return _string(value)
@@ -127,10 +137,16 @@ def _encode(value: object, newline: str) -> str:
         if not value:
             return "{}" if kind is dict else "[]"
         inner = newline + "  "
-        if kind is dict:  # _string raises TypeError on a key that is not a str
-            items = [_string(k) + ": " + _encode(v, inner) for k, v in value.items()]
-            return "{" + inner + ("," + inner).join(items) + newline + "}"
-        items = [_encode(v, inner) for v in value]
+        if kind is dict:
+            seen = last.get(newline)
+            if seen is not None and seen[0] is value:
+                return seen[1]
+            # _string raises TypeError on a key that is not a str
+            items = [_string(k) + ": " + _encode(v, inner, last) for k, v in value.items()]
+            text = "{" + inner + ("," + inner).join(items) + newline + "}"
+            last[newline] = (value, text)
+            return text
+        items = [_encode(v, inner, last) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is int:
         return int.__repr__(value)

@@ -1,7 +1,9 @@
 """The command line: every operation, every exit code."""
 from __future__ import annotations
 
+import gc
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +11,11 @@ from pathlib import Path
 import pytest
 
 import psl
-from conftest import BROKEN_DIR, CORPUS_DIR, parse_ok
-from psl import analysis, compiler
+from conftest import BROKEN_DIR, CORPUS_DIR, broken_paths, corpus_paths, parse_ok
+from psl import analysis, cli, compiler
 from psl.cli import main
 from psl.diagnostics import in_source_order
-from psl.stylesheet import DEFAULT_STYLESHEET
+from psl.stylesheet import DEFAULT_STYLESHEET, parse_stylesheet
 
 CROSS = CORPUS_DIR / "07_cross.psl"
 OFFSCREEN = BROKEN_DIR / "b06_offscreen.psl"
@@ -281,9 +283,31 @@ def test_non_utf8_stylesheet_is_a_read_error(capsys, tmp_path):
 def test_bad_stylesheet_is_an_input_error(capsys, tmp_path):
     sheet = tmp_path / "bad.sheet"
     sheet.write_text("duration.speak = banana\n", encoding="utf-8")
-    code, out, err = run(capsys, "check", "--style", str(sheet), str(CROSS))
+    first = run(capsys, "check", "--style", str(sheet), str(CROSS))
+    code, out, err = first
     assert code == 1
     assert "bad number" in err
+    assert run(capsys, "check", "--style", str(sheet), str(CROSS)) == first  # nothing kept
+
+
+def test_a_stylesheet_is_read_every_call_and_parsed_once_per_text(capsys, monkeypatch, tmp_path):
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_stylesheet(text)
+
+    monkeypatch.setattr(cli, "parse_stylesheet", counting)
+    sheet = tmp_path / "timing.sheet"
+    crosses = []
+    for value in ("4", "4", "6"):  # the text names its own path, so no earlier test shares it
+        sheet.write_text(f"# {sheet}\nduration.cross = {value}\n", encoding="utf-8")
+        code, out, err = run(capsys, "compile", "--style", str(sheet), str(CROSS))
+        assert (code, err) == (0, "")
+        transitions = json.loads(out)["transitions"]
+        crosses.append({t["duration"] for t in transitions if t["verb"] == "cross"})
+    assert crosses == [{"4"}, {"4"}, {"6"}]
+    assert len(parsed) == 2
 
 
 @pytest.mark.parametrize(
@@ -422,3 +446,109 @@ def test_a_reused_parser_behaves_like_a_fresh_one(capsys, tmp_path):
         0, 1, ("SystemExit", 2), ("SystemExit", 2), ("SystemExit", 0), 0, 0]
     assert second == first
     assert first[0] == (0, "", "")
+
+
+# --- the cyclic garbage collector ---------------------------------------------
+
+def test_no_command_leaves_cyclic_garbage(capsys, tmp_path):
+    # Every command frees what it allocates by reference counting alone,
+    # rejected boards included, which is what lets main pause the collector.
+    run(capsys, "check", str(CROSS))  # building the shared parser leaves cycles, once
+    gc.collect()
+    left = {}
+    for path in corpus_paths() + broken_paths():
+        for command in ("check", "fmt", "compile", "simulate", "stats", "render"):
+            out_flag = ["--out", str(tmp_path)] if command == "render" else []
+            run(capsys, command, str(path), *out_flag)
+            found = gc.collect()
+            if found:
+                left[f"{command} {path.parent.name}/{path.name}"] = found
+    assert left == {}
+
+
+def _outcome(argv):
+    try:
+        return main(argv)
+    except SystemExit as stop:
+        return ("SystemExit", stop.code)
+    except RuntimeError as failure:
+        return ("raised", str(failure))
+
+
+@pytest.fixture
+def collector():
+    """Yields a function that sets the collector on or off; the state the
+    test started with is restored after it."""
+    was = gc.isenabled()
+    yield lambda on: gc.enable() if on else gc.disable()
+    if was:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, collector, on):
+    def failing(sb):
+        raise RuntimeError("inside a command")
+
+    monkeypatch.setattr(cli, "format_storyboard", failing)  # fmt's last step
+    calls = [
+        (["check", str(CROSS)], 0),
+        (["check", str(OFFSCREEN)], 1),
+        (["check", str(CORPUS_DIR / "missing.psl")], 2),
+        (["check", "--bogus", str(CROSS)], ("SystemExit", 2)),
+        (["check", "--help"], ("SystemExit", 0)),
+        (["fmt", str(CROSS)], ("raised", "inside a command")),
+    ]
+    for argv, expected in calls:
+        collector(on)
+        assert _outcome(argv) == expected
+        assert gc.isenabled() is on, argv
+    capsys.readouterr()
+
+
+def test_a_nested_call_keeps_the_collector_paused(capsys, monkeypatch, collector):
+    seen = []
+    format_storyboard = cli.format_storyboard
+
+    def nesting(sb):
+        seen.append(gc.isenabled())
+        seen.append(main(["check", str(CROSS)]))
+        seen.append(gc.isenabled())
+        return format_storyboard(sb)
+
+    monkeypatch.setattr(cli, "format_storyboard", nesting)
+    collector(True)
+    assert main(["fmt", str(CROSS)]) == 0
+    assert seen == [False, 0, False]
+    assert gc.isenabled()
+    capsys.readouterr()
+
+
+def test_simulate_runs_no_collection(capsys, collector, tmp_path):
+    shots, joins, seed = [], [], 0
+    while len(shots) < 300:
+        sb = psl.generate_storyboard(random.Random(seed), 6)
+        joins += ([psl.ShotTransition.CUT] if shots else []) + list(sb.joins)
+        shots += sb.shots
+        seed += 1
+    reel = tmp_path / "reel.psl"
+    text = psl.format_storyboard(psl.Storyboard(tuple(shots[:300]), tuple(joins[:299])))
+    reel.write_text(text + "\n", encoding="utf-8")
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    collector(True)
+    gc.callbacks.append(record)
+    try:
+        code = main(["simulate", str(reel)])
+    finally:
+        gc.callbacks.remove(record)
+    assert collections == []
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["entries"]) > 300

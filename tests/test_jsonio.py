@@ -60,6 +60,37 @@ def test_dumps_matches_indented_json(value):
     assert dumps(value) == json.dumps(value, indent=2)
 
 
+def _reusing(shared):
+    """One object in consecutive siblings, at two depths, and in cousins."""
+    return {
+        "siblings": [shared, shared, shared],
+        "depths": [shared, [shared, {"deeper": shared}]],
+        "cousins": [{"a": shared, "n": 1}, {"a": shared}],
+        "last": shared,
+    }
+
+
+_SHARED = (
+    st.lists(_PAYLOADS, min_size=1, max_size=4)
+    | st.dictionaries(_TEXT, _PAYLOADS, min_size=1, max_size=4)
+).map(_reusing)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_SHARED)
+@example(_reusing({"k": {"inner": [1]}}))
+def test_dumps_matches_indented_json_on_shared_objects(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+def test_consecutive_entries_with_one_frame_share_its_dict():
+    c = compile_storyboard(parse_ok("MS on Anna and Boris, Anna speaks, Boris speaks, lock."))
+    data = timeline_to_dict(timeline(c))
+    frames = [e["composition"] for e in data["entries"]]
+    assert len(frames) > 1 and all(f is frames[0] for f in frames)
+    assert dumps(data) == json.dumps(data, indent=2)
+
+
 @pytest.mark.parametrize(
     "value",
     [1.5, (1, 2), Fraction(1, 3), {1, 2}, {1: "one"}],
