@@ -10,15 +10,25 @@ deliberately no world coordinates anywhere in this module.
 All values are immutable; helpers that "modify" a composition return a new
 one.  Node equality ignores source spans, so a parsed tree compares equal
 to the same tree built programmatically.
+
+Nodes are ``diagnostics.Record`` classes whose methods are written out
+below, so importing this module generates no code.  Each still carries a
+``@dataclass`` marker that generates nothing either: it makes
+``dataclasses.fields`` list a node's fields, the children among them,
+for tools that walk a tree, and keeps ``dataclasses.replace`` and
+``__match_args__`` working.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import ClassVar, Iterator, Union
 
-from .diagnostics import Span
+from .diagnostics import Record, Span, _set
+
+#: Records a node's annotated fields for ``dataclasses``; adds no method.
+_node = dataclass(init=False, repr=False, eq=False)
 
 
 class Size(IntEnum):
@@ -86,15 +96,25 @@ _ANCHOR_FRACTION = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class ScreenFraction:
+@_node
+class ScreenFraction(Record):
     """Explicit horizontal position, strictly inside the frame."""
 
+    __slots__ = ("value",)
     value: Fraction
 
-    def __post_init__(self) -> None:
-        if not (0 < self.value < 1):
-            raise ValueError(f"screen fraction {self.value} not in (0, 1)")
+    def __init__(self, value: Fraction) -> None:
+        if not (0 < value < 1):
+            raise ValueError(f"screen fraction {value} not in (0, 1)")
+        _set(self, "value", value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
     @property
     def fraction(self) -> Fraction:
@@ -111,39 +131,79 @@ class Side(Enum):
     RIGHT = "right"
 
 
-@dataclass(frozen=True, slots=True)
-class SubjectSpec:
+@_node
+class SubjectSpec(Record):
     """One subject (actor or prop) as framed: name plus optional styling."""
 
+    __slots__ = ("name", "profile", "screen")
     name: str
-    profile: Profile | None = None
-    screen: ScreenPosition | None = None
+    profile: Profile | None
+    screen: ScreenPosition | None
+
+    def __init__(self, name: str, profile: Profile | None = None,
+                 screen: ScreenPosition | None = None) -> None:
+        _set(self, "name", name)
+        _set(self, "profile", profile)
+        _set(self, "screen", screen)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.name, self.profile, self.screen) == (
+                other.name, other.profile, other.screen)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.profile, self.screen))
 
 
-@dataclass(frozen=True, slots=True)
-class FlatComposition:
+@_node
+class FlatComposition(Record):
     """Subjects sharing one staging plane, listed left to right."""
 
+    __slots__ = ("size", "subjects", "span")
+    _uncompared = ("span",)
     size: Size
     subjects: tuple[SubjectSpec, ...]
-    span: Span | None = field(default=None, compare=False, repr=False)
+    span: Span | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "subjects", tuple(self.subjects))
-        if not self.subjects:
+    def __init__(self, size: Size, subjects: tuple[SubjectSpec, ...],
+                 span: Span | None = None) -> None:
+        subjects = tuple(subjects)
+        if not subjects:
             raise ValueError("a plane needs at least one subject")
+        _set(self, "size", size)
+        _set(self, "subjects", subjects)
+        _set(self, "span", span)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.size, self.subjects) == (other.size, other.subjects)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.subjects))
 
 
-@dataclass(frozen=True, slots=True)
-class Composition:
+@_node
+class Composition(Record):
     """Full frame content: planes ordered foreground first."""
 
+    __slots__ = ("planes",)
     planes: tuple[FlatComposition, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "planes", tuple(self.planes))
-        if not self.planes:
+    def __init__(self, planes: tuple[FlatComposition, ...]) -> None:
+        planes = tuple(planes)
+        if not planes:
             raise ValueError("a composition needs at least one plane")
+        _set(self, "planes", planes)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.planes == other.planes
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.planes,))
 
     def subject_names(self) -> list[str]:
         """Names in plane order, left to right within each plane."""
@@ -169,8 +229,8 @@ class CameraRole(Enum):
     TRAVEL = "travel"  # travels on a dolly or crane
 
 
-@dataclass(frozen=True, slots=True)
-class ScreenEvent:
+@_node
+class ScreenEvent(Record):
     """Base class for everything that can change or hold the frame.
 
     Each event class declares its part of the vocabulary: its surface
@@ -183,28 +243,40 @@ class ScreenEvent:
     fields in order.
     """
 
+    __slots__ = ("span",)
+    _uncompared = ("span",)
     verb: ClassVar[str]
     phrase: ClassVar[str]
     drives_frame: ClassVar[bool] = False
     camera: ClassVar[CameraRole] = CameraRole.NONE
-    span: Span | None = field(default=None, compare=False, repr=False, kw_only=True)
+    _: KW_ONLY
+    span: Span | None
+
+    def __init__(self, *, span: Span | None = None) -> None:
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Lock(ScreenEvent):
     """Pin the camera; later actor movement plays against a held frame."""
 
+    __slots__ = ()
     verb = phrase = "lock"
     camera = CameraRole.LOCK
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class CameraWith(ScreenEvent):
     """Camera move that keeps ``subject`` framed, tracking it until a lock
     or a "to" camera move; the subclasses name the rig."""
 
+    __slots__ = ("subject",)
     phrase = "{verb} with {subject}"
     subject: SubjectSpec
+
+    def __init__(self, subject: SubjectSpec, *, span: Span | None = None) -> None:
+        _set(self, "subject", subject)
+        _set(self, "span", span)
 
 
 class PanWith(CameraWith):
@@ -222,14 +294,19 @@ class CraneWith(CameraWith):
     verb, camera = "crane", CameraRole.TRAVEL
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class CameraTo(ScreenEvent):
     """Camera move toward the ``target`` composition; the subclasses name
     the rig."""
 
+    __slots__ = ("target",)
     phrase = "{verb} to {target}"
     drives_frame = True
     target: Composition
+
+    def __init__(self, target: Composition, *, span: Span | None = None) -> None:
+        _set(self, "target", target)
+        _set(self, "span", span)
 
 
 class PanTo(CameraTo):
@@ -254,52 +331,90 @@ class ContinueTo(CameraTo):
     verb, camera = "continue", CameraRole.FIXED
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Speak(ScreenEvent):
+    """Actor speaks."""
+
+    __slots__ = ("actor",)
     verb = "speak"
     phrase = "{actor} speaks"
     actor: str
 
+    def __init__(self, actor: str, *, span: Span | None = None) -> None:
+        _set(self, "actor", actor)
+        _set(self, "span", span)
 
-@dataclass(frozen=True, slots=True)
+
+@_node
 class React(ScreenEvent):
+    """Actor reacts, to another subject or to nothing named."""
+
+    __slots__ = ("actor", "to")
     verb = "react"
     phrase = "{actor} reacts[ to {to}]"
     actor: str
-    to: str | None = None
+    to: str | None
+
+    def __init__(self, actor: str, to: str | None = None, *, span: Span | None = None) -> None:
+        _set(self, "actor", actor)
+        _set(self, "to", to)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Use(ScreenEvent):
+    """Actor handles a prop."""
+
+    __slots__ = ("actor", "prop")
     verb = "use"
     phrase = "{actor} uses {prop}"
     actor: str
     prop: str
 
+    def __init__(self, actor: str, prop: str, *, span: Span | None = None) -> None:
+        _set(self, "actor", actor)
+        _set(self, "prop", prop)
+        _set(self, "span", span)
 
-@dataclass(frozen=True, slots=True)
+
+@_node
 class Touch(ScreenEvent):
+    """Actor touches a prop."""
+
+    __slots__ = ("actor", "prop")
     verb = "touch"
     phrase = "{actor} touches {prop}"
     actor: str
     prop: str
 
+    def __init__(self, actor: str, prop: str, *, span: Span | None = None) -> None:
+        _set(self, "actor", actor)
+        _set(self, "prop", prop)
+        _set(self, "span", span)
 
-@dataclass(frozen=True, slots=True)
+
+@_node
 class Cross(ScreenEvent):
     """Actor passes in front of or behind an adjacent subject; they swap."""
 
+    __slots__ = ("actor", "other")
     verb = "cross"
     phrase = "{actor} crosses {other}"
     drives_frame = True
     actor: str
     other: str
 
+    def __init__(self, actor: str, other: str, *, span: Span | None = None) -> None:
+        _set(self, "actor", actor)
+        _set(self, "other", other)
+        _set(self, "span", span)
 
-@dataclass(frozen=True, slots=True)
+
+@_node
 class Enter(ScreenEvent):
     """Entrance from a frame edge; carries the resulting composition."""
 
+    __slots__ = ("actor", "side", "target")
     verb = "enter"
     phrase = "{actor} enters from {side} to {target}"
     drives_frame = True
@@ -307,25 +422,46 @@ class Enter(ScreenEvent):
     side: Side
     target: Composition
 
+    def __init__(self, actor: str, side: Side, target: Composition, *,
+                 span: Span | None = None) -> None:
+        _set(self, "actor", actor)
+        _set(self, "side", side)
+        _set(self, "target", target)
+        _set(self, "span", span)
 
-@dataclass(frozen=True, slots=True)
+
+@_node
 class Exit(ScreenEvent):
+    """Exit at a frame edge."""
+
+    __slots__ = ("actor", "side")
     verb = "exit"
     phrase = "{actor} exits {side}"
     drives_frame = True
     actor: str
     side: Side
 
+    def __init__(self, actor: str, side: Side, *, span: Span | None = None) -> None:
+        _set(self, "actor", actor)
+        _set(self, "side", side)
+        _set(self, "span", span)
 
-@dataclass(frozen=True, slots=True)
+
+@_node
 class Move(ScreenEvent):
     """Actor movement that rearranges the frame into the target."""
 
+    __slots__ = ("actor", "target")
     verb = "move"
     phrase = "{actor} moves to {target}"
     drives_frame = True
     actor: str
     target: Composition
+
+    def __init__(self, actor: str, target: Composition, *, span: Span | None = None) -> None:
+        _set(self, "actor", actor)
+        _set(self, "target", target)
+        _set(self, "span", span)
 
 
 #: Every event class, in vocabulary order.
@@ -347,31 +483,40 @@ class ShotTransition(Enum):
     DISSOLVE = "dissolve"
 
 
-@dataclass(frozen=True, slots=True)
-class Shot:
+@_node
+class Shot(Record):
+    """An opening composition and the events that change or hold it."""
+
+    __slots__ = ("initial", "events", "span")
+    _uncompared = ("span",)
     initial: Composition
-    events: tuple[ScreenEvent, ...] = ()
-    span: Span | None = field(default=None, compare=False, repr=False)
+    events: tuple[ScreenEvent, ...]
+    span: Span | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
+    def __init__(self, initial: Composition, events: tuple[ScreenEvent, ...] = (),
+                 span: Span | None = None) -> None:
+        _set(self, "initial", initial)
+        _set(self, "events", tuple(events))
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class Storyboard:
+@_node
+class Storyboard(Record):
+    """Shots in order, and the join before each shot after the first."""
+
+    __slots__ = ("shots", "joins")
     shots: tuple[Shot, ...]
-    joins: tuple[ShotTransition, ...] = ()
+    joins: tuple[ShotTransition, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shots", tuple(self.shots))
-        object.__setattr__(self, "joins", tuple(self.joins))
-        if not self.shots:
+    def __init__(self, shots: tuple[Shot, ...], joins: tuple[ShotTransition, ...] = ()) -> None:
+        shots = tuple(shots)
+        joins = tuple(joins)
+        if not shots:
             raise ValueError("a storyboard needs at least one shot")
-        if len(self.joins) != len(self.shots) - 1:
-            raise ValueError(
-                f"{len(self.shots)} shots need {len(self.shots) - 1} joins, "
-                f"got {len(self.joins)}"
-            )
+        if len(joins) != len(shots) - 1:
+            raise ValueError(f"{len(shots)} shots need {len(shots) - 1} joins, got {len(joins)}")
+        _set(self, "shots", shots)
+        _set(self, "joins", joins)
 
 
 # --- small structural helpers ------------------------------------------

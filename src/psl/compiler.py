@@ -25,7 +25,6 @@ changed the frame.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from typing import Mapping
@@ -41,7 +40,7 @@ from .ast import (
     SubjectSpec,
     referenced_names,
 )
-from .diagnostics import Diagnostic, Severity, has_errors
+from .diagnostics import Diagnostic, Record, Severity, _set, has_errors
 from .formatter import format_event
 from .petri import (
     Marking,
@@ -78,28 +77,40 @@ def control_place(index: int) -> str:
     return f"ctrl:{index}"
 
 
-@dataclass(frozen=True, slots=True)
-class TransitionInfo:
-    """Compile-time metadata the net itself does not need."""
+class TransitionInfo(Record):
+    """Compile-time metadata the net itself does not need: ``kind`` is
+    "event", "hold" or "join", and ``changes`` is True when the frame
+    differs across the firing."""
 
-    kind: str           # "event", "hold", or "join"
-    shot_index: int
-    state: StateId
-    changes: bool       # True when the frame differs across the firing
-    verb: str
+    __slots__ = ("kind", "shot_index", "state", "changes", "verb")
+
+    def __init__(self, kind: str, shot_index: int, state: StateId, changes: bool,
+                 verb: str) -> None:
+        _set(self, "kind", kind)
+        _set(self, "shot_index", shot_index)
+        _set(self, "state", state)
+        _set(self, "changes", changes)
+        _set(self, "verb", verb)
 
 
-@dataclass(frozen=True)
-class CompiledStoryboard:
-    storyboard: Storyboard
-    stylesheet: Stylesheet
-    net: Net
-    info: Mapping[str, TransitionInfo]
-    #: Frame content before transition k, plus the final frame; the
-    #: marking after step k reconstructs to ``compositions[k]`` exactly.
-    compositions: tuple[Composition, ...]
-    #: Warnings the validating pass found (an error stops compilation).
-    diagnostics: tuple[Diagnostic, ...] = ()
+class CompiledStoryboard(Record):
+    """A net with what it was built from.  ``compositions`` holds the frame
+    content before transition k, plus the final frame; the marking after
+    step k reconstructs to ``compositions[k]`` exactly.  ``diagnostics``
+    holds the warnings the validating pass found (an error stops
+    compilation)."""
+
+    __slots__ = ("storyboard", "stylesheet", "net", "info", "compositions", "diagnostics")
+
+    def __init__(self, storyboard: Storyboard, stylesheet: Stylesheet, net: Net,
+                 info: Mapping[str, TransitionInfo], compositions: tuple[Composition, ...],
+                 diagnostics: tuple[Diagnostic, ...] = ()) -> None:
+        _set(self, "storyboard", storyboard)
+        _set(self, "stylesheet", stylesheet)
+        _set(self, "net", net)
+        _set(self, "info", info)
+        _set(self, "compositions", compositions)
+        _set(self, "diagnostics", diagnostics)
 
 
 def _reject_errors(diagnostics: list[Diagnostic]) -> None:
@@ -168,16 +179,22 @@ def composition_of_marking(marking: Marking) -> Composition:
     return Composition(tuple(planes))
 
 
-@dataclass(frozen=True, slots=True)
-class _Step:
-    duration: Fraction
-    label: str
-    verb: str
-    kind: str
-    shot_index: int
-    state: StateId
-    after: Composition
-    reads: tuple[str, ...] = ()  # subject names passed through untouched
+class _Step(Record):
+    """One transition to lay out; ``reads`` names the subjects it passes
+    through untouched."""
+
+    __slots__ = ("duration", "label", "verb", "kind", "shot_index", "state", "after", "reads")
+
+    def __init__(self, duration: Fraction, label: str, verb: str, kind: str, shot_index: int,
+                 state: StateId, after: Composition, reads: tuple[str, ...] = ()) -> None:
+        _set(self, "duration", duration)
+        _set(self, "label", label)
+        _set(self, "verb", verb)
+        _set(self, "kind", kind)
+        _set(self, "shot_index", shot_index)
+        _set(self, "state", state)
+        _set(self, "after", after)
+        _set(self, "reads", reads)
 
 
 def _duration(s: Stylesheet, verb: str) -> Fraction:
@@ -267,14 +284,17 @@ def compile_storyboard(
     return CompiledStoryboard(sb, s, net, info, compositions, tuple(diagnostics))
 
 
-@dataclass(frozen=True, slots=True)
-class TimelineEntry:
-    t0: Fraction
-    t1: Fraction
-    shot_index: int
-    state: StateId
-    in_transition: bool
-    composition: Composition
+class TimelineEntry(Record):
+    __slots__ = ("t0", "t1", "shot_index", "state", "in_transition", "composition")
+
+    def __init__(self, t0: Fraction, t1: Fraction, shot_index: int, state: StateId,
+                 in_transition: bool, composition: Composition) -> None:
+        _set(self, "t0", t0)
+        _set(self, "t1", t1)
+        _set(self, "shot_index", shot_index)
+        _set(self, "state", state)
+        _set(self, "in_transition", in_transition)
+        _set(self, "composition", composition)
 
 
 def timeline(compiled: CompiledStoryboard) -> list[TimelineEntry]:

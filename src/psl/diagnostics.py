@@ -8,9 +8,12 @@ range distinguishes lexical/syntactic problems (``0xx``) from semantic ones
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from enum import Enum
 from typing import Iterable
+
+#: Sets a field in a record's ``__init__``, past ``Record.__setattr__``.
+_set = object.__setattr__
 
 
 class Severity(Enum):
@@ -18,16 +21,71 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
+class Record:
+    """Base of psl's immutable records, with the methods of a frozen,
+    slotted dataclass written once here instead of generated per class.
+
+    A record lists its fields in ``__slots__``, in order, and sets them in
+    its ``__init__`` through ``_set``; assigning or deleting an attribute
+    afterwards raises ``dataclasses.FrozenInstanceError``.  A record
+    equals only a record of its own class whose compared fields are
+    equal; its hash is that of the tuple of compared fields, and its repr
+    is ``Name(field=value, ...)`` over them.  Every field is compared
+    except those a class names in ``_uncompared`` (a syntax node's source
+    ``span``).  A class compared or hashed in bulk overrides ``__eq__``
+    and ``__hash__`` with the same meaning, without the loop over names.
+    """
+
+    __slots__ = ()
+    _uncompared: tuple[str, ...] = ()
+    #: Compared fields, base class fields first; set for each subclass.
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._compared = tuple(
+            name
+            for base in reversed(cls.__mro__)
+            for name in base.__dict__.get("__slots__", ())
+            if name not in cls._uncompared
+        )
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        """Restore the slots of a copied or unpickled record."""
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+
+class Span(Record):
     """Half-open byte range ``[start, end)`` into the source text."""
 
-    start: int
-    end: int
+    __slots__ = ("start", "end")
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
-            raise ValueError(f"bad span [{self.start}, {self.end})")
+    def __init__(self, start: int, end: int) -> None:
+        if start < 0 or end < start:
+            raise ValueError(f"bad span [{start}, {end})")
+        _set(self, "start", start)
+        _set(self, "end", end)
 
 
 # Lexical and syntactic errors.
@@ -54,12 +112,14 @@ W_LOCK_UNUSED = "W202"        # lock with no actor action in its scope
 W_NO_DURATION = "W203"        # verb missing from the stylesheet duration table
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
-    severity: Severity
-    code: str
-    span: Span
-    message: str
+class Diagnostic(Record):
+    __slots__ = ("severity", "code", "span", "message")
+
+    def __init__(self, severity: Severity, code: str, span: Span, message: str) -> None:
+        _set(self, "severity", severity)
+        _set(self, "code", code)
+        _set(self, "span", span)
+        _set(self, "message", message)
 
     def render(self, filename: str) -> str:
         """One-line form used by the command line: ``file:offset: code message``."""

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
+from .diagnostics import Record, _set
 from .stylesheet import HOLD_DURATION
 
 
@@ -40,17 +40,21 @@ class PlaceKind(Enum):
     CONTROL = "control"
 
 
-@dataclass(frozen=True, slots=True)
-class Place:
-    id: str
-    kind: PlaceKind
+class Place(Record):
+    __slots__ = ("id", "kind")
+
+    def __init__(self, id: str, kind: PlaceKind) -> None:
+        _set(self, "id", id)
+        _set(self, "kind", kind)
 
 
-@dataclass(frozen=True, slots=True)
-class PetriToken:
+class PetriToken(Record):
     """Immutable attribute bag; attrs are sorted key/value pairs."""
 
-    attrs: tuple[tuple[str, object], ...] = ()
+    __slots__ = ("attrs",)
+
+    def __init__(self, attrs: tuple[tuple[str, object], ...] = ()) -> None:
+        _set(self, "attrs", attrs)
 
     @classmethod
     def of(cls, **attrs: object) -> "PetriToken":
@@ -63,42 +67,46 @@ class PetriToken:
         return None
 
 
-@dataclass(frozen=True, slots=True)
-class Transition:
-    id: str
-    label: str
-    duration: Fraction
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    #: Explicit tokens for some output places; the rest pass through.
-    effect: tuple[tuple[str, PetriToken], ...] = ()
+class Transition(Record):
+    """``effect`` lists explicit tokens for some output places; the rest
+    pass through."""
 
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"transition {self.id} has negative duration")
+    __slots__ = ("id", "label", "duration", "inputs", "outputs", "effect")
+
+    def __init__(self, id: str, label: str, duration: Fraction, inputs: tuple[str, ...],
+                 outputs: tuple[str, ...], effect: tuple[tuple[str, PetriToken], ...] = ()) -> None:
+        if duration < 0:
+            raise ValueError(f"transition {id} has negative duration")
+        _set(self, "id", id)
+        _set(self, "label", label)
+        _set(self, "duration", duration)
+        _set(self, "inputs", inputs)
+        _set(self, "outputs", outputs)
+        _set(self, "effect", effect)
 
 
 #: A marking maps every place id to the tokens it holds.
 Marking = dict[str, tuple[PetriToken, ...]]
 
 
-@dataclass(frozen=True)
-class Net:
-    places: tuple[Place, ...]
-    transitions: tuple[Transition, ...]
-    initial: Marking = field(default_factory=dict)
+class Net(Record):
+    __slots__ = ("places", "transitions", "initial")
 
-    def __post_init__(self) -> None:
-        ids = [p.id for p in self.places]
+    def __init__(self, places: tuple[Place, ...], transitions: tuple[Transition, ...],
+                 initial: Marking | None = None) -> None:
+        ids = [p.id for p in places]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate place ids")
         known = set(ids)
-        for t in self.transitions:
+        for t in transitions:
             if len(set(t.inputs)) != len(t.inputs):
                 raise ValueError(f"transition {t.id} lists an input place twice")
             for pid in (*t.inputs, *t.outputs, *(pid for pid, _ in t.effect)):
                 if pid not in known:
                     raise ValueError(f"transition {t.id} uses unknown place {pid!r}")
+        _set(self, "places", places)
+        _set(self, "transitions", transitions)
+        _set(self, "initial", {} if initial is None else initial)
 
 
 class FireError(ValueError):
@@ -184,14 +192,18 @@ class _MarkingView(Mapping[str, tuple[PetriToken, ...]]):
         return f"{type(self).__name__}({dict(self)!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class MarkingInterval:
-    """The marking holding over ``[t0, t1)``; ``fired`` ends the interval."""
+class MarkingInterval(Record):
+    """The marking holding over ``[t0, t1)``; ``fired`` ends the interval:
+    a transition id, or None for the closing hold."""
 
-    t0: Fraction
-    t1: Fraction
-    marking: Mapping[str, tuple[PetriToken, ...]]
-    fired: str | None  # transition id, None for the closing hold
+    __slots__ = ("t0", "t1", "marking", "fired")
+
+    def __init__(self, t0: Fraction, t1: Fraction, marking: Mapping[str, tuple[PetriToken, ...]],
+                 fired: str | None) -> None:
+        _set(self, "t0", t0)
+        _set(self, "t1", t1)
+        _set(self, "marking", marking)
+        _set(self, "fired", fired)
 
 
 def simulate(net: Net) -> list[MarkingInterval]:

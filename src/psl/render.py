@@ -21,11 +21,11 @@ figure memos of ``render_compiled`` live for one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ast import Composition, Profile, Storyboard
 from .compiler import CompiledStoryboard, compile_storyboard, timeline
+from .diagnostics import Record, _set
 from .formatter import format_composition
 from .stylesheet import DEFAULT_STYLESHEET, Stylesheet
 
@@ -34,27 +34,48 @@ FRAME_HEIGHT = 270
 CAPTION_BAND = 40
 
 
-@dataclass(frozen=True, slots=True)
-class Figure:
-    name: str
-    x: Fraction          # centre, as a fraction of frame width
-    height: Fraction     # as a fraction of frame height
-    facing: Profile
-    plane: int
+class Figure(Record):
+    """One stick figure: ``x`` is its centre as a fraction of the frame
+    width, ``height`` a fraction of the frame height."""
+
+    __slots__ = ("name", "x", "height", "facing", "plane")
+
+    def __init__(self, name: str, x: Fraction, height: Fraction, facing: Profile,
+                 plane: int) -> None:
+        _set(self, "name", name)
+        _set(self, "x", x)
+        _set(self, "height", height)
+        _set(self, "facing", facing)
+        _set(self, "plane", plane)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.name, self.x, self.height, self.facing, self.plane) == (
+                other.name, other.x, other.height, other.facing, other.plane)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.x, self.height, self.facing, self.plane))
 
 
-@dataclass(frozen=True, slots=True)
-class FrameLayout:
-    width: int
-    height: int
-    figures: tuple[Figure, ...]  # draw order: background first
-    caption: str
+class FrameLayout(Record):
+    """A placed frame; ``figures`` are in draw order, background first."""
+
+    __slots__ = ("width", "height", "figures", "caption")
+
+    def __init__(self, width: int, height: int, figures: tuple[Figure, ...], caption: str) -> None:
+        _set(self, "width", width)
+        _set(self, "height", height)
+        _set(self, "figures", figures)
+        _set(self, "caption", caption)
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
-    filename: str
-    svg: str
+class Frame(Record):
+    __slots__ = ("filename", "svg")
+
+    def __init__(self, filename: str, svg: str) -> None:
+        _set(self, "filename", filename)
+        _set(self, "svg", svg)
 
 
 def layout(c: Composition, s: Stylesheet = DEFAULT_STYLESHEET) -> FrameLayout:

@@ -17,17 +17,19 @@ Values are exact rationals in ASCII digits with an optional sign: integers,
 fractions like ``1/3``, or decimals like ``0.75`` (parsed exactly, never
 through binary floating point; ``1e5`` or ``1_000`` is a bad number).  The
 count in a ``positions.N`` key is ASCII digits as well.  A loaded file
-overlays the defaults key by key.
+overlays the defaults key by key.  Only a line feed ends a line, as in a
+storyboard; the whitespace around a line, a key or a value, the CR of a
+CRLF included, is dropped.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
 from .ast import EVENT_VERBS, Lock, Profile, ShotTransition, Size
+from .diagnostics import Record, _set
 
 #: Verbs with a duration: every event verb plus the two joins.
 DURATION_VERBS = EVENT_VERBS + tuple(join.value for join in ShotTransition)
@@ -43,12 +45,23 @@ class StylesheetError(ValueError):
     """Raised for unusable stylesheets or completions that break ordering."""
 
 
-@dataclass(frozen=True)
-class Stylesheet:
-    default_profile: Profile = Profile.FRONT
-    positions_by_cardinality: Mapping[int, tuple[Fraction, ...]] = field(default_factory=dict)
-    duration_by_verb: Mapping[str, Fraction] = field(default_factory=dict)
-    figure_height_by_size: Mapping[Size, Fraction] = field(default_factory=dict)
+class Stylesheet(Record):
+    """The numbers of one stylesheet; an omitted table is empty."""
+
+    __slots__ = (
+        "default_profile", "positions_by_cardinality", "duration_by_verb", "figure_height_by_size"
+    )
+
+    def __init__(self, default_profile: Profile = Profile.FRONT,
+                 positions_by_cardinality: Mapping[int, tuple[Fraction, ...]] | None = None,
+                 duration_by_verb: Mapping[str, Fraction] | None = None,
+                 figure_height_by_size: Mapping[Size, Fraction] | None = None) -> None:
+        _set(self, "default_profile", default_profile)
+        _set(self, "positions_by_cardinality",
+             {} if positions_by_cardinality is None else positions_by_cardinality)
+        _set(self, "duration_by_verb", {} if duration_by_verb is None else duration_by_verb)
+        _set(self, "figure_height_by_size",
+             {} if figure_height_by_size is None else figure_height_by_size)
 
     def positions_for(self, n: int) -> tuple[Fraction, ...]:
         """Default positions for ``n`` subjects; even spacing off the table."""
@@ -132,7 +145,7 @@ def parse_stylesheet(text: str) -> Stylesheet:
     heights = dict(DEFAULT_STYLESHEET.figure_height_by_size)
     profile = DEFAULT_STYLESHEET.default_profile
 
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -172,10 +185,11 @@ def parse_stylesheet(text: str) -> Stylesheet:
 
 
 def load_stylesheet(path: str) -> Stylesheet:
-    """Parse the file at ``path``, less one leading UTF-8 byte-order mark;
+    """Parse the file at ``path``, less one leading UTF-8 byte-order mark,
+    with its line endings as they are, as the command line reads it;
     OSError if it cannot be read."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError:
         raise StylesheetError(f"{path} is not valid UTF-8") from None
     return parse_stylesheet(text)

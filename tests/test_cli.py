@@ -15,7 +15,7 @@ from conftest import BROKEN_DIR, CORPUS_DIR, broken_paths, corpus_paths, parse_o
 from psl import analysis, cli, compiler
 from psl.cli import main
 from psl.diagnostics import in_source_order
-from psl.stylesheet import DEFAULT_STYLESHEET, parse_stylesheet
+from psl.stylesheet import DEFAULT_STYLESHEET, StylesheetError, load_stylesheet, parse_stylesheet
 
 CROSS = CORPUS_DIR / "07_cross.psl"
 OFFSCREEN = BROKEN_DIR / "b06_offscreen.psl"
@@ -552,3 +552,13 @@ def test_simulate_runs_no_collection(capsys, collector, tmp_path):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert len(json.loads(out)["entries"]) > 300
+
+
+def test_the_library_and_the_command_line_read_a_stylesheet_alike(capsys, tmp_path):
+    sheet = tmp_path / "mac.sheet"
+    sheet.write_bytes(b"profile = back\rduration.speak = 9\n")
+    with pytest.raises(StylesheetError) as exc:
+        load_stylesheet(str(sheet))
+    code, out, err = run(capsys, "check", "--style", str(sheet), str(CROSS))
+    assert (code, out) == (1, "")
+    assert err == f"psl: bad stylesheet {sheet}: {exc.value}\n"

@@ -1,0 +1,309 @@
+"""Record classes: methods written in source, and the semantics of a
+frozen, slotted dataclass.
+
+Every record class is named here.  Its methods must come from the
+package's own files, so that importing ``psl`` compiles no generated
+code; and each sample instance must keep what the frozen dataclasses the
+records replace gave: value equality within one class, a matching hash,
+immutability, no ``__dict__``, the repr, and for syntax tree nodes the
+``dataclasses`` field list, ``replace`` and ``__match_args__``.
+"""
+from __future__ import annotations
+
+import copy
+import dataclasses
+import importlib
+import pickle
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import psl
+from psl.analysis import StateId
+from psl.ast import (
+    Composition,
+    CraneTo,
+    DollyTo,
+    DollyWith,
+    FlatComposition,
+    Lock,
+    PanWith,
+    Profile,
+    React,
+    ScreenAnchor,
+    ScreenFraction,
+    Shot,
+    ShotTransition,
+    Side,
+    Size,
+    Speak,
+    Storyboard,
+    SubjectSpec,
+    Touch,
+    Use,
+)
+from psl.compiler import compile_storyboard
+from psl.diagnostics import Diagnostic, Severity, Span, error
+from psl.petri import PetriToken, Place, PlaceKind, Transition
+from psl.stylesheet import DEFAULT_STYLESHEET
+
+RECORDS = {
+    "psl.ast": (
+        "ScreenFraction", "SubjectSpec", "FlatComposition", "Composition", "ScreenEvent",
+        "Lock", "CameraWith", "CameraTo", "Speak", "React", "Use", "Touch", "Cross",
+        "Enter", "Exit", "Move", "Shot", "Storyboard",
+    ),
+    "psl.diagnostics": ("Span", "Diagnostic"),
+    "psl.petri": ("Place", "PetriToken", "Transition", "Net", "MarkingInterval"),
+    "psl.compiler": ("TransitionInfo", "CompiledStoryboard", "_Step", "TimelineEntry"),
+    "psl.render": ("Figure", "FrameLayout", "Frame"),
+    "psl.stylesheet": ("Stylesheet",),
+}
+CLASSES = {
+    name: getattr(importlib.import_module(module), name)
+    for module, names in RECORDS.items()
+    for name in names
+}
+PACKAGE_DIR = Path(psl.__file__).resolve().parent
+
+
+def test_every_record_class_is_listed():
+    assert len(CLASSES) == 33
+
+
+def _functions(cls: type):
+    for name, value in vars(cls).items():
+        if isinstance(value, property):
+            inner = [value.fget, value.fset, value.fdel]
+        elif isinstance(value, (classmethod, staticmethod)):
+            inner = [value.__func__]
+        else:
+            inner = [value]
+        for function in inner:
+            if hasattr(function, "__code__"):
+                yield name, function
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_no_method_is_generated(name):
+    cls = CLASSES[name]
+    for attr, function in _functions(cls):
+        path = Path(function.__code__.co_filename)
+        assert path.is_absolute() and path.resolve().is_relative_to(PACKAGE_DIR), (attr, str(path))
+
+
+# --- sample instances ----------------------------------------------------
+
+SPAN = Span(0, 4)
+ANNA = SubjectSpec("Anna", Profile.LEFT, ScreenFraction(Fraction(1, 3)))
+BOB = SubjectSpec("Bob")
+PLANE = FlatComposition(Size.MS, (ANNA,))
+COMP = Composition((PLANE,))
+COMP2 = Composition((FlatComposition(Size.CU, (BOB,)),))
+SHOT = Shot(COMP, (Speak("Anna"),))
+BOARD = Storyboard((SHOT,))
+PLACES = (Place("a", PlaceKind.CONTROL), Place("b", PlaceKind.CONTROL))
+TRANSITION = Transition("t1", "step", Fraction(1), ("a",), ("b",))
+COMPILED = compile_storyboard(BOARD)
+
+#: Record name -> (field values, a change to a compared field or None).
+SAMPLES = {
+    "ScreenFraction": (dict(value=Fraction(1, 3)), dict(value=Fraction(1, 2))),
+    "SubjectSpec": (dict(name="Anna", profile=Profile.LEFT, screen=ScreenAnchor.LEFT),
+                    dict(screen=ScreenAnchor.RIGHT)),
+    "FlatComposition": (dict(size=Size.MS, subjects=(ANNA,), span=SPAN), dict(size=Size.CU)),
+    "Composition": (dict(planes=(PLANE,)), dict(planes=COMP2.planes)),
+    "ScreenEvent": (dict(span=SPAN), None),
+    "Lock": (dict(span=SPAN), None),
+    "CameraWith": (dict(subject=ANNA, span=SPAN), dict(subject=BOB)),
+    "CameraTo": (dict(target=COMP, span=SPAN), dict(target=COMP2)),
+    "Speak": (dict(actor="Anna", span=SPAN), dict(actor="Bob")),
+    "React": (dict(actor="Anna", to="Bob", span=SPAN), dict(to=None)),
+    "Use": (dict(actor="Anna", prop="cup", span=SPAN), dict(prop="pen")),
+    "Touch": (dict(actor="Anna", prop="cup", span=SPAN), dict(actor="Bob")),
+    "Cross": (dict(actor="Anna", other="Bob", span=SPAN), dict(other="Cleo")),
+    "Enter": (dict(actor="Anna", side=Side.LEFT, target=COMP, span=SPAN), dict(side=Side.RIGHT)),
+    "Exit": (dict(actor="Anna", side=Side.LEFT, span=SPAN), dict(side=Side.RIGHT)),
+    "Move": (dict(actor="Anna", target=COMP, span=SPAN), dict(target=COMP2)),
+    "Shot": (dict(initial=COMP, events=(Lock(),), span=SPAN), dict(events=())),
+    "Storyboard": (dict(shots=(SHOT, SHOT), joins=(ShotTransition.CUT,)),
+                   dict(joins=(ShotTransition.DISSOLVE,))),
+    "Span": (dict(start=0, end=4), dict(end=5)),
+    "Diagnostic": (dict(severity=Severity.ERROR, code="E002", span=SPAN, message="unexpected"),
+                   dict(span=Span(1, 4))),
+    "Place": (dict(id="a", kind=PlaceKind.CONTROL), dict(kind=PlaceKind.SUBJECT)),
+    "PetriToken": (dict(attrs=(("moving", True),)), dict(attrs=(("moving", False),))),
+    "Transition": (dict(id="t1", label="step", duration=Fraction(1), inputs=("a",),
+                        outputs=("b",), effect=(("b", PetriToken()),)),
+                   dict(duration=Fraction(2))),
+    "Net": (dict(places=PLACES, transitions=(TRANSITION,), initial={"a": (PetriToken(),)}),
+            dict(initial={"b": (PetriToken(),)})),
+    "MarkingInterval": (dict(t0=Fraction(0), t1=Fraction(1), marking={"a": ()}, fired="t1"),
+                        dict(fired=None)),
+    "TransitionInfo": (dict(kind="event", shot_index=0, state=StateId.STATIC_HOLD,
+                            changes=False, verb="speak"),
+                       dict(changes=True)),
+    "CompiledStoryboard": ({name: getattr(COMPILED, name) for name in (
+        "storyboard", "stylesheet", "net", "info", "compositions", "diagnostics")},
+                           dict(compositions=(COMP2,))),
+    "_Step": (dict(duration=Fraction(2), label="Anna speaks", verb="speak", kind="event",
+                   shot_index=0, state=StateId.STATIC_HOLD, after=COMP, reads=("Anna",)),
+              dict(reads=())),
+    "TimelineEntry": (dict(t0=Fraction(0), t1=Fraction(2), shot_index=0,
+                           state=StateId.STATIC_HOLD, in_transition=False, composition=COMP),
+                      dict(in_transition=True)),
+    "Figure": (dict(name="Anna", x=Fraction(1, 3), height=Fraction(3, 4), facing=Profile.LEFT,
+                    plane=0),
+               dict(plane=1)),
+    "FrameLayout": (dict(width=480, height=270, figures=(), caption="MS on Anna"),
+                    dict(caption="CU on Anna")),
+    "Frame": (dict(filename="shot01_frame01.svg", svg="<svg/>"), dict(svg="<svg></svg>")),
+    "Stylesheet": (dict(default_profile=Profile.FRONT,
+                        positions_by_cardinality={2: (Fraction(1, 4), Fraction(3, 4))},
+                        duration_by_verb=dict(DEFAULT_STYLESHEET.duration_by_verb),
+                        figure_height_by_size=dict(DEFAULT_STYLESHEET.figure_height_by_size)),
+                   dict(default_profile=Profile.BACK)),
+}
+#: Records holding a dict, which the dataclasses they replace could not hash either.
+UNHASHABLE = {"Net", "MarkingInterval", "CompiledStoryboard", "Stylesheet"}
+
+
+def test_every_record_class_has_a_sample():
+    assert SAMPLES.keys() == CLASSES.keys()
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_record_semantics(name):
+    cls = CLASSES[name]
+    values, change = SAMPLES[name]
+    a, b = cls(**values), cls(**copy.deepcopy(values))
+    assert a == b and not a != b
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    if change is not None:
+        assert cls(**{**values, **change}) != a
+
+    if "span" in values and name != "Diagnostic":  # a source span is not compared
+        moved = cls(**{**values, "span": Span(7, 9)})
+        assert moved == a and (name in UNHASHABLE or hash(moved) == hash(a))
+
+    other = type("Other", (cls,), {"__slots__": ()})
+    assert a != tuple(values.values()) and tuple(values.values()) != a
+    assert a != other(**values) and other(**values) != a
+
+    field = next(iter(values))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(a, field, values[field])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(a, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.extra = 1
+    assert not hasattr(a, "__dict__")
+    assert getattr(a, field) is values[field]
+
+    assert copy.copy(a) == a and copy.deepcopy(a) == a
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_classes_that_share_fields_are_not_equal():
+    assert PanWith(ANNA) != DollyWith(ANNA)
+    assert DollyTo(COMP) != CraneTo(COMP)
+    assert Use("Anna", "cup") != Touch("Anna", "cup")
+
+
+def test_reprs():
+    assert repr(ANNA) == (
+        "SubjectSpec(name='Anna', profile=<Profile.LEFT: 'left'>, "
+        "screen=ScreenFraction(value=Fraction(1, 3)))"
+    )
+    assert repr(FlatComposition(Size.MS, (BOB,), span=SPAN)) == (
+        "FlatComposition(size=<Size.MS: 4>, "
+        "subjects=(SubjectSpec(name='Bob', profile=None, screen=None),))"
+    )
+    assert repr(React("Anna", "Bob", span=SPAN)) == "React(actor='Anna', to='Bob')"
+    assert repr(Lock(span=SPAN)) == "Lock()"
+    assert repr(PanWith(BOB)) == "PanWith(subject=SubjectSpec(name='Bob', profile=None, screen=None))"
+    assert repr(error("E002", Span(3, 5), "unexpected")) == (
+        "Diagnostic(severity=<Severity.ERROR: 'error'>, code='E002', "
+        "span=Span(start=3, end=5), message='unexpected')"
+    )
+    assert repr(PetriToken.of(moving=True)) == "PetriToken(attrs=(('moving', True),))"
+
+
+#: ``dataclasses.fields`` of each syntax tree class; tools count a tree's
+#: nodes by walking them.
+AST_FIELDS = {
+    "ScreenFraction": ("value",),
+    "SubjectSpec": ("name", "profile", "screen"),
+    "FlatComposition": ("size", "subjects", "span"),
+    "Composition": ("planes",),
+    "ScreenEvent": ("span",),
+    "Lock": ("span",),
+    "CameraWith": ("span", "subject"),
+    "CameraTo": ("span", "target"),
+    "Speak": ("span", "actor"),
+    "React": ("span", "actor", "to"),
+    "Use": ("span", "actor", "prop"),
+    "Touch": ("span", "actor", "prop"),
+    "Cross": ("span", "actor", "other"),
+    "Enter": ("span", "actor", "side", "target"),
+    "Exit": ("span", "actor", "side"),
+    "Move": ("span", "actor", "target"),
+    "Shot": ("initial", "events", "span"),
+    "Storyboard": ("shots", "joins"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS["psl.ast"])
+def test_syntax_tree_fields(name):
+    cls = CLASSES[name]
+    assert tuple(f.name for f in dataclasses.fields(cls)) == AST_FIELDS[name]
+    assert dataclasses.is_dataclass(cls(**SAMPLES[name][0]))
+
+
+def test_event_match_args_list_their_own_fields():
+    match_args = {cls.__name__: cls.__match_args__ for cls in psl.ast.EVENT_TYPES}
+    assert match_args == {
+        "Lock": (),
+        "PanWith": ("subject",), "DollyWith": ("subject",), "CraneWith": ("subject",),
+        "PanTo": ("target",), "DollyTo": ("target",), "CraneTo": ("target",),
+        "ContinueTo": ("target",),
+        "Speak": ("actor",), "React": ("actor", "to"), "Use": ("actor", "prop"),
+        "Touch": ("actor", "prop"), "Cross": ("actor", "other"),
+        "Enter": ("actor", "side", "target"), "Exit": ("actor", "side"),
+        "Move": ("actor", "target"),
+    }
+
+
+def test_replace_builds_a_new_subject():
+    moved = dataclasses.replace(ANNA, screen=ScreenAnchor.RIGHT)
+    assert moved == SubjectSpec("Anna", Profile.LEFT, ScreenAnchor.RIGHT)
+    assert ANNA.screen == ScreenFraction(Fraction(1, 3))
+
+
+def test_defaults_coercion_and_checks():
+    assert SubjectSpec("Anna") == SubjectSpec("Anna", None, None)
+    assert React("Anna").to is None and Speak("Anna").span is None
+    assert FlatComposition(Size.MS, [ANNA]).subjects == (ANNA,)
+    assert Composition([PLANE]).planes == (PLANE,)
+    assert Shot(COMP).events == () and Shot(COMP, [Lock()]).events == (Lock(),)
+    assert Storyboard([SHOT]).shots == (SHOT,) and Storyboard([SHOT]).joins == ()
+    assert PetriToken().attrs == () and TRANSITION.effect == ()
+    net = psl.Net(PLACES, ())
+    assert net.initial == {} and net.initial is not psl.Net(PLACES, ()).initial
+    assert psl.Stylesheet().positions_by_cardinality == {}
+    assert COMPILED.diagnostics == ()
+    with pytest.raises(TypeError):
+        Speak("Anna", SPAN)  # span is keyword-only on events
+    for bad in (lambda: Span(-1, 0), lambda: Span(2, 1), lambda: ScreenFraction(Fraction(1)),
+                lambda: FlatComposition(Size.MS, ()), lambda: Composition(()),
+                lambda: Storyboard(()), lambda: Storyboard((SHOT,), (ShotTransition.CUT,)),
+                lambda: Transition("t", "t", Fraction(-1), (), ()),
+                lambda: psl.Net(PLACES + PLACES, ())):
+        with pytest.raises(ValueError):
+            bad()
+    assert isinstance(Diagnostic(Severity.WARNING, "W201", SPAN, "m"), Diagnostic)

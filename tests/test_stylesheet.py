@@ -201,3 +201,33 @@ def test_mutated_stylesheets_parse_or_raise_stylesheet_error(text):
     except StylesheetError:
         return
     assert isinstance(sheet, Stylesheet)
+
+
+# --- line breaks ---------------------------------------------------------
+
+#: Characters ``str.splitlines`` breaks at besides LF and CR.
+OTHER_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("sep", OTHER_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_only_a_line_feed_ends_a_line(sep):
+    commented = parse_stylesheet(f"# old{sep}duration.speak = 9\n")
+    assert commented.duration_by_verb["speak"] == 2
+    with pytest.raises(StylesheetError, match="^line 2: expected 'key = value'$"):
+        parse_stylesheet(f"profile = front\n{sep}bogus\n")
+
+
+def test_crlf_line_endings_parse():
+    s = parse_stylesheet("profile = back\r\n\r\nduration.speak = 3\r\n")
+    assert (s.default_profile, s.duration_by_verb["speak"]) == (Profile.BACK, 3)
+
+
+def test_a_lone_cr_does_not_end_a_line(tmp_path):
+    path = tmp_path / "mac.sheet"
+    path.write_bytes(b"# old\rduration.speak = 9\nprofile = back\rheight.MS = 0.7\n")
+    with pytest.raises(StylesheetError) as exc:
+        load_stylesheet(str(path))
+    assert str(exc.value) == "line 2: unknown profile 'back\\rheight.MS = 0.7'"
+    with pytest.raises(StylesheetError) as exc:
+        parse_stylesheet(path.read_bytes().decode())
+    assert str(exc.value) == "line 2: unknown profile 'back\\rheight.MS = 0.7'"
