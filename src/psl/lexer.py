@@ -3,25 +3,30 @@
 One compiled scanner lexes each line in a single pass.  Each match is a
 run of blanks (space, tab, CR) and then one lexeme: a word or punctuation
 mark, a number, or a run of characters outside the alphabet (``#`` among
-them).  A word is classified by one dict lookup; keywords are
+them).  A word is classified by one dict lookup, which gives its kind, its
+value and whether it can end a multi-word keyword; keywords are
 case-insensitive and subject names keep their spelling.  A word that can
-end a multi-word keyword ("Cut to", "medium long shot") looks back,
-longest match first, over the raw words before it; since no such word
-opens or continues a keyword, this finds the phrases that a longest match
-from the first word would.  A line
-whose first non-blank character (``str.isspace``) is ``#`` is a comment
-from there on; each line is checked once, so the rule is linear however
-many ``#`` a line holds.
+end a multi-word keyword ("Cut to", "medium long shot") right after a
+reserved word looks back, longest match first, over the raw words before
+it; since no such word opens or continues a keyword, this finds the
+phrases that a longest match from the first word would.  A line that holds
+a ``#`` and whose first non-blank character (``str.isspace``) is ``#`` is
+a comment from there on; each line is checked once, so the rule is linear
+however many ``#`` a line holds.
 
 Spans are byte offsets into the UTF-8 encoding of the source, half open.
-Concatenating token lexemes plus the skipped gaps (whitespace, comments,
-characters reported as errors) reproduces the source exactly.
+The scan counts characters; in an ASCII source those are the byte offsets,
+and otherwise every token is mapped through a table of byte offsets once
+at the end (a diagnostic reads the table when it is made).  Each token is
+built as ``tuple.__new__(Token, fields)``, which skips the Python-level
+``__new__`` of the named tuple.  Concatenating token lexemes plus the
+skipped gaps (whitespace, comments, characters reported as errors)
+reproduces the source exactly.
 """
 from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_left
 from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
@@ -76,6 +81,8 @@ class TokenKind(Enum):
     MOVES = "moves"
     RESERVED = "<reserved>"      # keyword fragment outside any phrase ("cut", "shot")
 
+    __hash__ = object.__hash__  # members are singletons; Enum.__hash__ hashes the name in Python
+
 
 class Token(NamedTuple):
     kind: TokenKind
@@ -106,15 +113,19 @@ _PHRASES: dict[tuple[str, ...], tuple[TokenKind, object]] = {
 }
 _PHRASE_ENDS = frozenset(phrase[-1] for phrase in _PHRASES)
 
-# Lowercased word or punctuation -> (kind, value).  Words that only occur
-# inside phrases are reserved so they cannot be names; size spellings
-# (abbreviations plus the hyphenated long form) win over both.
-_WORDS: dict[str, tuple[TokenKind, object]] = (
-    {word: (TokenKind.RESERVED, None) for phrase in _PHRASES for word in phrase}
-    | {kind.value: (kind, None) for kind in TokenKind if kind.value.isalpha() or kind.value in ",."}
-    | {size.name.lower(): (TokenKind.SIZE, size) for size in Size}
-    | {"close-up": (TokenKind.SIZE, Size.CU)}
-)
+# Lowercased word or punctuation -> (kind, value, whether it can end a
+# phrase).  Words that only occur inside phrases are reserved so they cannot
+# be names; size spellings (abbreviations plus the hyphenated long form) win
+# over both.
+_WORDS: dict[str, tuple[TokenKind, object, bool]] = {
+    word: (*hit, word in _PHRASE_ENDS)
+    for word, hit in (
+        {word: (TokenKind.RESERVED, None) for phrase in _PHRASES for word in phrase}
+        | {kind.value: (kind, None) for kind in TokenKind if kind.value.isalpha() or kind.value in ",."}
+        | {size.name.lower(): (TokenKind.SIZE, size) for size in Size}
+        | {"close-up": (TokenKind.SIZE, Size.CU)}
+    ).items()
+}
 
 _SCAN = re.compile(
     r"([ \t\r]*)(?:"                                              # blanks, then one lexeme:
@@ -130,69 +141,76 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
     return tokens, diagnostics
 
 
-def lex(source: str) -> tuple[list[Token], list[Diagnostic], Sequence[int]]:
-    """``tokenize``, plus the UTF-8 byte offset of each character index and of the end."""
+def lex(source: str) -> tuple[list[Token], list[Diagnostic], int]:
+    """``tokenize``, plus the length of the source in UTF-8 bytes."""
     to_byte = _byte_offsets(source)
     tokens: list[Token] = []
+    append, new = tokens.append, tuple.__new__
+    # read once: on Python 3.10 and 3.11 TokenKind.X runs EnumMeta.__getattr__'s lookup
+    IDENT, RESERVED, FRACTION = TokenKind.IDENT, TokenKind.RESERVED, TokenKind.FRACTION
     diagnostics: list[Diagnostic] = []
     bad_words: list[Diagnostic] = []  # reported after the other diagnostics
     floor = 0  # phrases start at tokens[floor] or later: none spans a rejected word
-    pos = 0
+    pos = 0  # character index; token offsets become byte offsets at the end
     for line in source.split("\n"):
         line_end = pos + len(line)
-        rest = line.lstrip()
-        if rest.startswith("#"):  # a comment line: only the blanks before '#' are lexed
-            line = line[:len(line) - len(rest)]
+        if "#" in line:
+            rest = line.lstrip()
+            if rest.startswith("#"):  # a comment line: only the blanks before '#' are lexed
+                line = line[:len(line) - len(rest)]
         for blanks, word, number, bad in _SCAN.findall(line):
             start = pos + len(blanks)
             if word:
                 pos = start + len(word)
                 low = word.lower()
                 hit = _WORDS.get(low)
-                if hit is not None:
-                    if low in _PHRASE_ENDS:
-                        back = tokens[max(floor, len(tokens) - 2):]
-                        words = [t.lexeme.lower() for t in back]
-                        for n in range(len(back), 0, -1):
-                            phrase = _PHRASES.get((*words[-n:], low))
-                            if phrase is not None:
-                                # the lexeme keeps what lies between the words
-                                start = bisect_left(to_byte, back[-n].start)
-                                word = source[start:pos]
-                                hit = phrase
-                                del tokens[-n:]
-                                break
-                    tokens.append(Token(hit[0], word, to_byte[start], to_byte[pos], hit[1]))
-                elif "-" in word:
+                if hit is None:
+                    if "-" not in word:
+                        append(new(Token, (IDENT, word, start, pos, word)))
+                        continue
                     floor = len(tokens)
-                    span = Span(to_byte[start], to_byte[pos])
                     message = f"{word!r} is not a keyword and names cannot contain '-'"
-                    bad_words.append(error(E_BAD_WORD, span, message))
-                else:
-                    tokens.append(Token(TokenKind.IDENT, word, to_byte[start], to_byte[pos], word))
-            elif number:
+                    bad_words.append(error(E_BAD_WORD, Span(to_byte[start], to_byte[pos]), message))
+                    continue
+                kind, value, ends = hit
+                if ends and len(tokens) > floor and tokens[-1].kind is RESERVED:
+                    back = tokens[max(floor, len(tokens) - 2):]
+                    words = [t.lexeme.lower() for t in back]
+                    for n in range(len(back), 0, -1):
+                        phrase = _PHRASES.get((*words[-n:], low))
+                        if phrase is not None:
+                            # the lexeme keeps what lies between the words
+                            start = back[-n].start
+                            word = source[start:pos]
+                            kind, value = phrase
+                            del tokens[-n:]
+                            break
+                append(new(Token, (kind, word, start, pos, value)))
+                continue
+            if number:
                 pos = start + len(number)
-                span = Span(to_byte[start], to_byte[pos])
                 num, slash, den = number.partition("/")
                 if not slash:
-                    message = f"expected a fraction like 1/3, found {number!r}"
-                    diagnostics.append(error(E_BAD_CHAR, span, message))
-                    continue
-                try:
-                    value = Fraction(int(num), int(den))
-                except ZeroDivisionError:
-                    diagnostics.append(error(E_NUMBER_RANGE, span, "fraction denominator is zero"))
-                except ValueError:  # int() refuses more digits than this limit
-                    limit = sys.get_int_max_str_digits()
-                    diagnostics.append(error(E_NUMBER_RANGE, span, f"fraction has more than {limit} digits"))
+                    code, message = E_BAD_CHAR, f"expected a fraction like 1/3, found {number!r}"
                 else:
-                    tokens.append(Token(TokenKind.FRACTION, number, span.start, span.end, value))
+                    try:
+                        value = Fraction(int(num), int(den))
+                    except ZeroDivisionError:
+                        code, message = E_NUMBER_RANGE, "fraction denominator is zero"
+                    except ValueError:  # int() refuses more digits than this limit
+                        limit = sys.get_int_max_str_digits()
+                        code, message = E_NUMBER_RANGE, f"fraction has more than {limit} digits"
+                    else:
+                        append(new(Token, (FRACTION, number, start, pos, value)))
+                        continue
             else:
                 pos = start + len(bad)
-                span = Span(to_byte[start], to_byte[pos])
-                diagnostics.append(error(E_BAD_CHAR, span, f"unexpected character {bad!r}"))
+                code, message = E_BAD_CHAR, f"unexpected character {bad!r}"
+            diagnostics.append(error(code, Span(to_byte[start], to_byte[pos]), message))
         pos = line_end + 1
-    return tokens, diagnostics + bad_words, to_byte
+    if not source.isascii():
+        tokens = [new(Token, (k, w, to_byte[s], to_byte[e], v)) for k, w, s, e, v in tokens]
+    return tokens, diagnostics + bad_words, to_byte[-1]
 
 
 def _byte_offsets(source: str) -> Sequence[int]:

@@ -1,11 +1,16 @@
 """Lexing: token kinds, byte spans, phrase merging, and bad input."""
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction
 
+from conftest import broken_paths, corpus_paths
+
 from psl.ast import Size
 from psl.diagnostics import E_BAD_CHAR, E_BAD_WORD, E_NUMBER_RANGE
+from psl.formatter import format_storyboard
+from psl.generator import generate_storyboard
 from psl.lexer import _PHRASES, TokenKind, tokenize
 from psl.parser import parse_storyboard
 
@@ -137,6 +142,25 @@ def test_spans_are_byte_offsets_for_non_ascii():
     raw = text.encode("utf-8")
     for t in tokens:
         assert raw[t.start:t.end].decode("utf-8") == t.lexeme
+
+
+def test_a_non_ascii_line_in_front_only_shifts_every_span():
+    # an ASCII source and a non-ASCII one take their byte offsets in different ways
+    prefix = "# \u00e9\n"
+    shift = len(prefix.encode("utf-8"))
+    rng = random.Random(7)
+    texts = [path.read_text(encoding="utf-8") for path in corpus_paths() + broken_paths()]
+    texts += [format_storyboard(generate_storyboard(rng, rng.randint(1, 6))) for _ in range(50)]
+    for text in texts:
+        assert text.isascii()
+        tokens, diagnostics = tokenize(text)
+        shifted_tokens, shifted_diagnostics = tokenize(prefix + text)
+        assert [(t.kind, t.lexeme, t.start + shift, t.end + shift, type(t.value), t.value) for t in tokens] == [
+            (t.kind, t.lexeme, t.start, t.end, type(t.value), t.value) for t in shifted_tokens
+        ]
+        assert [(d.code, d.message, d.span.start + shift, d.span.end + shift) for d in diagnostics] == [
+            (d.code, d.message, d.span.start, d.span.end) for d in shifted_diagnostics
+        ]
 
 
 def test_a_lone_surrogate_is_a_bad_character_three_bytes_wide():

@@ -29,8 +29,15 @@ from psl.ast import (
     Touch,
     Use,
 )
+from psl import parser
 from psl.diagnostics import E_EMPTY, E_NUMBER_RANGE, E_SYNTAX, Severity
+from psl.lexer import TokenKind
 from psl.parser import parse_storyboard
+
+
+def test_the_module_names_of_the_token_kinds_are_the_kinds():
+    # the parser unpacks TokenKind in definition order into these names
+    assert [getattr(parser, kind.name) for kind in TokenKind] == list(TokenKind)
 
 
 def test_minimal_shot():
@@ -57,6 +64,8 @@ def test_minimal_shot():
         ("3/4 right", Profile.THREE_QUARTER_RIGHT),
         ("3/4 back left", Profile.THREE_QUARTER_BACK_LEFT),
         ("3/4 back right", Profile.THREE_QUARTER_BACK_RIGHT),
+        ("6/8 left", Profile.THREE_QUARTER_LEFT),  # the value counts, not its spelling
+        ("6/8 back right", Profile.THREE_QUARTER_BACK_RIGHT),
     ],
 )
 def test_profiles(text, profile):
@@ -73,6 +82,7 @@ def test_profiles(text, profile):
         ("screen right", ScreenAnchor.RIGHT),
         ("screen far right", ScreenAnchor.FAR_RIGHT),
         ("at 2/5", ScreenFraction(Fraction(2, 5))),
+        ("at 4/10", ScreenFraction(Fraction(2, 5))),
     ],
 )
 def test_screen_positions(text, screen):
@@ -147,6 +157,15 @@ def test_fraction_out_of_range():
         sb, diagnostics = parse_storyboard(f"MS on Anna at {bad}.")
         assert sb is None
         assert [d.code for d in diagnostics] == [E_NUMBER_RANGE], bad
+
+
+@pytest.mark.parametrize("bad", ["3/3", "0/7", "10/6"])
+def test_unreduced_fraction_out_of_range_keeps_its_spelling(bad):
+    sb, diagnostics = parse_storyboard(f"MS on Anna at {bad}.")
+    assert sb is None
+    assert [(d.code, d.span.start, d.span.end, d.message) for d in diagnostics] == [
+        (E_NUMBER_RANGE, 14, 14 + len(bad), f"screen position {bad} is not inside (0, 1)")
+    ]
 
 
 def test_one_diagnostic_per_bad_shot():
