@@ -8,7 +8,6 @@ each visible frame as a deterministic SVG sketch.
 from .analysis import (
     ShotCategory,
     StateId,
-    apply_stylesheet,
     classify_shot,
     event_states,
     infer_target,

@@ -15,11 +15,15 @@ it, so actor movement under tracking counts as camera-moving;
 ``fold_storyboard`` is the one pass over a board: it checks each
 composition and folds each shot's events over its opening frame, which
 yields the diagnostics and the completed frames the compiler lays out.
+Each plane is checked and completed in one pass over its subjects, from
+shared positions: the stylesheet's default row for a cardinality is
+built once per board, and each named anchor has one shared fraction.
 """
 from __future__ import annotations
 
 from dataclasses import replace
 from enum import Enum, IntEnum
+from fractions import Fraction
 
 from .ast import (
     CameraRole,
@@ -28,12 +32,12 @@ from .ast import (
     Enter,
     Exit,
     FlatComposition,
+    ScreenAnchor,
     ScreenEvent,
     ScreenFraction,
     Shot,
     Storyboard,
     SubjectSpec,
-    normalize_positions,
     referenced_names,
 )
 from .diagnostics import (
@@ -54,7 +58,7 @@ from .diagnostics import (
     error,
     warning,
 )
-from .stylesheet import DEFAULT_STYLESHEET, Stylesheet, StylesheetError
+from .stylesheet import DEFAULT_STYLESHEET, Stylesheet
 
 
 class ShotCategory(Enum):
@@ -176,41 +180,12 @@ def event_states(events: tuple[ScreenEvent, ...]) -> list[StateId]:
     return states
 
 
-# --- stylesheet application --------------------------------------------
-
-def apply_stylesheet(c: Composition, s: Stylesheet = DEFAULT_STYLESHEET) -> Composition:
-    """Fill in missing profiles and positions; never touch explicit ones.
-
-    Positions come from the stylesheet row for the plane's cardinality, at
-    the indices of the unspecified subjects.  Raises StylesheetError when
-    the completed plane is not strictly left to right (a defaulted value
-    colliding with an explicit one).  Idempotent.
-    """
-    return Composition(tuple(_complete_plane(plane, s) for plane in c.planes))
-
-
-def _complete_plane(plane: FlatComposition, s: Stylesheet) -> FlatComposition:
-    defaults = s.positions_for(len(plane.subjects))
-    subjects = tuple(
-        SubjectSpec(
-            subject.name,
-            subject.profile if subject.profile is not None else s.default_profile,
-            subject.screen if subject.screen is not None else ScreenFraction(defaults[index]),
-        )
-        for index, subject in enumerate(plane.subjects)
-    )
-    fractions = [subject.screen.fraction for subject in subjects]
-    if any(a >= b for a, b in zip(fractions, fractions[1:])):
-        raise StylesheetError(
-            "completed positions are not strictly left to right: "
-            + ", ".join(str(f) for f in fractions)
-        )
-    return FlatComposition(plane.size, subjects, span=plane.span)
-
-
 # --- the shared pass: validate and fold ---------------------------------
 
 _FALLBACK_SPAN = Span(0, 0)
+
+#: The one position each named anchor folds to, shared by every frame.
+_ANCHOR_SCREEN = {anchor: ScreenFraction(anchor.fraction) for anchor in ScreenAnchor}
 
 
 def fold_storyboard(
@@ -224,8 +199,9 @@ def fold_storyboard(
     """
     diagnostics: list[Diagnostic] = []
     frames_by_shot = []
+    rows: dict[int, list[ScreenFraction | None]] = {}
     for shot in sb.shots:
-        found, frames = fold_shot(shot, s)
+        found, frames = fold_shot(shot, s, rows)
         diagnostics += found
         frames_by_shot.append(frames)
     for join in sb.joins:
@@ -240,7 +216,7 @@ def validate(sb: Storyboard, s: Stylesheet = DEFAULT_STYLESHEET) -> list[Diagnos
 
 
 def fold_shot(
-    shot: Shot, s: Stylesheet = DEFAULT_STYLESHEET
+    shot: Shot, s: Stylesheet = DEFAULT_STYLESHEET, rows: dict | None = None
 ) -> tuple[list[Diagnostic], list[Composition]]:
     """Check one shot and fold its events over its opening frame.
 
@@ -249,20 +225,22 @@ def fold_shot(
     event that fails is reported and skipped, so one mistake does not
     cascade.  The frames are the opening frame and the frame after each
     event, completed by the stylesheet with named anchors replaced by
-    their fractions.
+    their fractions.  ``rows`` holds the default positions of ``s``
+    built so far, by cardinality; the shots of one board share it.
     """
+    rows = {} if rows is None else rows
     fallback = _span_of(shot)
     shape: list[Diagnostic] = []
     continuity: list[Diagnostic] = []
     timing: list[Diagnostic] = []
-    frame = _complete(shot.initial, s, fallback, shape)
+    frame = _complete(shot.initial, s, rows, fallback, shape)
     frames = [frame]
     lock_at: int | None = None
     lock_used = True
     for index, e in enumerate(shot.events):
         target = getattr(e, "target", None)
         if target is not None:
-            target = _complete(target, s, fallback, shape)
+            target = _complete(target, s, rows, fallback, shape)
         if e.camera is not CameraRole.NONE and not lock_used:
             continuity.append(_lock_warning(shot, lock_at))
         if e.camera is CameraRole.LOCK:
@@ -284,43 +262,86 @@ def _span_of(node) -> Span:
 
 
 def _complete(
-    comp: Composition, s: Stylesheet, fallback: Span, diagnostics: list[Diagnostic]
+    comp: Composition, s: Stylesheet, rows: dict, fallback: Span, diagnostics: list[Diagnostic]
 ) -> Composition:
     """Check a written composition and complete it from the stylesheet.
 
-    Returns ``comp`` itself when some plane cannot be completed; that
-    problem is reported, and the fold goes on by subject names alone.
+    One pass over each plane checks it and rebuilds it without its span:
+    a subject with profile and position set is kept as it is, a missing
+    position comes from the memoized row of ``s``, and a named anchor
+    becomes its shared fraction.  Returns ``comp`` itself when some plane
+    cannot be completed; that problem is reported, and the fold goes on
+    by subject names alone.
     """
     seen: set[str] = set()
+    profile = s.default_profile
     planes = []
     for plane in comp.planes:
         span = plane.span if plane.span is not None else fallback
-        for subject in plane.subjects:
-            if subject.name in seen:
+        subjects = plane.subjects
+        row = failed = None  # failed: the first subject whose default cannot be built
+        completed = []
+        explicit = last = None  # the last explicit position, the last completed one
+        misordered = clash = False
+        for index, subject in enumerate(subjects):
+            name = subject.name
+            if name in seen:
                 diagnostics.append(
-                    error(E_DUPLICATE, span, f"{subject.name} appears twice in one composition")
-                )
-            seen.add(subject.name)
-        explicit = [sub.screen.fraction for sub in plane.subjects if sub.screen is not None]
-        if any(a >= b for a, b in zip(explicit, explicit[1:])):
+                    error(E_DUPLICATE, span, f"{name} appears twice in one composition"))
+            seen.add(name)
+            screen = subject.screen
+            if screen is None:
+                if row is None:
+                    row = rows.get(len(subjects)) or _default_row(s, rows, len(subjects))
+                screen = row[index]
+                if screen is None:
+                    failed = index if failed is None else failed
+                    continue
+            else:
+                if screen.__class__ is ScreenAnchor:
+                    screen = _ANCHOR_SCREEN[screen]
+                misordered = misordered or _at_or_after(explicit, screen.value)
+                explicit = screen.value
+            if screen is not subject.screen or subject.profile is None:
+                subject = SubjectSpec(
+                    name, profile if subject.profile is None else subject.profile, screen)
+            completed.append(subject)
+            clash = clash or _at_or_after(last, screen.value)
+            last = screen.value
+        if misordered:  # the defaulting check would only repeat the complaint
             diagnostics.append(
-                error(E_ORDERING, span, "explicit positions must increase left to right")
-            )
-            continue  # the defaulting check would only repeat the complaint
-        try:
-            planes.append(_complete_plane(plane, s))
-        except StylesheetError:
-            diagnostics.append(
-                error(
-                    E_POSITION_CLASH,
-                    span,
-                    "default positions collide with the explicit ones; "
-                    "spell out every position in this plane",
-                )
-            )
+                error(E_ORDERING, span, "explicit positions must increase left to right"))
+        elif failed is not None:  # fails as building the default always has
+            ScreenFraction(s.positions_for(len(subjects))[failed])
+        elif clash:
+            diagnostics.append(error(E_POSITION_CLASH, span, "default positions collide with the "
+                                     "explicit ones; spell out every position in this plane"))
+        else:
+            planes.append(FlatComposition(plane.size, tuple(completed)))
     if len(planes) < len(comp.planes):
         return comp
-    return normalize_positions(Composition(tuple(planes)))
+    return Composition(tuple(planes))
+
+
+def _default_row(s: Stylesheet, rows: dict, n: int) -> list[ScreenFraction | None]:
+    """The default positions of ``s`` for ``n`` subjects, built once per
+    fold; None stands for one that cannot be built (a short row or a
+    value outside (0, 1)), which fails only when a subject takes it."""
+    positions = s.positions_for(n)
+    row = rows[n] = []
+    for index in range(n):
+        try:
+            row.append(ScreenFraction(positions[index]))
+        except (IndexError, TypeError, ValueError):
+            row.append(None)
+    return row
+
+
+def _at_or_after(a, b) -> bool:
+    """``a >= b``, and False with no ``a``; for two Fractions, by integer cross-products."""
+    if a.__class__ is Fraction and b.__class__ is Fraction:
+        return a.numerator * b.denominator >= b.numerator * a.denominator
+    return a is not None and a >= b
 
 
 def _apply_checked(

@@ -104,7 +104,9 @@ class ScreenFraction(Record):
     value: Fraction
 
     def __init__(self, value: Fraction) -> None:
-        if not (0 < value < 1):
+        # A Fraction's reduced terms answer without two Fraction comparisons.
+        if not (0 < value.numerator < value.denominator if value.__class__ is Fraction
+                else 0 < value < 1):
             raise ValueError(f"screen fraction {value} not in (0, 1)")
         _set(self, "value", value)
 
@@ -543,26 +545,3 @@ def referenced_names(event: ScreenEvent) -> list[str]:
     if subject is not None:
         names.append(subject.name)
     return names
-
-
-def normalize_positions(c: Composition) -> Composition:
-    """Replace named anchors with their fractions; drop spans.
-
-    Useful when comparing compositions that came from different routes
-    (say, parsed text against a reconstruction from simulation state).
-    """
-    return Composition(
-        tuple(
-            FlatComposition(
-                plane.size,
-                tuple(
-                    SubjectSpec(s.name, s.profile, ScreenFraction(s.screen.fraction))
-                    if isinstance(s.screen, ScreenAnchor)
-                    else s
-                    for s in plane.subjects
-                ),
-            )
-            for plane in c.planes
-        )
-    )
-

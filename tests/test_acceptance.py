@@ -4,7 +4,8 @@ Every test prints ``criterion N PASS/FAIL`` on its own, past pytest's
 capture, so a plain ``pytest tests/test_acceptance.py`` reads as a
 checklist.  The guarantees are deliberately redundant with the unit
 tests: they exercise the public surface only, with oracles computed
-independently inside this file.
+independently inside this file or taken from the frozen reference fold
+in ``fold_reference.py``.
 """
 from __future__ import annotations
 
@@ -18,14 +19,13 @@ import pytest
 from conftest import broken_paths, corpus_paths, parse_ok
 from psl.analysis import (
     StateId,
-    apply_stylesheet,
     infer_target,
     ShotCategory,
     classify_shot,
     validate,
 )
-from psl.ast import Cross, Profile, Shot, normalize_positions
-from psl.compiler import compile_storyboard, composition_of_marking, timeline
+from psl.ast import Cross, Profile, Shot
+from psl.compiler import compile_storyboard, composition_of_marking, shot_frames, timeline
 from psl.diagnostics import Severity
 from psl.formatter import format_storyboard
 from psl.generator import generate_sentence, random_composition
@@ -34,6 +34,7 @@ from psl.petri import PlaceKind, fire, simulate
 from psl.render import render_storyboard
 from psl.stylesheet import DEFAULT_STYLESHEET
 
+from fold_reference import apply_stylesheet, normalize_positions
 from test_corpus import EXPECTED_BROKEN
 
 
@@ -103,7 +104,7 @@ def test_criterion_2_classification_is_exhaustive(capsys):
 def test_criterion_3_two_shot_defaults(capsys):
     """A bare two-shot lands at exactly 1/3 and 2/3, facing front."""
     with criterion(capsys, 3, "a bare two-shot defaults to thirds, facing front"):
-        comp = apply_stylesheet(parse_ok("MS on A and B.").shots[0].initial)
+        comp = shot_frames(parse_ok("MS on A and B.").shots[0])[0]
         (plane,) = comp.planes
         a, b = plane.subjects
         assert a.screen.fraction == Fraction(1, 3)

@@ -1,18 +1,20 @@
 """Analysis: classification, continuity folding, states, and validation."""
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import parse_ok
+from fold_reference import apply_stylesheet
 from psl.analysis import (
     ContinuityError,
     ShotCategory,
     StateId,
-    apply_stylesheet,
     classify_shot,
     event_states,
+    fold_storyboard,
     infer_target,
     validate,
 )
@@ -45,8 +47,9 @@ from psl.diagnostics import (
     W_DROPPED,
     W_LOCK_UNUSED,
     W_NO_DURATION,
+    has_errors,
 )
-from psl.stylesheet import DEFAULT_STYLESHEET, Stylesheet, StylesheetError
+from psl.stylesheet import DEFAULT_STYLESHEET, Stylesheet, StylesheetError, parse_stylesheet
 
 
 def shot_of(text):
@@ -232,6 +235,60 @@ def test_apply_stylesheet_keeps_every_explicit_value():
     assert [s.screen.fraction for s in full.planes[0].subjects] == [
         Fraction(1, 8), Fraction(1, 4), Fraction(3, 8),
     ]
+
+
+# --- completion in the fold -------------------------------------------------
+
+def folded_positions(text, s=DEFAULT_STYLESHEET):
+    """Each frame's screen positions, plane by plane, from an error-free fold."""
+    diagnostics, frames_by_shot = fold_storyboard(parse_ok(text), s)
+    assert not has_errors(diagnostics)
+    return [
+        [[subject.screen for subject in plane.subjects] for plane in frame.planes]
+        for frames in frames_by_shot for frame in frames
+    ]
+
+
+def fifths(*ks):
+    return [ScreenFraction(Fraction(k, 5)) for k in ks]
+
+
+def test_a_cardinality_beyond_the_table_gets_even_spacing():
+    s = parse_stylesheet("positions.2 = 1/5, 4/5\n")
+    assert folded_positions("MS on Anna and Boris, LS on Carla and Dmitri and Elena and Fiona.", s) == [
+        [fifths(1, 4), fifths(1, 2, 3, 4)],
+    ]
+
+
+def test_each_stylesheet_gets_its_own_default_rows():
+    text = "MS on Anna and Boris, pan to LS on Anna and Boris.\nCut to CU on Anna and Boris."
+    quarters = parse_stylesheet("positions.2 = 1/4, 3/4\n")
+    edges = parse_stylesheet("positions.2 = 1/5, 4/5\n")
+    for s, row in ((quarters, (Fraction(1, 4), Fraction(3, 4))), (edges, (Fraction(1, 5), Fraction(4, 5))),
+                   (DEFAULT_STYLESHEET, (Fraction(1, 3), Fraction(2, 3))),
+                   (quarters, (Fraction(1, 4), Fraction(3, 4)))):
+        assert folded_positions(text, s) == [[[ScreenFraction(f) for f in row]]] * 3
+
+
+def test_a_named_anchor_folds_to_a_shared_screen_fraction():
+    first, after_pan = folded_positions(
+        "MS on Anna screen left and Boris screen far right, pan to MS on Anna screen left and Boris."
+    )
+    (left, far_right), = first
+    assert type(left) is ScreenFraction and left == ScreenFraction(Fraction(1, 3))
+    assert type(far_right) is ScreenFraction and far_right == ScreenFraction(Fraction(5, 6))
+    assert after_pan == [[left, ScreenFraction(Fraction(2, 3))]]
+    assert after_pan[0][0] is left
+
+
+def test_a_programmatic_row_outside_the_frame_fails_where_a_subject_takes_it():
+    s = Stylesheet(positions_by_cardinality={3: (Fraction(1, 4), Fraction(5, 4), Fraction(1, 2))})
+    with pytest.raises(ValueError, match=re.escape("screen fraction 5/4 not in (0, 1)")):
+        validate(parse_ok("MS on Anna and Boris and Carla."), s)
+    assert folded_positions("MS on Anna and Boris at 1/3 and Carla at 2/3.", s) == [
+        [[ScreenFraction(Fraction(1, 4)), ScreenFraction(Fraction(1, 3)), ScreenFraction(Fraction(2, 3))]]
+    ]
+    assert codes_of("MS on Anna at 2/3 and Boris and Carla at 1/3.", s) == [E_ORDERING]
 
 
 # --- validation -------------------------------------------------------------

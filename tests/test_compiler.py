@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import corpus_paths, parse_ok
-from psl.analysis import StateId, apply_stylesheet, infer_target
-from psl.ast import Profile, Size, normalize_positions
+from fold_reference import apply_stylesheet, normalize_positions
+from psl.analysis import StateId, infer_target
+from psl.ast import Profile, Size
 from psl.compiler import (
     CAMERA_PLACE,
     CompileError,
