@@ -64,7 +64,7 @@ from .formatter import (
 from .generator import generate_sentence, generate_storyboard, random_composition
 from .lexer import tokenize
 from .parser import parse_storyboard
-from .petri import Marking, Net, PetriToken, Place, Transition, enabled, fire, simulate
+from .petri import Marking, Net, PetriToken, Place, Transition, simulate
 from .render import FrameLayout, layout, render_frame, render_storyboard
 from .stylesheet import (
     DEFAULT_STYLESHEET,

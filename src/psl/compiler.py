@@ -179,24 +179,6 @@ def composition_of_marking(marking: Marking) -> Composition:
     return Composition(tuple(planes))
 
 
-class _Step(Record):
-    """One transition to lay out; ``reads`` names the subjects it passes
-    through untouched."""
-
-    __slots__ = ("duration", "label", "verb", "kind", "shot_index", "state", "after", "reads")
-
-    def __init__(self, duration: Fraction, label: str, verb: str, kind: str, shot_index: int,
-                 state: StateId, after: Composition, reads: tuple[str, ...] = ()) -> None:
-        _set(self, "duration", duration)
-        _set(self, "label", label)
-        _set(self, "verb", verb)
-        _set(self, "kind", kind)
-        _set(self, "shot_index", shot_index)
-        _set(self, "state", state)
-        _set(self, "after", after)
-        _set(self, "reads", reads)
-
-
 def _duration(s: Stylesheet, verb: str) -> Fraction:
     """Stylesheet duration, or 1 unit when missing (validation warns, W203)."""
     return s.duration_by_verb.get(verb, Fraction(1))
@@ -219,19 +201,24 @@ def compile_storyboard(
     diagnostics, frames_by_shot = fold_storyboard(sb, s)
     _reject_errors(diagnostics)
 
-    steps: list[_Step] = []
+    # Each step's metadata, label, duration and the subjects it passes
+    # through untouched; ``compositions`` gains the frame after each step.
+    steps: list[tuple[TransitionInfo, str, Fraction, tuple[str, ...]]] = []
+    compositions = [frames_by_shot[0][0]]
     for i, shot in enumerate(sb.shots):
         frames = frames_by_shot[i]
         states = event_states(shot.events)
         for j, e in enumerate(shot.events):
-            steps.append(_Step(_duration(s, e.verb), format_event(e), e.verb, "event", i,
-                               states[j], frames[j + 1], _reads(e)))
+            meta = TransitionInfo("event", i, states[j], frames[j] != frames[j + 1], e.verb)
+            steps.append((meta, format_event(e), _duration(s, e.verb), _reads(e)))
+        compositions += frames[1:]
         if i + 1 < len(sb.shots):
-            join = sb.joins[i].value
-            steps.append(_Step(HOLD_DURATION, "hold", "hold", "hold", i, states[-1], frames[-1]))
-            steps.append(_Step(_duration(s, join), join, join, "join", i,
-                               StateId.STATIC_CHANGE, frames_by_shot[i + 1][0]))
-    compositions = (frames_by_shot[0][0], *(step.after for step in steps))
+            join, after = sb.joins[i].value, frames_by_shot[i + 1][0]
+            steps.append((TransitionInfo("hold", i, states[-1], False, "hold"), "hold",
+                          HOLD_DURATION, ()))
+            steps.append((TransitionInfo("join", i, StateId.STATIC_CHANGE, frames[-1] != after,
+                                         join), join, _duration(s, join), ()))
+            compositions += (frames[-1], after)
 
     subject_names = sorted(
         {name for frames in frames_by_shot for f in frames for name in f.subject_names()}
@@ -243,24 +230,23 @@ def compile_storyboard(
     # The camera token always describes the interval its marking spans, so
     # each transition installs the motion flag of the step that follows it;
     # after the last one, the last shot's closing hold (``states[-1]``).
-    motion = [step.state >= StateId.MOVING_HOLD for step in steps]
+    motion = [meta.state >= StateId.MOVING_HOLD for meta, *_ in steps]
     motion.append(states[-1] is StateId.MOVING_HOLD)
 
     transitions: list[Transition] = []
     info: dict[str, TransitionInfo] = {}
-    for k, step in enumerate(steps, start=1):
+    for k, (meta, label, duration, reads) in enumerate(steps, start=1):
         tid = f"t{k}"
-        changes = compositions[k - 1] != step.after
         inputs = [control_place(k - 1)]
         outputs = [control_place(k)]
         effect: list[tuple[str, PetriToken]] = []
-        if changes or step.kind == "join":
-            after_tokens = _subject_tokens(step.after)
+        if meta.changes or meta.kind == "join":
+            after_tokens = _subject_tokens(compositions[k])
             inputs += sorted(_subject_tokens(compositions[k - 1]))
             outputs += sorted(after_tokens)
             effect += sorted(after_tokens.items())
         else:
-            for name in step.reads:
+            for name in reads:
                 pid = subject_place(name)
                 inputs.append(pid)
                 outputs.append(pid)
@@ -269,10 +255,9 @@ def compile_storyboard(
             outputs.append(CAMERA_PLACE)
             effect.append((CAMERA_PLACE, PetriToken.of(moving=motion[k])))
         transitions.append(
-            Transition(tid, step.label, step.duration,
-                       tuple(inputs), tuple(outputs), tuple(effect))
+            Transition(tid, label, duration, tuple(inputs), tuple(outputs), tuple(effect))
         )
-        info[tid] = TransitionInfo(step.kind, step.shot_index, step.state, changes, step.verb)
+        info[tid] = meta
 
     initial: Marking = {p.id: () for p in places}
     initial[CAMERA_PLACE] = (PetriToken.of(moving=motion[0]),)
@@ -281,7 +266,7 @@ def compile_storyboard(
         initial[pid] = (token,)
 
     net = Net(tuple(places), tuple(transitions), initial)
-    return CompiledStoryboard(sb, s, net, info, compositions, tuple(diagnostics))
+    return CompiledStoryboard(sb, s, net, info, tuple(compositions), tuple(diagnostics))
 
 
 class TimelineEntry(Record):

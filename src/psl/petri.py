@@ -8,20 +8,17 @@ explicit tokens for some output places; other outputs pass the consumed
 token through unchanged, or get a blank token if nothing was consumed from
 that place.
 
-The engine itself is generic: `enabled` and `fire` work on any net,
-including branching ones, and `fire` returns a new marking without
-touching its input.  `simulate` accepts nets in which each transition
-fires at most once and at most one transition is enabled at every step,
-and returns the piecewise-constant marking trajectory, closing with a
-final hold so the last marking occupies a real interval.  It keeps
-transitions on waiting lists of empty places instead of rescanning the
-net, and keeps one version list per place (the fat-node method of
-Driscoll, Sarnak, Sleator & Tarjan, "Making data structures persistent",
-1989): a firing appends only to the places it changed, and each
-interval's marking is a read-only view that bisects those lists.  A
-replay stores O(places + arcs) tuples, which is O(transitions + places)
-for nets whose transitions have a bounded number of arcs, as compiled
-storyboards do.
+`simulate` accepts nets in which each transition fires at most once and
+at most one transition is enabled at every step, and returns the
+piecewise-constant marking trajectory, closing with a final hold so the
+last marking occupies a real interval.  It keeps transitions on waiting
+lists of empty places instead of rescanning the net, and keeps one
+version list per place (the fat-node method of Driscoll, Sarnak, Sleator
+& Tarjan, "Making data structures persistent", 1989): a firing appends
+only to the places it changed, and each interval's marking is a
+read-only view that bisects those lists.  A replay stores O(places +
+arcs) tuples, which is O(transitions + places) for nets whose
+transitions have a bounded number of arcs, as compiled storyboards do.
 """
 from __future__ import annotations
 
@@ -109,27 +106,8 @@ class Net(Record):
         _set(self, "initial", {} if initial is None else initial)
 
 
-class FireError(ValueError):
-    """Firing a transition that is not enabled."""
-
-
 class NetStructureError(ValueError):
     """Simulation refused: ambiguous choice or runaway net."""
-
-
-def enabled(net: Net, marking: Marking) -> list[Transition]:
-    """Transitions whose input places all hold at least one token."""
-    return [
-        t for t in net.transitions
-        if all(marking.get(pid, ()) for pid in t.inputs)
-    ]
-
-
-def fire(net: Net, marking: Marking, transition: Transition) -> Marking:
-    """One firing step; returns the successor marking (other places keep their tuples)."""
-    if any(not marking.get(pid, ()) for pid in transition.inputs):
-        raise FireError(f"transition {transition.id} is not enabled")
-    return {**marking, **_changes(marking, transition)}
 
 
 def _changes(
@@ -165,7 +143,7 @@ class _MarkingView(Mapping[str, tuple[PetriToken, ...]]):
     ``versions[pid]`` holds two parallel lists: the steps at which the
     place changed, ascending, and the tuple it held from each of them on.
     A place missing from the initial marking is absent until a firing
-    first outputs to it, as in the dicts ``fire`` returns.
+    first outputs to it.
     """
 
     __slots__ = ("_versions", "_step")

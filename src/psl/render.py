@@ -61,11 +61,9 @@ class Figure(Record):
 class FrameLayout(Record):
     """A placed frame; ``figures`` are in draw order, background first."""
 
-    __slots__ = ("width", "height", "figures", "caption")
+    __slots__ = ("figures", "caption")
 
-    def __init__(self, width: int, height: int, figures: tuple[Figure, ...], caption: str) -> None:
-        _set(self, "width", width)
-        _set(self, "height", height)
+    def __init__(self, figures: tuple[Figure, ...], caption: str) -> None:
         _set(self, "figures", figures)
         _set(self, "caption", caption)
 
@@ -93,7 +91,7 @@ def layout(c: Composition, s: Stylesheet = DEFAULT_STYLESHEET) -> FrameLayout:
                 Figure(subject.name, subject.screen.fraction, height, subject.profile, plane_index)
             )
     figures.sort(key=lambda f: (-f.plane, f.x))
-    return FrameLayout(FRAME_WIDTH, FRAME_HEIGHT, tuple(figures), format_composition(c))
+    return FrameLayout(tuple(figures), format_composition(c))
 
 
 def _escape(text: str) -> str:
@@ -104,11 +102,11 @@ def _fmt(value: float) -> str:
     return "0.00" if (text := f"{value:.2f}") == "-0.00" else text
 
 
-def _figure_svg(fig: Figure, frame_w: int, frame_h: int) -> str:
-    h = float(fig.height) * frame_h
-    x = float(fig.x) * frame_w
+def _figure_svg(fig: Figure) -> str:
+    h = float(fig.height) * FRAME_HEIGHT
+    x = float(fig.x) * FRAME_WIDTH
     r = h / 8.0
-    y_top = max(frame_h - h, 0.06 * frame_h)
+    y_top = max(FRAME_HEIGHT - h, 0.06 * FRAME_HEIGHT)
     head_cy = y_top + r
     opacity = 0.85 ** fig.plane
     stroke = max(1.0, h / 60.0)
@@ -148,31 +146,36 @@ def render_frame(l: FrameLayout, stamp: str | None = None) -> str:
     return _frame_svg(l, stamp, {})
 
 
+_TOTAL_HEIGHT = FRAME_HEIGHT + CAPTION_BAND
+#: Every sketch opens with these lines, up to its figures.
+_FRAME_OPEN = "\n".join((
+    f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{FRAME_WIDTH}" '
+    f'height="{_TOTAL_HEIGHT}" viewBox="0 0 {FRAME_WIDTH} {_TOTAL_HEIGHT}">',
+    f'<rect class="backdrop" x="0" y="0" width="{FRAME_WIDTH}" height="{_TOTAL_HEIGHT}" '
+    'fill="#ffffff"/>',
+    f'<defs><clipPath id="frame-clip"><rect x="0" y="0" width="{FRAME_WIDTH}" '
+    f'height="{FRAME_HEIGHT}"/></clipPath></defs>',
+    f'<rect class="frame" x="0.5" y="0.5" width="{FRAME_WIDTH - 1}" height="{FRAME_HEIGHT - 1}" '
+    'fill="none" stroke="#222222" stroke-width="1"/>',
+    '<g class="figures" clip-path="url(#frame-clip)">',
+))
+
+
 def _frame_svg(l: FrameLayout, stamp: str | None, drawn: dict[Figure, str]) -> str:
-    total_h = l.height + CAPTION_BAND
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{l.width}" height="{total_h}" viewBox="0 0 {l.width} {total_h}">',
-        f'<rect class="backdrop" x="0" y="0" width="{l.width}" height="{total_h}" fill="#ffffff"/>',
-        '<defs><clipPath id="frame-clip">'
-        f'<rect x="0" y="0" width="{l.width}" height="{l.height}"/>'
-        "</clipPath></defs>",
-        f'<rect class="frame" x="0.5" y="0.5" width="{l.width - 1}" height="{l.height - 1}" '
-        'fill="none" stroke="#222222" stroke-width="1"/>',
-        '<g class="figures" clip-path="url(#frame-clip)">',
-    ]
+    lines = [_FRAME_OPEN]
     for fig in l.figures:
         if (svg := drawn.get(fig)) is None:
-            svg = drawn[fig] = _figure_svg(fig, l.width, l.height)
+            svg = drawn[fig] = _figure_svg(fig)
         lines.append(svg)
     lines.append("</g>")
     if stamp is not None:
         lines.append(
-            f'<text class="stamp" x="{l.width - 8}" y="20" text-anchor="end" '
+            f'<text class="stamp" x="{FRAME_WIDTH - 8}" y="20" text-anchor="end" '
             f'font-family="monospace" font-size="14" fill="#aa3333">{_escape(stamp)}</text>'
         )
     lines.append(
-        f'<text class="caption" x="{l.width // 2}" y="{l.height + 25}" text-anchor="middle" '
+        f'<text class="caption" x="{FRAME_WIDTH // 2}" y="{FRAME_HEIGHT + 25}" '
+        'text-anchor="middle" '
         f'font-family="monospace" font-size="12" fill="#222222">{_escape(l.caption)}</text>'
     )
     lines.append("</svg>")
@@ -194,7 +197,7 @@ def render_compiled(compiled: CompiledStoryboard) -> list[Frame]:
     frames: list[Frame] = []
     counts: dict[int, int] = {}
     layouts: dict[Composition, FrameLayout] = {}
-    drawn: dict[Figure, str] = {}  # every layout here has the same frame size
+    drawn: dict[Figure, str] = {}
     for entry in timeline(compiled):
         if entry.t0 == entry.t1:
             continue

@@ -30,11 +30,12 @@ from psl.diagnostics import Severity
 from psl.formatter import format_storyboard
 from psl.generator import generate_sentence, random_composition
 from psl.parser import parse_storyboard
-from psl.petri import PlaceKind, fire, simulate
+from psl.petri import PlaceKind, simulate
 from psl.render import render_storyboard
 from psl.stylesheet import DEFAULT_STYLESHEET
 
 from fold_reference import apply_stylesheet, normalize_positions
+from petri_reference import fire
 from test_corpus import EXPECTED_BROKEN
 
 

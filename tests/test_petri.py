@@ -1,4 +1,4 @@
-"""The timed net: tokens, firing, and chain simulation."""
+"""The timed net: tokens, chain simulation, and the reference stepper it is checked against."""
 from __future__ import annotations
 
 import random
@@ -6,11 +6,10 @@ from fractions import Fraction
 
 import pytest
 from conftest import corpus_paths, parse_ok
+from petri_reference import FireError, enabled, fire
 
 from psl.compiler import compile_storyboard
 from psl.petri import (
-    FireError,
-    Marking,
     MarkingInterval,
     Net,
     NetStructureError,
@@ -18,8 +17,6 @@ from psl.petri import (
     Place,
     PlaceKind,
     Transition,
-    enabled,
-    fire,
     simulate,
 )
 from psl.stylesheet import HOLD_DURATION
@@ -205,10 +202,13 @@ def test_interval_is_half_open_record():
 
 # --- replay oracle ----------------------------------------------------------
 # ``simulate`` keeps waiting lists instead of rescanning the net, and
-# per-place version lists instead of whole markings; the reference below
-# rescans with ``enabled`` and fires with ``fire`` at every step, as the
-# definition reads.  Nets stay small: every interval of the reference holds
-# a full marking, which the simulated view must equal.
+# per-place version lists instead of whole markings; the replay below
+# rescans with ``enabled`` and fires with ``fire`` from
+# ``petri_reference`` at every step, as the definition reads, moving
+# tokens with code of its own.  Every token ``_net`` places differs from
+# the others, so taking the wrong one shows.  Nets stay small: every
+# interval of the reference holds a full marking, which the simulated
+# view must equal.
 
 def rescanning_simulate(net: Net) -> list[MarkingInterval]:
     bound = len(net.transitions) + 1
@@ -255,7 +255,8 @@ def _net(rng, n_places, arcs, marked):
         ))
     initial = {p.id: () for p in places}
     for i in marked:
-        initial[f"p{i}"] = (*initial[f"p{i}"], PetriToken.of(at=i))
+        tokens = initial[f"p{i}"]
+        initial[f"p{i}"] = (*tokens, PetriToken.of(at=i, n=len(tokens)))
     return Net(places, tuple(transitions), initial)
 
 

@@ -33,7 +33,6 @@ def frame_of(text):
 
 def test_layout_positions_and_heights():
     l = layout(frame_of("MS on Anna and Boris."))
-    assert (l.width, l.height) == (FRAME_WIDTH, FRAME_HEIGHT)
     assert [f.name for f in l.figures] == ["Anna", "Boris"]
     assert [f.x for f in l.figures] == [Fraction(1, 3), Fraction(2, 3)]
     heights = DEFAULT_STYLESHEET.figure_height_by_size
