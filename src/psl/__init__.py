@@ -49,7 +49,6 @@ from .compiler import (
     CompileError,
     TimelineEntry,
     compile_storyboard,
-    composition_of_marking,
     shot_frames,
     timeline,
 )

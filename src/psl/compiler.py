@@ -20,26 +20,18 @@ for bit.
 ``timeline`` replays the unique firing sequence and returns the visible
 screen state over time: which composition is up, which of the four
 per-interval states applies, and whether the frame is mid-change.  The
-frame is rebuilt from the subject tokens only after a firing that
-changed the frame.
+net gives the timing and the states; the frames are the compiler's own,
+taken from ``CompiledStoryboard.compositions`` after each firing that
+changed the frame.  Rebuilding them from the subject tokens is left to
+the tests, as the oracle that checks the tokens the net carries.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
 from typing import Mapping
 
 from .analysis import StateId, event_states, fold_shot, fold_storyboard
-from .ast import (
-    Composition,
-    FlatComposition,
-    ScreenEvent,
-    ScreenFraction,
-    Shot,
-    Storyboard,
-    SubjectSpec,
-    referenced_names,
-)
+from .ast import Composition, ScreenEvent, Shot, Storyboard, referenced_names
 from .diagnostics import Diagnostic, Record, Severity, _set, has_errors
 from .formatter import format_event
 from .petri import (
@@ -66,11 +58,10 @@ class CompileError(ValueError):
 
 
 CAMERA_PLACE = "camera"
-_SUBJECT_PREFIX = "subject:"
 
 
 def subject_place(name: str) -> str:
-    return _SUBJECT_PREFIX + name
+    return f"subject:{name}"
 
 
 def control_place(index: int) -> str:
@@ -95,10 +86,10 @@ class TransitionInfo(Record):
 
 class CompiledStoryboard(Record):
     """A net with what it was built from.  ``compositions`` holds the frame
-    content before transition k, plus the final frame; the marking after
-    step k reconstructs to ``compositions[k]`` exactly.  ``diagnostics``
-    holds the warnings the validating pass found (an error stops
-    compilation)."""
+    content before transition k, plus the final frame; ``timeline`` reads
+    it, and the tests check that the subject tokens of the marking after
+    step k rebuild to ``compositions[k]`` exactly.  ``diagnostics`` holds
+    the warnings the validating pass found (an error stops compilation)."""
 
     __slots__ = ("storyboard", "stylesheet", "net", "info", "compositions", "diagnostics")
 
@@ -142,41 +133,6 @@ def _subject_tokens(comp: Composition) -> dict[str, PetriToken]:
                 screen=subject.screen.fraction,
             )
     return tokens
-
-
-def composition_of_marking(marking: Marking) -> Composition:
-    """Rebuild the frame from the subject tokens; inverse of compilation."""
-    rows = []
-    for pid, tokens in marking.items():
-        if not pid.startswith(_SUBJECT_PREFIX) or not tokens:
-            continue
-        if len(tokens) != 1:
-            raise ValueError(f"{pid} holds {len(tokens)} tokens, expected one")
-        token = tokens[0]
-        rows.append((token.get("plane"), token.get("slot"), pid[len(_SUBJECT_PREFIX):], token))
-    if not rows:
-        raise ValueError("no subject tokens in marking")
-    rows.sort(key=lambda row: (row[0], row[1]))
-    planes: list[FlatComposition] = []
-    for plane_index, group in groupby(rows, key=lambda row: row[0]):
-        members = list(group)
-        if plane_index != len(planes):
-            raise ValueError("plane indices are not contiguous")
-        sizes = {member[3].get("size") for member in members}
-        if len(sizes) != 1:
-            raise ValueError(f"plane {plane_index} tokens disagree on size")
-        if [member[1] for member in members] != list(range(len(members))):
-            raise ValueError(f"plane {plane_index} slots are not contiguous")
-        planes.append(
-            FlatComposition(
-                sizes.pop(),
-                tuple(
-                    SubjectSpec(name, token.get("profile"), ScreenFraction(token.get("screen")))
-                    for _, _, name, token in members
-                ),
-            )
-        )
-    return Composition(tuple(planes))
 
 
 def _duration(s: Stylesheet, verb: str) -> Fraction:
@@ -235,6 +191,9 @@ def compile_storyboard(
 
     transitions: list[Transition] = []
     info: dict[str, TransitionInfo] = {}
+    # The subject tokens of the frame on screen, carried from one
+    # frame-changing step to the next.
+    opening = on_screen = _subject_tokens(compositions[0])
     for k, (meta, label, duration, reads) in enumerate(steps, start=1):
         tid = f"t{k}"
         inputs = [control_place(k - 1)]
@@ -242,9 +201,10 @@ def compile_storyboard(
         effect: list[tuple[str, PetriToken]] = []
         if meta.changes or meta.kind == "join":
             after_tokens = _subject_tokens(compositions[k])
-            inputs += sorted(_subject_tokens(compositions[k - 1]))
+            inputs += sorted(on_screen)
             outputs += sorted(after_tokens)
             effect += sorted(after_tokens.items())
+            on_screen = after_tokens
         else:
             for name in reads:
                 pid = subject_place(name)
@@ -262,7 +222,7 @@ def compile_storyboard(
     initial: Marking = {p.id: () for p in places}
     initial[CAMERA_PLACE] = (PetriToken.of(moving=motion[0]),)
     initial[control_place(0)] = (PetriToken(),)
-    for pid, token in _subject_tokens(frames_by_shot[0][0]).items():
+    for pid, token in opening.items():
         initial[pid] = (token,)
 
     net = Net(tuple(places), tuple(transitions), initial)
@@ -287,20 +247,18 @@ def timeline(compiled: CompiledStoryboard) -> list[TimelineEntry]:
 
     Zero-length intervals that change nothing (a lock firing, say) are
     dropped; zero-length changes (a cut) stay as boundary markers.  The
-    closing hold reads the camera token the last firing left behind.  The
-    composition is rebuilt, from the subject places alone, only after a
-    firing that changed the frame: one that keeps it (a join between equal
-    frames included) leaves subject tokens that rebuild to the same frame.
+    closing hold reads the camera token the last firing left behind.
+    Interval k shows ``compiled.compositions[k]``, taken only after a
+    firing that changed the frame; after one that keeps it (a join between
+    equal frames included), the next entry holds the same object.
     """
-    net = compiled.net
-    intervals = simulate(net)
-    subjects = [p.id for p in net.places if p.kind is PlaceKind.SUBJECT]
+    frames = compiled.compositions
     entries: list[TimelineEntry] = []
     last_shot = len(compiled.storyboard.shots) - 1
-    changed = True  # nothing has been built before the first interval
-    for interval in intervals:
+    changed = True  # nothing is on screen before the first interval
+    for k, interval in enumerate(simulate(compiled.net)):
         if changed:
-            comp = composition_of_marking({pid: interval.marking[pid] for pid in subjects})
+            comp = frames[k]
         if interval.fired is None:
             moving = interval.marking[CAMERA_PLACE][0].get("moving")
             closing = StateId.MOVING_HOLD if moving else StateId.STATIC_HOLD

@@ -230,14 +230,15 @@ def simulate(net: Net) -> list[MarkingInterval]:
             trajectory.append(MarkingInterval(clock, clock + HOLD_DURATION, view, None))
             return trajectory
         t = net.transitions[ready[0]]
-        trajectory.append(MarkingInterval(clock, clock + t.duration, view, t.id))
+        end = clock + t.duration
+        trajectory.append(MarkingInterval(clock, end, view, t.id))
         changed = _changes(marking, t)
         marking.update(changed)
         for pid, tokens in changed.items():
             steps, values = versions.setdefault(pid, ([], []))
             steps.append(step + 1)
             values.append(tokens)
-        clock += t.duration
+        clock = end
         woken = ready + [i for pid in t.outputs for i in waiting.pop(pid, ())]
         ready.clear()
         classify(woken)

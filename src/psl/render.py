@@ -15,8 +15,10 @@ are drawn first.
 
 Output is byte-deterministic: fixed attribute order, every coordinate
 formatted to two decimals, no timestamps, no randomness.  Escaping is
-local, so loading this module loads no XML or HTTP code; the layout and
-figure memos of ``render_compiled`` live for one call.
+local, so loading this module loads no XML or HTTP code.  The memos of
+``render_compiled`` live for one call: figures are memoized by value, and
+layouts by the identity of the compiler's frames, which the timeline
+shares and the call keeps alive, so no ``Composition`` is hashed.
 """
 from __future__ import annotations
 
@@ -196,7 +198,7 @@ def render_compiled(compiled: CompiledStoryboard) -> list[Frame]:
     s = compiled.stylesheet
     frames: list[Frame] = []
     counts: dict[int, int] = {}
-    layouts: dict[Composition, FrameLayout] = {}
+    layouts: dict[int, FrameLayout] = {}
     drawn: dict[Figure, str] = {}
     for entry in timeline(compiled):
         if entry.t0 == entry.t1:
@@ -205,7 +207,7 @@ def render_compiled(compiled: CompiledStoryboard) -> list[Frame]:
         counts[entry.shot_index] = index
         filename = f"shot{entry.shot_index + 1:02d}_frame{index:02d}.svg"
         stamp = "in transition" if entry.in_transition else None
-        if (l := layouts.get(entry.composition)) is None:
-            l = layouts[entry.composition] = layout(entry.composition, s)
+        if (l := layouts.get(id(entry.composition))) is None:
+            l = layouts[id(entry.composition)] = layout(entry.composition, s)
         frames.append(Frame(filename, _frame_svg(l, stamp, drawn)))
     return frames

@@ -25,7 +25,7 @@ from psl.analysis import (
     validate,
 )
 from psl.ast import Cross, Profile, Shot
-from psl.compiler import compile_storyboard, composition_of_marking, shot_frames, timeline
+from psl.compiler import compile_storyboard, shot_frames, timeline
 from psl.diagnostics import Severity
 from psl.formatter import format_storyboard
 from psl.generator import generate_sentence, random_composition
@@ -36,6 +36,7 @@ from psl.stylesheet import DEFAULT_STYLESHEET
 
 from fold_reference import apply_stylesheet, normalize_positions
 from petri_reference import fire
+from replay_reference import composition_of_marking
 from test_corpus import EXPECTED_BROKEN
 
 

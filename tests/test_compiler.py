@@ -13,7 +13,6 @@ from psl.compiler import (
     CAMERA_PLACE,
     CompileError,
     compile_storyboard,
-    composition_of_marking,
     control_place,
     shot_frames,
     subject_place,
@@ -23,6 +22,7 @@ from psl.diagnostics import W_NO_DURATION, Severity
 from psl.formatter import format_composition
 from psl.petri import PlaceKind, simulate
 from psl.stylesheet import DEFAULT_STYLESHEET, Stylesheet
+from replay_reference import composition_of_marking
 
 
 def compiled_of(text, s=DEFAULT_STYLESHEET):

@@ -1,28 +1,34 @@
 """Replay of compiled nets on generated boards, beyond the corpus.
 
 The draws are derandomized, so every run checks the same examples.  The
-scale test replays a board far larger than any in the corpus under a
-fixed memory bound: each interval's marking is a view of per-place
-version lists, not a copy of the whole marking.
+timeline shows the compiler's own frame objects, and the subject tokens
+of every replayed marking must rebuild to them.  The scale test replays a
+board far larger than any in the corpus under a fixed memory bound: each
+interval's marking is a view of per-place version lists, not a copy of
+the whole marking.
 """
 from __future__ import annotations
 
 import random
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import corpus_paths, parse_ok
 from psl import (
     HOLD_DURATION,
     ShotTransition,
     Storyboard,
     compile_storyboard,
-    composition_of_marking,
     generate_storyboard,
+    render,
     simulate,
     timeline,
 )
+
+from replay_reference import composition_of_marking
 
 
 @settings(derandomize=True, deadline=None)
@@ -36,6 +42,37 @@ def test_replay_reconstructs_every_folded_frame(rng, depth):
     entries = timeline(compiled)
     total = sum(t.duration for t in compiled.net.transitions) + HOLD_DURATION
     assert sum(e.t1 - e.t0 for e in entries) == total
+
+
+def assert_timeline_shares_frames(compiled):
+    """Entries hold the compiler's frames, shared across non-changing
+    firings, and ``render_compiled`` lays out each shown frame once."""
+    entries = timeline(compiled)
+    frames = {id(c) for c in compiled.compositions}
+    assert all(id(e.composition) in frames for e in entries)
+    for before, after in zip(entries, entries[1:]):
+        assert (after.composition is before.composition) is not before.in_transition
+    laid_out, real_layout = [], render.layout
+
+    def counting_layout(c, s):
+        laid_out.append(id(c))
+        return real_layout(c, s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(render, "layout", counting_layout)
+        render.render_compiled(compiled)
+    assert sorted(laid_out) == sorted({id(e.composition) for e in entries if e.t0 != e.t1})
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 6))
+def test_timeline_shares_the_compilers_frames(rng, depth):
+    assert_timeline_shares_frames(compile_storyboard(generate_storyboard(rng, depth)))
+
+
+@pytest.mark.parametrize("path", corpus_paths(), ids=lambda p: p.stem)
+def test_corpus_timeline_shares_the_compilers_frames(path):
+    assert_timeline_shares_frames(compile_storyboard(parse_ok(path.read_text(encoding="utf-8"))))
 
 
 def long_board(shots: int) -> Storyboard:
