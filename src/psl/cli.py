@@ -29,7 +29,7 @@ from .compiler import CompiledStoryboard, CompileError, compile_storyboard, time
 from .diagnostics import Diagnostic, has_errors, in_source_order
 from .formatter import format_storyboard
 from .generator import generate_sentence
-from .jsonio import SCHEMA_VERSION, dumps, net_to_dict, timeline_to_dict
+from .jsonio import SCHEMA_VERSION, net_json, stats_json, timeline_json
 from .parser import parse_storyboard
 from .render import render_compiled
 from .stylesheet import DEFAULT_STYLESHEET, Stylesheet, StylesheetError, parse_stylesheet
@@ -144,13 +144,13 @@ def cmd_fmt(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     compiled = _load_compiled(args)
-    print(dumps(net_to_dict(compiled)))
+    print(net_json(compiled))
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     compiled = _load_compiled(args)
-    print(dumps(timeline_to_dict(timeline(compiled))))
+    print(timeline_json(timeline(compiled)))
     return 0
 
 
@@ -178,20 +178,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
         for plane in comp.planes:
             sizes[plane.size.name] += 1
     verbs = {verb: 0 for verb in EVENT_VERBS}
-    total_events = 0
     for shot in sb.shots:
         for e in shot.events:
             verbs[e.verb] += 1
-            total_events += 1
-    stats = {
-        "psl_schema": SCHEMA_VERSION,
-        "shot_count": len(sb.shots),
-        **categories,
-        "sizes": sizes,
-        "verbs": verbs,
-        "mean_events_per_shot": str(Fraction(total_events, len(sb.shots))),
-    }
-    print(dumps(stats))
+    mean = Fraction(sum(verbs.values()), len(sb.shots))
+    print(stats_json(len(sb.shots), categories, sizes, verbs, mean))
     return 0
 
 
@@ -209,6 +200,17 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's formatter, taken apart once its text is out: it and its
+    sections refer to each other, a cycle only the collector would free."""
+
+    def format_help(self) -> str:
+        text = super().format_help()
+        self._root_section.items.clear()
+        self._root_section = self._current_section = None
+        return text
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``psl`` parser, built on the first call; every later call
@@ -216,11 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psl",
         description="Parse, check, format, compile, simulate, and sketch prose storyboards.",
+        formatter_class=_Formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def command(name: str, func, help_text: str, *, file: bool = True):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=_Formatter)
         if file:
             p.add_argument("file", metavar="FILE", help="storyboard source file")
         p.set_defaults(func=func)

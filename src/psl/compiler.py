@@ -37,6 +37,7 @@ from .formatter import format_event
 from .petri import (
     Marking,
     Net,
+    NetStructureError,
     PetriToken,
     Place,
     PlaceKind,
@@ -251,12 +252,18 @@ def timeline(compiled: CompiledStoryboard) -> list[TimelineEntry]:
     Interval k shows ``compiled.compositions[k]``, taken only after a
     firing that changed the frame; after one that keeps it (a join between
     equal frames included), the next entry holds the same object.
+    Raises NetStructureError when the replay stalls before every
+    transition has fired, as it does when a token it needs is missing.
     """
+    intervals = simulate(compiled.net)
+    fired, total = len(intervals) - 1, len(compiled.net.transitions)
+    if fired < total:
+        raise NetStructureError(f"replay stalled: {fired} of {total} transitions fired")
     frames = compiled.compositions
     entries: list[TimelineEntry] = []
     last_shot = len(compiled.storyboard.shots) - 1
     changed = True  # nothing is on screen before the first interval
-    for k, interval in enumerate(simulate(compiled.net)):
+    for k, interval in enumerate(intervals):
         if changed:
             comp = frames[k]
         if interval.fired is None:

@@ -5,9 +5,19 @@ serialize as strings ("2/3"), never floats; enums serialize as their
 surface text.  Top-level documents carry ``"psl_schema": 1``.  Both forms
 are derived artifacts for machines, export only: the sentence grammar
 is the storyboard's one text form, so nothing reads them back.
+
+``net_json``, ``timeline_json`` and ``stats_json`` write the text
+``json.dumps(document, indent=2)`` would give, straight from the records:
+no dict tree, and none of the reference cycles ``json``'s indenting
+encoder leaves.  A record (place, transition, token, entry, frame,
+subject) sits at one depth of its document, so one template carries its
+indentation; strings from the board go through ``json``'s C escaper.  A
+frame shown by several entries is written once per document.
+``net_to_dict`` and ``timeline_to_dict`` parse that text back.
 """
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 from typing import Any, Sequence
@@ -18,138 +28,117 @@ from .petri import PetriToken
 
 SCHEMA_VERSION = 1
 
+_BOOL = ("false", "true")
+_PLACE = '{\n      "id": %s,\n      "kind": %s\n    }'
+_TRANSITION = (
+    '{\n      "id": %s,\n      "label": %s,\n      "kind": %s,\n      "verb": %s,\n'
+    '      "shot": %d,\n      "state": %d,\n      "changes_composition": %s,\n'
+    '      "duration": "%s",\n      "inputs": %s,\n      "outputs": %s,\n      "effect": %s\n    }'
+)
+_ENTRY = (
+    '{\n      "t0": "%s",\n      "t1": "%s",\n      "shot": %d,\n      "state": %d,\n'
+    '      "in_transition": %s,\n      "composition": %s\n    }'
+)
+_STATS = (
+    '{\n  "psl_schema": %d,\n  "shot_count": %d,\n  %s,\n  "sizes": %s,\n  "verbs": %s,\n'
+    '  "mean_events_per_shot": "%s"\n}'
+)
+_PLANE = '{\n            "size": "%s",\n            "subjects": %s\n          }'
+_SCREEN = ',\n                "screen": {\n                  "at": "%s"\n                }'
+#: A token attribute's text, by the value's exact type; enums read ``_value_``, not ``.value``.
+_ATTR = {
+    int: int.__repr__,
+    bool: _BOOL.__getitem__,
+    str: _string,
+    Fraction: '"%s"'.__mod__,
+    Size: {size: '"%s"' % size.name for size in Size}.__getitem__,
+    Profile: lambda profile: _string(profile._value_),
+}
 
-def subject_to_dict(s: SubjectSpec) -> dict[str, Any]:
-    out: dict[str, Any] = {"name": s.name}
+
+def _block(items: list[str], pad: str, brackets: str) -> str:
+    """``items`` one per line, each after ``pad`` (a newline and its
+    indentation), closed two spaces further out: ``indent=2``'s layout."""
+    if not items:
+        return brackets
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
+
+def _token(token: PetriToken, pad: str) -> str:
+    try:
+        attrs = [_string(key) + ": " + _ATTR[type(value)](value) for key, value in token.attrs]
+    except KeyError:
+        raise TypeError(f"a token attribute of {token!r} has no JSON form") from None
+    return _block(attrs, pad, "{}")
+
+
+def net_json(compiled: CompiledStoryboard) -> str:
+    net, info = compiled.net, compiled.info
+    places = [_PLACE % (_string(p.id), _string(p.kind.value)) for p in net.places]
+    transitions = []
+    for t in net.transitions:
+        meta = info[t.id]
+        effect = [_string(pid) + ": " + _token(token, "\n          ") for pid, token in t.effect]
+        transitions.append(_TRANSITION % (
+            _string(t.id), _string(t.label), _string(meta.kind), _string(meta.verb),
+            meta.shot_index, meta.state, _BOOL[meta.changes], t.duration,
+            _block(list(map(_string, t.inputs)), "\n        ", "[]"),
+            _block(list(map(_string, t.outputs)), "\n        ", "[]"),
+            _block(effect, "\n        ", "{}"),
+        ))
+    initial = [
+        _string(pid) + ": " + _block([_token(t, "\n        ") for t in tokens], "\n      ", "[]")
+        for pid, tokens in net.initial.items()
+        if tokens
+    ]
+    return '{\n  "psl_schema": %d,\n  "places": %s,\n  "transitions": %s,\n  "initial": %s\n}' % (
+        SCHEMA_VERSION, _block(places, "\n    ", "[]"), _block(transitions, "\n    ", "[]"),
+        _block(initial, "\n    ", "{}"))
+
+
+def _subject(s: SubjectSpec) -> str:
+    text = '{\n                "name": ' + _string(s.name)
     if s.profile is not None:
-        out["profile"] = s.profile.value
+        text += ',\n                "profile": ' + _string(s.profile.value)
     if s.screen is not None:
-        out["screen"] = {"at": str(s.screen.fraction)}
-    return out
+        text += _SCREEN % s.screen.fraction
+    return text + "\n              }"
 
 
-def composition_to_dict(c: Composition) -> dict[str, Any]:
-    return {
-        "planes": [
-            {"size": plane.size.name, "subjects": [subject_to_dict(s) for s in plane.subjects]}
-            for plane in c.planes
-        ]
-    }
+def _frame(c: Composition) -> str:
+    planes = []
+    for plane in c.planes:
+        subjects = _block(list(map(_subject, plane.subjects)), "\n              ", "[]")
+        planes.append(_PLANE % (plane.size.name, subjects))
+    return '{\n        "planes": ' + _block(planes, "\n          ", "[]") + "\n      }"
 
 
-def _attr_value(value: object) -> object:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, Size):
-        return value.name
-    if isinstance(value, Profile):
-        return value.value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (int, str)):
-        return value
-    raise TypeError(f"token attribute {value!r} has no JSON form")
+def timeline_json(entries: Sequence[TimelineEntry]) -> str:
+    """Each distinct frame object is written once, wherever its entries sit."""
+    frames: dict[int, str] = {}
+    out = []
+    for e in entries:
+        frame = frames.get(id(e.composition))
+        if frame is None:
+            frame = frames[id(e.composition)] = _frame(e.composition)
+        out.append(_ENTRY % (e.t0, e.t1, e.shot_index, e.state, _BOOL[e.in_transition], frame))
+    return '{\n  "psl_schema": %d,\n  "entries": %s\n}' % (
+        SCHEMA_VERSION, _block(out, "\n    ", "[]"))
 
 
-def _token_to_dict(token: PetriToken) -> dict[str, Any]:
-    return {key: _attr_value(value) for key, value in token.attrs}
+def stats_json(shots: int, categories: dict[str, int], sizes: dict[str, int],
+               verbs: dict[str, int], mean_events_per_shot: Fraction) -> str:
+    """The stats document: the shot count, one count per shot category, the
+    size and verb histograms, and the mean number of events per shot."""
+    counts = [[f"{_string(k)}: {n:d}" for k, n in d.items()] for d in (categories, sizes, verbs)]
+    return _STATS % (SCHEMA_VERSION, shots, ",\n  ".join(counts[0]),
+                     _block(counts[1], "\n    ", "{}"), _block(counts[2], "\n    ", "{}"),
+                     mean_events_per_shot)
 
 
 def net_to_dict(compiled: CompiledStoryboard) -> dict[str, Any]:
-    net = compiled.net
-    transitions = []
-    for t in net.transitions:
-        meta = compiled.info[t.id]
-        transitions.append(
-            {
-                "id": t.id,
-                "label": t.label,
-                "kind": meta.kind,
-                "verb": meta.verb,
-                "shot": meta.shot_index,
-                "state": int(meta.state),
-                "changes_composition": meta.changes,
-                "duration": str(t.duration),
-                "inputs": list(t.inputs),
-                "outputs": list(t.outputs),
-                "effect": {pid: _token_to_dict(token) for pid, token in t.effect},
-            }
-        )
-    return {
-        "psl_schema": SCHEMA_VERSION,
-        "places": [{"id": p.id, "kind": p.kind.value} for p in net.places],
-        "transitions": transitions,
-        "initial": {
-            pid: [_token_to_dict(t) for t in tokens]
-            for pid, tokens in net.initial.items()
-            if tokens
-        },
-    }
+    return json.loads(net_json(compiled))
 
 
 def timeline_to_dict(entries: Sequence[TimelineEntry]) -> dict[str, Any]:
-    """The timeline document.  Consecutive entries that hold the same
-    ``Composition`` object, as ``timeline`` gives them, share one dict."""
-    out = []
-    comp = frame = None
-    for e in entries:
-        if e.composition is not comp:
-            comp = e.composition
-            frame = composition_to_dict(comp)
-        out.append(
-            {
-                "t0": str(e.t0),
-                "t1": str(e.t1),
-                "shot": e.shot_index,
-                "state": int(e.state),
-                "in_transition": e.in_transition,
-                "composition": frame,
-            }
-        )
-    return {"psl_schema": SCHEMA_VERSION, "entries": out}
-
-
-def dumps(value: object) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for the payload types.
-
-    ``json`` uses its C encoder only without ``indent``, so indented output
-    would run the pure-Python one; this emitter lays out the indentation
-    itself and escapes strings with the C escaper.  It takes dicts with str
-    keys, lists, str, int, bool and None; any other type (a float, a tuple,
-    a Fraction, a non-str key) raises TypeError instead of slipping through.
-
-    A dict is encoded once for each run of places that hold the same
-    object one after another at the same indentation, such as the frame
-    that consecutive timeline entries share: the text of the last dict
-    encoded at each indentation is kept for the call, and only that one.
-    """
-    return _encode(value, "\n", {})
-
-
-_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _encode(value: object, newline: str, last: dict[str, tuple[object, str]]) -> str:
-    kind = type(value)
-    if kind is str:
-        return _string(value)
-    if kind is dict or kind is list:
-        if not value:
-            return "{}" if kind is dict else "[]"
-        inner = newline + "  "
-        if kind is dict:
-            seen = last.get(newline)
-            if seen is not None and seen[0] is value:
-                return seen[1]
-            # _string raises TypeError on a key that is not a str
-            items = [_string(k) + ": " + _encode(v, inner, last) for k, v in value.items()]
-            text = "{" + inner + ("," + inner).join(items) + newline + "}"
-            last[newline] = (value, text)
-            return text
-        items = [_encode(v, inner, last) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if kind is int:
-        return int.__repr__(value)
-    if value is None or kind is bool:
-        return _CONSTANTS[value]
-    raise TypeError(f"{kind.__name__} {value!r} has no JSON form")
+    return json.loads(timeline_json(entries))

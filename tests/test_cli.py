@@ -463,6 +463,14 @@ def test_no_command_leaves_cyclic_garbage(capsys, tmp_path):
             found = gc.collect()
             if found:
                 left[f"{command} {path.parent.name}/{path.name}"] = found
+    # usage errors: argparse prints usage and raises SystemExit(2)
+    for argv in (["check", "--bogus", str(CROSS)], ["check"], ["bogus"], ["fuzz", "--count", "x"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        capsys.readouterr()
+        found = gc.collect()
+        if found:
+            left[" ".join(argv)] = found
     assert left == {}
 
 

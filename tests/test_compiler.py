@@ -11,6 +11,7 @@ from psl.analysis import StateId, infer_target
 from psl.ast import Profile, Size
 from psl.compiler import (
     CAMERA_PLACE,
+    CompiledStoryboard,
     CompileError,
     compile_storyboard,
     control_place,
@@ -20,7 +21,7 @@ from psl.compiler import (
 )
 from psl.diagnostics import W_NO_DURATION, Severity
 from psl.formatter import format_composition
-from psl.petri import PlaceKind, simulate
+from psl.petri import Net, NetStructureError, PlaceKind, simulate
 from psl.stylesheet import DEFAULT_STYLESHEET, Stylesheet
 from replay_reference import composition_of_marking
 
@@ -183,6 +184,15 @@ def test_still_shot_timeline():
     assert e.state is StateId.STATIC_HOLD
     assert not e.in_transition
     assert format_composition(e.composition) == "MS on Anna front at 1/2"
+
+
+@pytest.mark.parametrize("place, fired", [("ctrl:0", 0), ("subject:Boris", 1)])
+def test_a_replay_that_stalls_is_an_error(place, fired):
+    c = compiled_of("MS on Anna and Boris, Anna speaks, Boris speaks.")
+    net = Net(c.net.places, c.net.transitions, {**c.net.initial, place: ()})
+    stalled = CompiledStoryboard(c.storyboard, c.stylesheet, net, c.info, c.compositions)
+    with pytest.raises(NetStructureError, match=f"stalled: {fired} of 2 transitions fired"):
+        timeline(stalled)
 
 
 def test_cross_timeline_swaps_positions():
