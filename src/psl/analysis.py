@@ -21,7 +21,6 @@ built once per board, and each named anchor has one shared fraction.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from enum import Enum, IntEnum
 from fractions import Fraction
 
@@ -137,8 +136,8 @@ def _apply_cross(current: Composition, e: Cross) -> Composition:
     subjects = list(plane.subjects)
     a, b = subjects[si], subjects[sj]
     # Swap places and screen positions; profiles travel with their owners.
-    subjects[si] = replace(b, screen=a.screen)
-    subjects[sj] = replace(a, screen=b.screen)
+    subjects[si] = SubjectSpec(b.name, b.profile, a.screen)
+    subjects[sj] = SubjectSpec(a.name, a.profile, b.screen)
     planes = list(current.planes)
     planes[pi] = FlatComposition(plane.size, tuple(subjects), span=plane.span)
     return Composition(tuple(planes))

@@ -11,24 +11,19 @@ All values are immutable; helpers that "modify" a composition return a new
 one.  Node equality ignores source spans, so a parsed tree compares equal
 to the same tree built programmatically.
 
-Nodes are ``diagnostics.Record`` classes whose methods are written out
-below, so importing this module generates no code.  Each still carries a
-``@dataclass`` marker that generates nothing either: it makes
-``dataclasses.fields`` list a node's fields, the children among them,
-for tools that walk a tree, and keeps ``dataclasses.replace`` and
-``__match_args__`` working.
+Nodes are ``diagnostics.Record`` classes, so importing this module
+generates no code.  A node's fields are its ``__slots__``; its
+``__match_args__`` are the positional parameters of its ``__init__``, so
+an event's keyword-only ``span`` stays out of them.  To change a field,
+build a new node: ``SubjectSpec(s.name, s.profile, screen)``.
 """
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import ClassVar, Iterator, Union
 
 from .diagnostics import Record, Span, _set
-
-#: Records a node's annotated fields for ``dataclasses``; adds no method.
-_node = dataclass(init=False, repr=False, eq=False)
 
 
 class Size(IntEnum):
@@ -96,12 +91,10 @@ _ANCHOR_FRACTION = {
 }
 
 
-@_node
 class ScreenFraction(Record):
     """Explicit horizontal position, strictly inside the frame."""
 
     __slots__ = ("value",)
-    value: Fraction
 
     def __init__(self, value: Fraction) -> None:
         # A Fraction's reduced terms answer without two Fraction comparisons.
@@ -109,14 +102,6 @@ class ScreenFraction(Record):
                 else 0 < value < 1):
             raise ValueError(f"screen fraction {value} not in (0, 1)")
         _set(self, "value", value)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value,))
 
     @property
     def fraction(self) -> Fraction:
@@ -133,14 +118,10 @@ class Side(Enum):
     RIGHT = "right"
 
 
-@_node
 class SubjectSpec(Record):
     """One subject (actor or prop) as framed: name plus optional styling."""
 
     __slots__ = ("name", "profile", "screen")
-    name: str
-    profile: Profile | None
-    screen: ScreenPosition | None
 
     def __init__(self, name: str, profile: Profile | None = None,
                  screen: ScreenPosition | None = None) -> None:
@@ -148,25 +129,12 @@ class SubjectSpec(Record):
         _set(self, "profile", profile)
         _set(self, "screen", screen)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.name, self.profile, self.screen) == (
-                other.name, other.profile, other.screen)
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.name, self.profile, self.screen))
-
-
-@_node
 class FlatComposition(Record):
     """Subjects sharing one staging plane, listed left to right."""
 
     __slots__ = ("size", "subjects", "span")
     _uncompared = ("span",)
-    size: Size
-    subjects: tuple[SubjectSpec, ...]
-    span: Span | None
 
     def __init__(self, size: Size, subjects: tuple[SubjectSpec, ...],
                  span: Span | None = None) -> None:
@@ -177,35 +145,17 @@ class FlatComposition(Record):
         _set(self, "subjects", subjects)
         _set(self, "span", span)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.size, self.subjects) == (other.size, other.subjects)
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.size, self.subjects))
-
-
-@_node
 class Composition(Record):
     """Full frame content: planes ordered foreground first."""
 
     __slots__ = ("planes",)
-    planes: tuple[FlatComposition, ...]
 
     def __init__(self, planes: tuple[FlatComposition, ...]) -> None:
         planes = tuple(planes)
         if not planes:
             raise ValueError("a composition needs at least one plane")
         _set(self, "planes", planes)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.planes == other.planes
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.planes,))
 
     def subject_names(self) -> list[str]:
         """Names in plane order, left to right within each plane."""
@@ -231,7 +181,6 @@ class CameraRole(Enum):
     TRAVEL = "travel"  # travels on a dolly or crane
 
 
-@_node
 class ScreenEvent(Record):
     """Base class for everything that can change or hold the frame.
 
@@ -251,14 +200,11 @@ class ScreenEvent(Record):
     phrase: ClassVar[str]
     drives_frame: ClassVar[bool] = False
     camera: ClassVar[CameraRole] = CameraRole.NONE
-    _: KW_ONLY
-    span: Span | None
 
     def __init__(self, *, span: Span | None = None) -> None:
         _set(self, "span", span)
 
 
-@_node
 class Lock(ScreenEvent):
     """Pin the camera; later actor movement plays against a held frame."""
 
@@ -267,14 +213,12 @@ class Lock(ScreenEvent):
     camera = CameraRole.LOCK
 
 
-@_node
 class CameraWith(ScreenEvent):
     """Camera move that keeps ``subject`` framed, tracking it until a lock
     or a "to" camera move; the subclasses name the rig."""
 
     __slots__ = ("subject",)
     phrase = "{verb} with {subject}"
-    subject: SubjectSpec
 
     def __init__(self, subject: SubjectSpec, *, span: Span | None = None) -> None:
         _set(self, "subject", subject)
@@ -296,7 +240,6 @@ class CraneWith(CameraWith):
     verb, camera = "crane", CameraRole.TRAVEL
 
 
-@_node
 class CameraTo(ScreenEvent):
     """Camera move toward the ``target`` composition; the subclasses name
     the rig."""
@@ -304,7 +247,6 @@ class CameraTo(ScreenEvent):
     __slots__ = ("target",)
     phrase = "{verb} to {target}"
     drives_frame = True
-    target: Composition
 
     def __init__(self, target: Composition, *, span: Span | None = None) -> None:
         _set(self, "target", target)
@@ -333,29 +275,24 @@ class ContinueTo(CameraTo):
     verb, camera = "continue", CameraRole.FIXED
 
 
-@_node
 class Speak(ScreenEvent):
     """Actor speaks."""
 
     __slots__ = ("actor",)
     verb = "speak"
     phrase = "{actor} speaks"
-    actor: str
 
     def __init__(self, actor: str, *, span: Span | None = None) -> None:
         _set(self, "actor", actor)
         _set(self, "span", span)
 
 
-@_node
 class React(ScreenEvent):
     """Actor reacts, to another subject or to nothing named."""
 
     __slots__ = ("actor", "to")
     verb = "react"
     phrase = "{actor} reacts[ to {to}]"
-    actor: str
-    to: str | None
 
     def __init__(self, actor: str, to: str | None = None, *, span: Span | None = None) -> None:
         _set(self, "actor", actor)
@@ -363,15 +300,12 @@ class React(ScreenEvent):
         _set(self, "span", span)
 
 
-@_node
 class Use(ScreenEvent):
     """Actor handles a prop."""
 
     __slots__ = ("actor", "prop")
     verb = "use"
     phrase = "{actor} uses {prop}"
-    actor: str
-    prop: str
 
     def __init__(self, actor: str, prop: str, *, span: Span | None = None) -> None:
         _set(self, "actor", actor)
@@ -379,15 +313,12 @@ class Use(ScreenEvent):
         _set(self, "span", span)
 
 
-@_node
 class Touch(ScreenEvent):
     """Actor touches a prop."""
 
     __slots__ = ("actor", "prop")
     verb = "touch"
     phrase = "{actor} touches {prop}"
-    actor: str
-    prop: str
 
     def __init__(self, actor: str, prop: str, *, span: Span | None = None) -> None:
         _set(self, "actor", actor)
@@ -395,7 +326,6 @@ class Touch(ScreenEvent):
         _set(self, "span", span)
 
 
-@_node
 class Cross(ScreenEvent):
     """Actor passes in front of or behind an adjacent subject; they swap."""
 
@@ -403,8 +333,6 @@ class Cross(ScreenEvent):
     verb = "cross"
     phrase = "{actor} crosses {other}"
     drives_frame = True
-    actor: str
-    other: str
 
     def __init__(self, actor: str, other: str, *, span: Span | None = None) -> None:
         _set(self, "actor", actor)
@@ -412,7 +340,6 @@ class Cross(ScreenEvent):
         _set(self, "span", span)
 
 
-@_node
 class Enter(ScreenEvent):
     """Entrance from a frame edge; carries the resulting composition."""
 
@@ -420,9 +347,6 @@ class Enter(ScreenEvent):
     verb = "enter"
     phrase = "{actor} enters from {side} to {target}"
     drives_frame = True
-    actor: str
-    side: Side
-    target: Composition
 
     def __init__(self, actor: str, side: Side, target: Composition, *,
                  span: Span | None = None) -> None:
@@ -432,7 +356,6 @@ class Enter(ScreenEvent):
         _set(self, "span", span)
 
 
-@_node
 class Exit(ScreenEvent):
     """Exit at a frame edge."""
 
@@ -440,8 +363,6 @@ class Exit(ScreenEvent):
     verb = "exit"
     phrase = "{actor} exits {side}"
     drives_frame = True
-    actor: str
-    side: Side
 
     def __init__(self, actor: str, side: Side, *, span: Span | None = None) -> None:
         _set(self, "actor", actor)
@@ -449,7 +370,6 @@ class Exit(ScreenEvent):
         _set(self, "span", span)
 
 
-@_node
 class Move(ScreenEvent):
     """Actor movement that rearranges the frame into the target."""
 
@@ -457,8 +377,6 @@ class Move(ScreenEvent):
     verb = "move"
     phrase = "{actor} moves to {target}"
     drives_frame = True
-    actor: str
-    target: Composition
 
     def __init__(self, actor: str, target: Composition, *, span: Span | None = None) -> None:
         _set(self, "actor", actor)
@@ -485,15 +403,11 @@ class ShotTransition(Enum):
     DISSOLVE = "dissolve"
 
 
-@_node
 class Shot(Record):
     """An opening composition and the events that change or hold it."""
 
     __slots__ = ("initial", "events", "span")
     _uncompared = ("span",)
-    initial: Composition
-    events: tuple[ScreenEvent, ...]
-    span: Span | None
 
     def __init__(self, initial: Composition, events: tuple[ScreenEvent, ...] = (),
                  span: Span | None = None) -> None:
@@ -502,13 +416,10 @@ class Shot(Record):
         _set(self, "span", span)
 
 
-@_node
 class Storyboard(Record):
     """Shots in order, and the join before each shot after the first."""
 
     __slots__ = ("shots", "joins")
-    shots: tuple[Shot, ...]
-    joins: tuple[ShotTransition, ...]
 
     def __init__(self, shots: tuple[Shot, ...], joins: tuple[ShotTransition, ...] = ()) -> None:
         shots = tuple(shots)

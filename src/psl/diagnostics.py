@@ -8,8 +8,8 @@ range distinguishes lexical/syntactic problems (``0xx``) from semantic ones
 """
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable
 
 #: Sets a field in a record's ``__init__``, past ``Record.__setattr__``.
@@ -22,18 +22,19 @@ class Severity(Enum):
 
 
 class Record:
-    """Base of psl's immutable records, with the methods of a frozen,
-    slotted dataclass written once here instead of generated per class.
+    """Base of psl's immutable records, and the one place that defines a
+    record's compared fields, equality, hash, repr and match arguments.
 
     A record lists its fields in ``__slots__``, in order, and sets them in
     its ``__init__`` through ``_set``; assigning or deleting an attribute
-    afterwards raises ``dataclasses.FrozenInstanceError``.  A record
-    equals only a record of its own class whose compared fields are
-    equal; its hash is that of the tuple of compared fields, and its repr
-    is ``Name(field=value, ...)`` over them.  Every field is compared
-    except those a class names in ``_uncompared`` (a syntax node's source
-    ``span``).  A class compared or hashed in bulk overrides ``__eq__``
-    and ``__hash__`` with the same meaning, without the loop over names.
+    afterwards raises ``dataclasses.FrozenInstanceError``.  Every field is
+    compared except those a class names in ``_uncompared`` (a syntax
+    node's source ``span``).  A record equals only a record of its own
+    class whose compared fields are equal; its hash is that of the tuple
+    of compared fields, and its repr is ``Name(field=value, ...)`` over
+    them.  Its ``__match_args__`` are the positional parameters of its
+    ``__init__``.  Records are not dataclasses: to change a field, build a
+    new record.
     """
 
     __slots__ = ()
@@ -42,32 +43,43 @@ class Record:
     _compared: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls._compared = tuple(
+        compared = cls._compared = tuple(
             name
             for base in reversed(cls.__mro__)
             for name in base.__dict__.get("__slots__", ())
             if name not in cls._uncompared
         )
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._compared])
+        # The tuple of compared fields, read by one C call when there are two or more.
+        if len(compared) > 1:
+            key = attrgetter(*compared)
+        elif compared:
+            get = attrgetter(*compared)
+            key = lambda record: (get(record),)
+        else:
+            key = lambda record: ()
+        cls._key = staticmethod(key)
+        init = cls.__init__.__code__
+        cls.__match_args__ = init.co_varnames[1:init.co_argcount]
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            key = self._key
+            return key(self) == key(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:

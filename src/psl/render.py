@@ -50,15 +50,6 @@ class Figure(Record):
         _set(self, "facing", facing)
         _set(self, "plane", plane)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.name, self.x, self.height, self.facing, self.plane) == (
-                other.name, other.x, other.height, other.facing, other.plane)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.x, self.height, self.facing, self.plane))
-
 
 class FrameLayout(Record):
     """A placed frame; ``figures`` are in draw order, background first."""

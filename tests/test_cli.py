@@ -46,6 +46,17 @@ def test_importing_the_cli_loads_no_xml_http_or_socket_module():
     assert sorted(m for m in loaded if any(m == p or m.startswith(p + ".") for p in UNCALLED)) == []
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Records generate no code, so start-up needs neither module.  The
+    modules are diffed within one interpreter, so a site hook that loaded
+    them before the import cannot fail this test."""
+    added = set(fresh_stdout(
+        "before = set(sys.modules)\nimport psl.cli\nprint(*sorted(set(sys.modules) - before))"
+    ).split())
+    assert "psl.render" in added
+    assert sorted(added & {"dataclasses", "inspect"}) == []
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()

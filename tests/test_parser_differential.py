@@ -9,28 +9,28 @@ plane and event is compared as well, in tree order.
 """
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
 from parser_reference import parse_storyboard as reference_parse
 from test_lexer_differential import broken_corpus, corpus, generated, inserts_alone, mutated
 
+from psl.diagnostics import Record
 from psl.parser import parse_storyboard
 
 
 def spans(node):
-    """(class name, start, end) of every node that carries a span, in tree order."""
+    """(class name, start, end) of every node that carries a span, in tree
+    order, walking each record through its compared fields."""
     if isinstance(node, tuple):
         for item in node:
             yield from spans(item)
-    elif dataclasses.is_dataclass(node):
+    elif isinstance(node, Record):
         span = getattr(node, "span", None)
         if span is not None:
             yield type(node).__name__, span.start, span.end
-        for field in dataclasses.fields(node):
-            if field.name != "span":
-                yield from spans(getattr(node, field.name))
+        for name in node._compared:
+            yield from spans(getattr(node, name))
 
 
 def parsed(parse, text: str):
