@@ -12,7 +12,8 @@ one.  Node equality ignores source spans, so a parsed tree compares equal
 to the same tree built programmatically.
 
 Nodes are ``diagnostics.Record`` classes, so importing this module
-generates no code.  A node's fields are its ``__slots__``; its
+generates no code.  A node's fields are its ``__slots__``, which
+``dataclasses.fields`` lists too, for tools that walk a tree; its
 ``__match_args__`` are the positional parameters of its ``__init__``, so
 an event's keyword-only ``span`` stays out of them.  To change a field,
 build a new node: ``SubjectSpec(s.name, s.profile, screen)``.

@@ -21,6 +21,20 @@ class Severity(Enum):
     WARNING = "warning"
 
 
+class _DataclassFields:
+    """A record class's ``__dataclass_fields__``: built the first time a
+    tool reads it, so that ``dataclasses.fields`` walks a syntax tree
+    through its nodes' fields, and then kept on that class.  Importing
+    psl loads no ``dataclasses``."""
+
+    def __get__(self, record: Record | None, cls: type[Record]) -> dict:
+        from dataclasses import field, make_dataclass
+        cls.__dataclass_fields__ = fields = make_dataclass(cls.__name__, [
+            (name, object, field(compare=name in cls._compared)) for name in cls._fields
+        ], init=False, repr=False, eq=False).__dataclass_fields__
+        return fields
+
+
 class Record:
     """Base of psl's immutable records, and the one place that defines a
     record's compared fields, equality, hash, repr and match arguments.
@@ -33,21 +47,23 @@ class Record:
     class whose compared fields are equal; its hash is that of the tuple
     of compared fields, and its repr is ``Name(field=value, ...)`` over
     them.  Its ``__match_args__`` are the positional parameters of its
-    ``__init__``.  Records are not dataclasses: to change a field, build a
-    new record.
+    ``__init__``.  Records are not dataclasses, but ``dataclasses.fields``
+    and ``is_dataclass`` still answer for them, through a
+    ``__dataclass_fields__`` built the first time a tool reads it.
     """
 
     __slots__ = ()
     _uncompared: tuple[str, ...] = ()
-    #: Compared fields, base class fields first; set for each subclass.
+    #: All fields and the compared ones, base class fields first; set for each subclass.
+    _fields: tuple[str, ...] = ()
     _compared: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
+        cls._fields = tuple(
+            name for base in reversed(cls.__mro__) for name in base.__dict__.get("__slots__", ())
+        )
         compared = cls._compared = tuple(
-            name
-            for base in reversed(cls.__mro__)
-            for name in base.__dict__.get("__slots__", ())
-            if name not in cls._uncompared
+            name for name in cls._fields if name not in cls._uncompared
         )
         # The tuple of compared fields, read by one C call when there are two or more.
         if len(compared) > 1:
@@ -60,6 +76,7 @@ class Record:
         cls._key = staticmethod(key)
         init = cls.__init__.__code__
         cls.__match_args__ = init.co_varnames[1:init.co_argcount]
+        cls.__dataclass_fields__ = _DataclassFields()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

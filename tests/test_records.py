@@ -6,7 +6,8 @@ package's own files, so that importing ``psl`` compiles no generated
 code; and each sample instance must keep what the frozen dataclasses the
 records replaced gave: value equality within one class, the hash of the
 tuple of compared fields, immutability, no ``__dict__``, the repr, and
-for syntax tree nodes ``__match_args__``.
+for syntax tree nodes ``__match_args__``, the ``dataclasses`` field list
+and ``replace``.
 """
 from __future__ import annotations
 
@@ -280,12 +281,69 @@ def test_every_syntax_tree_class_has_match_args():
     syntax = {name for name, value in vars(psl.ast).items()
               if isinstance(value, type) and issubclass(value, psl.ast.Record)
               and value.__module__ == "psl.ast"}
-    assert syntax == AST_MATCH_ARGS.keys()
+    assert syntax == AST_MATCH_ARGS.keys() == AST_FIELDS.keys()
 
 
 @pytest.mark.parametrize("name", AST_MATCH_ARGS)
 def test_syntax_tree_fields(name):
     assert getattr(psl.ast, name).__match_args__ == AST_MATCH_ARGS[name]
+
+
+#: ``dataclasses.fields`` of each syntax tree class, as the dataclasses the
+#: records replaced listed them; tools count a tree's nodes by walking them.
+AST_FIELDS = {
+    "ScreenFraction": ("value",),
+    "SubjectSpec": ("name", "profile", "screen"),
+    "FlatComposition": ("size", "subjects", "span"),
+    "Composition": ("planes",),
+    "ScreenEvent": ("span",),
+    "Lock": ("span",),
+    "CameraWith": ("span", "subject"),
+    "PanWith": ("span", "subject"),
+    "DollyWith": ("span", "subject"),
+    "CraneWith": ("span", "subject"),
+    "CameraTo": ("span", "target"),
+    "PanTo": ("span", "target"),
+    "DollyTo": ("span", "target"),
+    "CraneTo": ("span", "target"),
+    "ContinueTo": ("span", "target"),
+    "Speak": ("span", "actor"),
+    "React": ("span", "actor", "to"),
+    "Use": ("span", "actor", "prop"),
+    "Touch": ("span", "actor", "prop"),
+    "Cross": ("span", "actor", "other"),
+    "Enter": ("span", "actor", "side", "target"),
+    "Exit": ("span", "actor", "side"),
+    "Move": ("span", "actor", "target"),
+    "Shot": ("initial", "events", "span"),
+    "Storyboard": ("shots", "joins"),
+}
+
+
+@pytest.mark.parametrize("name", AST_FIELDS)
+def test_syntax_tree_dataclass_fields(name):
+    cls = getattr(psl.ast, name)
+    assert dataclasses.is_dataclass(cls)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == AST_FIELDS[name]
+    assert tuple(f.name for f in dataclasses.fields(cls) if f.compare) == cls._compared
+
+
+def test_a_dataclasses_walk_counts_every_node():
+    def nodes(value):
+        if isinstance(value, tuple):
+            return sum(map(nodes, value))
+        if not dataclasses.is_dataclass(value):
+            return 0
+        return 1 + sum(nodes(getattr(value, f.name)) for f in dataclasses.fields(value))
+
+    # Storyboard, Shot, Composition, FlatComposition, SubjectSpec, ScreenFraction, Speak.
+    assert nodes(BOARD) == 7
+
+
+def test_replace_builds_a_new_subject():
+    moved = dataclasses.replace(ANNA, screen=ScreenAnchor.RIGHT)
+    assert moved == SubjectSpec("Anna", Profile.LEFT, ScreenAnchor.RIGHT)
+    assert ANNA.screen == ScreenFraction(Fraction(1, 3))
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(999, 1000), Fraction(1, 10**30), 0.5])
