@@ -15,6 +15,8 @@ it, so actor movement under tracking counts as camera-moving;
 ``fold_storyboard`` is the one pass over a board: it checks each
 composition and folds each shot's events over its opening frame, which
 yields the diagnostics and the completed frames the compiler lays out.
+``infer_target`` holds every continuity rule of an event step, who is
+on screen included; the fold reports what it raises.
 Each plane is checked and completed in one pass over its subjects, from
 shared positions: the stylesheet's default row for a cardinality is
 built once per board, and each named anchor has one shared fraction.
@@ -101,20 +103,24 @@ def infer_target(current: Composition, e: ScreenEvent) -> Composition:
 
     "With" events return ``current`` unchanged.  Events that carry a
     composition return it verbatim; cross and exit derive theirs.  Raises
-    ContinuityError when the event cannot apply.
+    ContinuityError when the event cannot apply, with its code: E101 for
+    a subject not on screen, E103 for an entrance of one that is, and
+    E104, E105, E107 or E109.
     """
     if isinstance(e, Cross):
         return _apply_cross(current, e)
     if isinstance(e, Exit):
         return _apply_exit(current, e)
     if isinstance(e, Enter):
+        if current.find(e.actor) is not None:
+            raise ContinuityError(E_ENTER_ON_SCREEN, f"{e.actor} is already on screen")
         if e.target.find(e.actor) is None:
-            raise ContinuityError(
-                E_TARGET_MISSING,
-                f"the entrance target must include {e.actor}",
-            )
+            raise ContinuityError(E_TARGET_MISSING, f"the entrance target must include {e.actor}")
         return e.target
-    return getattr(e, "target", None) or current
+    for name in referenced_names(e):
+        if current.find(name) is None:
+            raise ContinuityError(E_OFFSCREEN, f"{name} is not on screen")
+    return e.target or current
 
 
 def _apply_cross(current: Composition, e: Cross) -> Composition:
@@ -234,30 +240,26 @@ def fold_shot(
     timing: list[Diagnostic] = []
     frame = _complete(shot.initial, s, rows, fallback, shape)
     frames = [frame]
-    lock_at: int | None = None
-    lock_used = True
+    lock_at: int | None = None  # a lock that no later event has consumed yet
     for index, e in enumerate(shot.events):
-        target = getattr(e, "target", None)
+        target = e.target
         if target is not None:
             target = _complete(target, s, rows, fallback, shape)
-        if e.camera is not CameraRole.NONE and not lock_used:
+        if e.camera is not CameraRole.NONE and lock_at is not None:
             continuity.append(_lock_warning(shot, lock_at))
-        if e.camera is CameraRole.LOCK:
-            lock_at, lock_used = index, False
-        else:
-            lock_used = True  # a camera move or any actor action consumes the lock
+        # A camera move or any actor action consumes the lock.
+        lock_at = index if e.camera is CameraRole.LOCK else None
         frame = _apply_checked(frame, e, target, continuity)
         frames.append(frame)
         if e.verb not in s.duration_by_verb:
             timing.append(_no_duration(_span_of(e), e.verb))
-    if not lock_used:
+    if lock_at is not None:
         continuity.append(_lock_warning(shot, lock_at))
     return shape + continuity + timing, frames
 
 
-def _span_of(node) -> Span:
-    span = getattr(node, "span", None)
-    return span if span is not None else _FALLBACK_SPAN
+def _span_of(node: Shot | ScreenEvent) -> Span:
+    return node.span or _FALLBACK_SPAN
 
 
 def _complete(
@@ -349,30 +351,20 @@ def _apply_checked(
 ) -> Composition:
     """Frame after ``e``: ``target`` when it carries one, else inferred.
 
-    Returns ``frame`` unchanged when ``e`` cannot apply, and reports why.
+    Returns ``frame`` unchanged when ``e`` cannot apply, and reports why;
+    warns when ``target`` drops a subject without an exit.
     """
-    span = _span_of(e)
-    on_screen = set(frame.subject_names())
-    if isinstance(e, Enter):
-        if e.actor in on_screen:
-            diagnostics.append(error(E_ENTER_ON_SCREEN, span, f"{e.actor} is already on screen"))
-            return frame
-    else:
-        missing = [name for name in referenced_names(e) if name not in on_screen]
-        if missing and not isinstance(e, (Cross, Exit)):
-            diagnostics.append(error(E_OFFSCREEN, span, f"{missing[0]} is not on screen"))
-            return frame
     try:
         after = infer_target(frame, e)
     except ContinuityError as failure:
-        diagnostics.append(error(failure.code, span, failure.message))
+        diagnostics.append(error(failure.code, _span_of(e), failure.message))
         return frame
     if target is None:
         return after
-    dropped = sorted(on_screen - set(target.subject_names()))
+    dropped = sorted(set(frame.subject_names()) - set(target.subject_names()))
     if dropped:
         diagnostics.append(
-            warning(W_DROPPED, span, f"target drops {', '.join(dropped)} without an exit")
+            warning(W_DROPPED, _span_of(e), f"target drops {', '.join(dropped)} without an exit")
         )
     return target
 
@@ -383,6 +375,6 @@ def _no_duration(span: Span, verb: str) -> Diagnostic:
     )
 
 
-def _lock_warning(shot: Shot, lock_at: int | None) -> Diagnostic:
-    e = shot.events[lock_at] if lock_at is not None else shot
-    return warning(W_LOCK_UNUSED, _span_of(e), "lock with no actor action in its scope")
+def _lock_warning(shot: Shot, lock_at: int) -> Diagnostic:
+    return warning(
+        W_LOCK_UNUSED, _span_of(shot.events[lock_at]), "lock with no actor action in its scope")

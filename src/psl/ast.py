@@ -192,11 +192,13 @@ class ScreenEvent(Record):
     ``drives_frame`` toward a new composition (a "to" event) or maintains
     it (a "with" event), and what it does with the ``camera``.
     ``span`` is keyword-only, so ``__match_args__`` lists the event's own
-    fields in order.
+    fields in order.  A field of the vocabulary that an event class does
+    not have reads ``None``: its slot, where it has one, shadows these.
     """
 
     __slots__ = ("span",)
     _uncompared = ("span",)
+    actor = other = prop = to = subject = target = None
     verb: ClassVar[str]
     phrase: ClassVar[str]
     drives_frame: ClassVar[bool] = False
@@ -441,19 +443,13 @@ def storyboard_compositions(sb: Storyboard) -> Iterator[Composition]:
     for shot in sb.shots:
         yield shot.initial
         for event in shot.events:
-            target = getattr(event, "target", None)
-            if target is not None:
-                yield target
+            if event.target is not None:
+                yield event.target
 
 
 def referenced_names(event: ScreenEvent) -> list[str]:
     """Subject names an event mentions outside of embedded compositions."""
-    names: list[str] = []
-    for attr in ("actor", "other", "prop", "to"):
-        value = getattr(event, attr, None)
-        if value is not None:
-            names.append(value)
-    subject = getattr(event, "subject", None)
-    if subject is not None:
-        names.append(subject.name)
+    names = [name for name in (event.actor, event.other, event.prop, event.to) if name is not None]
+    if event.subject is not None:
+        names.append(event.subject.name)
     return names

@@ -20,10 +20,11 @@ for bit.
 ``timeline`` replays the unique firing sequence and returns the visible
 screen state over time: which composition is up, which of the four
 per-interval states applies, and whether the frame is mid-change.  The
-net gives the timing and the states; the frames are the compiler's own,
-taken from ``CompiledStoryboard.compositions`` after each firing that
-changed the frame.  Rebuilding them from the subject tokens is left to
-the tests, as the oracle that checks the tokens the net carries.
+net gives the timing and the states; the frames are the compiler's own
+``CompiledStoryboard.compositions``, where a step that keeps the frame
+shares the object before it.  Rebuilding them from the subject tokens
+is left to the tests, as the oracle that checks the tokens the net
+carries.
 """
 from __future__ import annotations
 
@@ -87,7 +88,10 @@ class TransitionInfo(Record):
 
 class CompiledStoryboard(Record):
     """A net with what it was built from.  ``compositions`` holds the frame
-    content before transition k, plus the final frame; ``timeline`` reads
+    content before transition k, plus the final frame; a step that keeps
+    the frame (a hold, a join between equal frames, a "with" event) shares
+    the object before it, so ``compositions[k] is compositions[k - 1]``
+    exactly when ``info[f"t{k}"].changes`` is False.  ``timeline`` reads
     it, and the tests check that the subject tokens of the marking after
     step k rebuild to ``compositions[k]`` exactly.  ``diagnostics`` holds
     the warnings the validating pass found (an error stops compilation)."""
@@ -159,7 +163,8 @@ def compile_storyboard(
     _reject_errors(diagnostics)
 
     # Each step's metadata, label, duration and the subjects it passes
-    # through untouched; ``compositions`` gains the frame after each step.
+    # through untouched; ``compositions`` gains the frame after each step,
+    # the same object as before it when the step keeps the frame.
     steps: list[tuple[TransitionInfo, str, Fraction, tuple[str, ...]]] = []
     compositions = [frames_by_shot[0][0]]
     for i, shot in enumerate(sb.shots):
@@ -168,14 +173,15 @@ def compile_storyboard(
         for j, e in enumerate(shot.events):
             meta = TransitionInfo("event", i, states[j], frames[j] != frames[j + 1], e.verb)
             steps.append((meta, format_event(e), _duration(s, e.verb), _reads(e)))
-        compositions += frames[1:]
+            compositions.append(frames[j + 1] if meta.changes else compositions[-1])
         if i + 1 < len(sb.shots):
             join, after = sb.joins[i].value, frames_by_shot[i + 1][0]
+            changes, held = frames[-1] != after, compositions[-1]
             steps.append((TransitionInfo("hold", i, states[-1], False, "hold"), "hold",
                           HOLD_DURATION, ()))
-            steps.append((TransitionInfo("join", i, StateId.STATIC_CHANGE, frames[-1] != after,
-                                         join), join, _duration(s, join), ()))
-            compositions += (frames[-1], after)
+            steps.append((TransitionInfo("join", i, StateId.STATIC_CHANGE, changes, join),
+                          join, _duration(s, join), ()))
+            compositions += (held, after if changes else held)
 
     subject_names = sorted(
         {name for frames in frames_by_shot for f in frames for name in f.subject_names()}
@@ -249,9 +255,8 @@ def timeline(compiled: CompiledStoryboard) -> list[TimelineEntry]:
     Zero-length intervals that change nothing (a lock firing, say) are
     dropped; zero-length changes (a cut) stay as boundary markers.  The
     closing hold reads the camera token the last firing left behind.
-    Interval k shows ``compiled.compositions[k]``, taken only after a
-    firing that changed the frame; after one that keeps it (a join between
-    equal frames included), the next entry holds the same object.
+    Interval k shows ``compiled.compositions[k]``, which is the object
+    interval k - 1 showed when firing k kept the frame.
     Raises NetStructureError when the replay stalls before every
     transition has fired, as it does when a token it needs is missing.
     """
@@ -262,25 +267,17 @@ def timeline(compiled: CompiledStoryboard) -> list[TimelineEntry]:
     frames = compiled.compositions
     entries: list[TimelineEntry] = []
     last_shot = len(compiled.storyboard.shots) - 1
-    changed = True  # nothing is on screen before the first interval
     for k, interval in enumerate(intervals):
-        if changed:
-            comp = frames[k]
         if interval.fired is None:
             moving = interval.marking[CAMERA_PLACE][0].get("moving")
             closing = StateId.MOVING_HOLD if moving else StateId.STATIC_HOLD
             entries.append(
-                TimelineEntry(interval.t0, interval.t1, last_shot, closing, False, comp)
+                TimelineEntry(interval.t0, interval.t1, last_shot, closing, False, frames[k])
             )
             continue
         meta = compiled.info[interval.fired]
-        changed = meta.changes
-        if interval.t0 == interval.t1 and not changed:
+        if interval.t0 == interval.t1 and not meta.changes:
             continue
-        entries.append(
-            TimelineEntry(
-                interval.t0, interval.t1, meta.shot_index,
-                meta.state, changed, comp,
-            )
-        )
+        entries.append(TimelineEntry(
+            interval.t0, interval.t1, meta.shot_index, meta.state, meta.changes, frames[k]))
     return entries

@@ -44,12 +44,13 @@ class Record:
     afterwards raises ``dataclasses.FrozenInstanceError``.  Every field is
     compared except those a class names in ``_uncompared`` (a syntax
     node's source ``span``).  A record equals only a record of its own
-    class whose compared fields are equal; its hash is that of the tuple
-    of compared fields, and its repr is ``Name(field=value, ...)`` over
-    them.  Its ``__match_args__`` are the positional parameters of its
-    ``__init__``.  Records are not dataclasses, but ``dataclasses.fields``
-    and ``is_dataclass`` still answer for them, through a
-    ``__dataclass_fields__`` built the first time a tool reads it.
+    class whose compared fields are equal; its hash is that of its one
+    compared field, or else of the tuple of them, and its repr is
+    ``Name(field=value, ...)`` over them.  Its ``__match_args__`` are
+    the positional parameters of its ``__init__``.  Records are not
+    dataclasses, but ``dataclasses.fields`` and ``is_dataclass`` still
+    answer for them, through a ``__dataclass_fields__`` built the first
+    time a tool reads it.
     """
 
     __slots__ = ()
@@ -65,15 +66,8 @@ class Record:
         compared = cls._compared = tuple(
             name for name in cls._fields if name not in cls._uncompared
         )
-        # The tuple of compared fields, read by one C call when there are two or more.
-        if len(compared) > 1:
-            key = attrgetter(*compared)
-        elif compared:
-            get = attrgetter(*compared)
-            key = lambda record: (get(record),)
-        else:
-            key = lambda record: ()
-        cls._key = staticmethod(key)
+        # One C call reads the key: the compared field, or the tuple of several.
+        cls._key = staticmethod(attrgetter(*compared) if compared else lambda record: ())
         init = cls.__init__.__code__
         cls.__match_args__ = init.co_varnames[1:init.co_argcount]
         cls.__dataclass_fields__ = _DataclassFields()

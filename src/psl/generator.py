@@ -24,6 +24,7 @@ from .analysis import infer_target
 from .ast import (
     CAMERA_TO,
     CAMERA_WITH,
+    CameraWith,
     Composition,
     Cross,
     Enter,
@@ -172,50 +173,48 @@ def _random_event(
 ) -> ScreenEvent:
     names = cur.subject_names()
     off = [n for n in NAME_POOL if n not in names]
-    kinds = ["speak", "react", "move"]
+    kinds: list[type[ScreenEvent]] = [Speak, React, Move]
     if len(names) >= 2:
-        kinds += ["use", "touch", "exit"]
+        kinds += [Use, Touch, Exit]
     if any(len(plane.subjects) >= 2 for plane in cur.planes):
-        kinds.append("cross")
+        kinds.append(Cross)
     if off and len(names) < _MAX_ON_SCREEN:
-        kinds.append("enter")
+        kinds.append(Enter)
     if not actors_only:
-        kinds += ["pan_with", "dolly_with", "crane_with",
-                  "pan_to", "dolly_to", "crane_to", "continue_to"]
+        kinds += [*CAMERA_WITH.values(), *CAMERA_TO.values()]
         if room >= 2:
-            kinds.append("lock")  # leaves room for the action it scopes
+            kinds.append(Lock)  # leaves room for the action it scopes
     kind = rng.choice(kinds)
 
-    if kind == "speak":
+    if kind is Speak:
         return Speak(rng.choice(names))
-    if kind == "react":
+    if kind is React:
         actor = rng.choice(names)
         others = [n for n in names if n != actor]
         to = rng.choice(others) if others and rng.random() < 0.5 else None
         return React(actor, to)
-    if kind in ("use", "touch"):
+    if kind in (Use, Touch):
         actor, prop = rng.sample(names, 2)
-        return Use(actor, prop) if kind == "use" else Touch(actor, prop)
-    if kind == "move":
+        return kind(actor, prop)
+    if kind is Move:
         return Move(rng.choice(names), _retarget(rng, cur))
-    if kind == "cross":
+    if kind is Cross:
         wide = [p for p in cur.planes if len(p.subjects) >= 2]
         plane = rng.choice(wide)
         lo = rng.randrange(len(plane.subjects) - 1)
         pair = [plane.subjects[lo].name, plane.subjects[lo + 1].name]
         rng.shuffle(pair)
         return Cross(pair[0], pair[1])
-    if kind == "exit":
+    if kind is Exit:
         return Exit(rng.choice(names), rng.choice(_SIDES))
-    if kind == "enter":
+    if kind is Enter:
         actor = rng.choice(off)
         return Enter(actor, rng.choice(_SIDES), _retarget(rng, cur, extra=actor))
-    if kind == "lock":
+    if kind is Lock:
         return Lock()
-    verb, form = kind.split("_")
-    if form == "with":
-        return CAMERA_WITH[verb](SubjectSpec(rng.choice(names)))
-    return CAMERA_TO[verb](_retarget(rng, cur))
+    if issubclass(kind, CameraWith):
+        return kind(SubjectSpec(rng.choice(names)))
+    return kind(_retarget(rng, cur))
 
 
 def _retarget(rng: random.Random, cur: Composition, extra: str | None = None) -> Composition:

@@ -5,33 +5,49 @@ Each plane is rebuilt three times here: checked by ``_complete``, filled
 in by ``_complete_plane`` from a fresh row of stylesheet positions, then
 rebuilt once more by ``normalize_positions`` to replace named anchors
 and drop spans.  Every order check compares ``Fraction``s directly.  The
-continuity checks of a fold (``_apply_checked`` and the warnings) did
-not change and are imported from ``psl.analysis``; everything that
-completes a composition is copied here.  The differential test in
+continuity checks are copied too, as they were before ``infer_target``
+took over the on-screen checks (E101, E103) and the fold kept its lock
+scope in one variable: ``ContinuityError``, ``infer_target``,
+``_apply_cross``, ``_apply_exit``, ``_apply_checked`` and the lock
+bookkeeping of ``fold_shot``.  Only the wording of the warnings is
+imported from ``psl.analysis``.  The differential test in
 ``test_fold_differential.py`` checks the fold against it, diagnostic for
 diagnostic and frame for frame.  Do not optimise it: its worth is that
 it is the old definition, line for line.
 """
 from __future__ import annotations
 
-from psl.analysis import _apply_checked, _lock_warning, _no_duration, _span_of
+from psl.analysis import _lock_warning, _no_duration, _span_of
 from psl.ast import (
     CameraRole,
     Composition,
+    Cross,
+    Enter,
+    Exit,
     FlatComposition,
     ScreenAnchor,
+    ScreenEvent,
     ScreenFraction,
     Shot,
     Storyboard,
     SubjectSpec,
+    referenced_names,
 )
 from psl.diagnostics import (
     Diagnostic,
+    E_BAD_CROSS,
     E_DUPLICATE,
+    E_ENTER_ON_SCREEN,
+    E_EXIT_ABSENT,
+    E_EXIT_EMPTIES,
+    E_OFFSCREEN,
     E_ORDERING,
     E_POSITION_CLASH,
+    E_TARGET_MISSING,
     Span,
+    W_DROPPED,
     error,
+    warning,
 )
 from psl.stylesheet import DEFAULT_STYLESHEET, Stylesheet, StylesheetError
 
@@ -193,3 +209,112 @@ def _complete(
     if len(planes) < len(comp.planes):
         return comp
     return normalize_positions(Composition(tuple(planes)))
+
+
+# --- continuity: copied verbatim; do not optimise ----------------------
+
+class ContinuityError(ValueError):
+    """An event that cannot apply to the current composition."""
+
+    def __init__(self, code: str, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+        self.message = message
+
+
+def infer_target(current: Composition, e: ScreenEvent) -> Composition:
+    """Composition after ``e`` applies to ``current``.
+
+    "With" events return ``current`` unchanged.  Events that carry a
+    composition return it verbatim; cross and exit derive theirs.  Raises
+    ContinuityError when the event cannot apply.
+    """
+    if isinstance(e, Cross):
+        return _apply_cross(current, e)
+    if isinstance(e, Exit):
+        return _apply_exit(current, e)
+    if isinstance(e, Enter):
+        if e.target.find(e.actor) is None:
+            raise ContinuityError(
+                E_TARGET_MISSING,
+                f"the entrance target must include {e.actor}",
+            )
+        return e.target
+    return getattr(e, "target", None) or current
+
+
+def _apply_cross(current: Composition, e: Cross) -> Composition:
+    if e.actor == e.other:
+        raise ContinuityError(E_BAD_CROSS, f"{e.actor} cannot cross itself")
+    at = current.find(e.actor)
+    other_at = current.find(e.other)
+    if at is None or other_at is None:
+        missing = e.actor if at is None else e.other
+        raise ContinuityError(E_BAD_CROSS, f"cannot cross: {missing} is not on screen")
+    if at[0] != other_at[0] or abs(at[1] - other_at[1]) != 1:
+        raise ContinuityError(
+            E_BAD_CROSS,
+            f"{e.actor} and {e.other} are not adjacent in the same plane",
+        )
+    pi, si = at
+    _, sj = other_at
+    plane = current.planes[pi]
+    subjects = list(plane.subjects)
+    a, b = subjects[si], subjects[sj]
+    # Swap places and screen positions; profiles travel with their owners.
+    subjects[si] = SubjectSpec(b.name, b.profile, a.screen)
+    subjects[sj] = SubjectSpec(a.name, a.profile, b.screen)
+    planes = list(current.planes)
+    planes[pi] = FlatComposition(plane.size, tuple(subjects), span=plane.span)
+    return Composition(tuple(planes))
+
+
+def _apply_exit(current: Composition, e: Exit) -> Composition:
+    at = current.find(e.actor)
+    if at is None:
+        raise ContinuityError(E_EXIT_ABSENT, f"{e.actor} is not on screen to exit")
+    pi, si = at
+    plane = current.planes[pi]
+    rest = plane.subjects[:si] + plane.subjects[si + 1:]
+    planes = list(current.planes)
+    if rest:
+        planes[pi] = FlatComposition(plane.size, rest, span=plane.span)
+    else:
+        del planes[pi]  # drop the plane entirely once emptied
+    if not planes:
+        raise ContinuityError(E_EXIT_EMPTIES, f"{e.actor} leaving would empty the frame")
+    return Composition(tuple(planes))
+
+
+def _apply_checked(
+    frame: Composition, e: ScreenEvent, target: Composition | None,
+    diagnostics: list[Diagnostic],
+) -> Composition:
+    """Frame after ``e``: ``target`` when it carries one, else inferred.
+
+    Returns ``frame`` unchanged when ``e`` cannot apply, and reports why.
+    """
+    span = _span_of(e)
+    on_screen = set(frame.subject_names())
+    if isinstance(e, Enter):
+        if e.actor in on_screen:
+            diagnostics.append(error(E_ENTER_ON_SCREEN, span, f"{e.actor} is already on screen"))
+            return frame
+    else:
+        missing = [name for name in referenced_names(e) if name not in on_screen]
+        if missing and not isinstance(e, (Cross, Exit)):
+            diagnostics.append(error(E_OFFSCREEN, span, f"{missing[0]} is not on screen"))
+            return frame
+    try:
+        after = infer_target(frame, e)
+    except ContinuityError as failure:
+        diagnostics.append(error(failure.code, span, failure.message))
+        return frame
+    if target is None:
+        return after
+    dropped = sorted(on_screen - set(target.subject_names()))
+    if dropped:
+        diagnostics.append(
+            warning(W_DROPPED, span, f"target drops {', '.join(dropped)} without an exit")
+        )
+    return target

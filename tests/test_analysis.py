@@ -32,6 +32,8 @@ from psl.ast import (
     Profile,
     ScreenFraction,
     Side,
+    Speak,
+    Use,
 )
 from psl.diagnostics import (
     E_BAD_CROSS,
@@ -168,6 +170,20 @@ def test_enter_target_must_include_the_entrant():
     with pytest.raises(ContinuityError) as exc:
         infer_target(bad.initial, bad.events[0])
     assert exc.value.code == E_TARGET_MISSING
+
+
+def test_infer_target_checks_who_is_on_screen():
+    comp = parse_ok("MS on Anna.").shots[0].initial
+    for event, missing in ((Speak("Zed"), "Zed"), (Use("Anna", "Zed"), "Zed"),
+                           (Use("Yan", "Zed"), "Yan")):
+        with pytest.raises(ContinuityError) as exc:
+            infer_target(comp, event)
+        assert (exc.value.code, exc.value.message) == (E_OFFSCREEN, f"{missing} is not on screen")
+    # The entrant is on screen and missing from the target: E103 comes first.
+    again = shot_of("MS on Anna, Anna enters from left to CU on Boris.")
+    with pytest.raises(ContinuityError) as exc:
+        infer_target(again.initial, again.events[0])
+    assert (exc.value.code, exc.value.message) == (E_ENTER_ON_SCREEN, "Anna is already on screen")
 
 
 # --- four interval states -------------------------------------------------

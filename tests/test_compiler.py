@@ -1,6 +1,7 @@
 """Compilation to a timed net and replay into a timeline."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from psl.compiler import (
 )
 from psl.diagnostics import W_NO_DURATION, Severity
 from psl.formatter import format_composition
+from psl.generator import generate_storyboard
 from psl.petri import Net, NetStructureError, PlaceKind, simulate
 from psl.stylesheet import DEFAULT_STYLESHEET, Stylesheet
 from replay_reference import composition_of_marking
@@ -272,6 +274,18 @@ def test_timeline_compositions_match_the_direct_fold(text):
         or c.info[interval.fired].changes
     ]
     assert [e.composition for e in timeline(c)] == visible
+
+
+def test_a_step_shares_the_frame_object_exactly_when_it_keeps_the_frame():
+    boards = [parse_ok(path.read_text(encoding="utf-8")) for path in corpus_paths()]
+    boards += [generate_storyboard(random.Random(seed), 6) for seed in range(60)]
+    boards.append(parse_ok("MS on Anna, pan to MS on Anna. Cut to MS on Anna."))
+    for sb in boards:
+        c = compile_storyboard(sb)
+        assert len(c.compositions) == len(c.info) + 1
+        for k in range(1, len(c.compositions)):
+            shared = c.compositions[k] is c.compositions[k - 1]
+            assert shared is not c.info[f"t{k}"].changes, (sb, k)
 
 
 def test_full_corpus_compiles_and_replays():

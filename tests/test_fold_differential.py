@@ -4,8 +4,9 @@
 composition was completed in one pass over shared screen positions.
 Both must give the same diagnostics (code, severity, span, message), in
 the same order, and the same frames, on the texts of the lexer's
-differential test and on seeded compositions that aim at completion:
-duplicates, misordered and colliding positions, anchors and blanks.
+differential test, on seeded compositions that aim at completion
+(duplicates, misordered and colliding positions, anchors and blanks),
+and on seeded events that aim at continuity.
 Frame equality ignores spans and cannot tell a named anchor from its
 fraction, so each plane's span and each subject's profile and position
 class are compared as well.  Every stylesheet below runs on every text:
@@ -112,6 +113,32 @@ def compositions(rng):
     return texts
 
 
+_EVENTS = (
+    "{a} speaks", "{a} reacts", "{a} reacts to {b}", "{a} uses {b}", "{a} touches {b}",
+    "{a} crosses {b}", "{a} exits left", "{a} enters from right to {c}", "{a} moves to {c}",
+    "pan with {a}", "crane to {c}", "lock",
+)
+
+
+def events(rng):
+    """One-shot boards whose events name subjects on and off screen, so
+    that every continuity rule fires, alone and together: an entrance of
+    a subject already on screen whose target leaves it out, say."""
+
+    def composition():
+        return f"{rng.choice(_SIZES)} on {' and '.join(rng.sample(_NAMES[:4], rng.randint(1, 3)))}"
+
+    texts = []
+    for _ in range(400):
+        clauses = [
+            rng.choice(_EVENTS).format(
+                a=rng.choice(_NAMES[:4]), b=rng.choice(_NAMES[:4]), c=composition())
+            for _ in range(rng.randint(1, 4))
+        ]
+        texts.append(f"{composition()}, {', '.join(clauses)}.")
+    return texts
+
+
 def shape(frame: Composition):
     """What ``==`` leaves out of a frame: spans, profiles, position classes."""
     return [
@@ -147,7 +174,7 @@ def assert_same_fold(sb: Storyboard, where) -> None:
 
 
 @pytest.mark.parametrize(
-    "family", [corpus, broken_corpus, generated, mutated, inserts_alone, compositions]
+    "family", [corpus, broken_corpus, generated, mutated, inserts_alone, compositions, events]
 )
 def test_fold_matches_the_reference(family):
     texts = family(random.Random(f"fold-{family.__name__}"))
@@ -177,6 +204,13 @@ def test_the_stylesheets_reach_every_outcome():
     for name in ("default", "table", "profile", "colliding"):
         assert {(name, "completed"), (name, "E108")} <= seen, name
     assert {("programmatic", ValueError), ("programmatic", IndexError)} <= seen
+
+
+def test_the_event_boards_reach_every_continuity_rule():
+    seen = set()
+    for text in events(random.Random("fold-events")):
+        seen.update(d.code for d in fold_storyboard(parse_storyboard(text)[0])[0])
+    assert {"E101", "E103", "E104", "E105", "E107", "E109", "W201", "W202"} <= seen
 
 
 def test_library_built_positions_match_the_reference():

@@ -1,6 +1,7 @@
 """Random storyboards: determinism, validity, and shape bounds."""
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -19,6 +20,20 @@ def test_same_seed_same_sentence():
 
 def test_seeds_spread_out():
     assert len({generate_sentence(seed) for seed in range(40)}) > 30
+
+
+def _digest(texts) -> str:
+    return hashlib.sha256("\n".join(texts).encode("utf-8")).hexdigest()
+
+
+def test_the_random_draws_are_pinned():
+    """Any change in what the generator draws, or in what order, changes
+    these digests of its text; the benchmark inputs are built from it."""
+    assert _digest(generate_sentence(seed) for seed in range(300)) == (
+        "eae5edf52e329cb675eb84e61185a3c60b7f655e9053123199fb226a9aae60b3")
+    boards = (generate_storyboard(random.Random(seed), 6) for seed in range(100))
+    assert _digest(map(format_storyboard, boards)) == (
+        "9714c41fc1bc8d3a1257b305eab8e6c0e3be054d6987f55aa9450ed2a4345361")
 
 
 def test_depth_one_is_a_bare_shot():

@@ -4,8 +4,8 @@ frozen, slotted dataclass.
 Every record class is named here.  Its methods must come from the
 package's own files, so that importing ``psl`` compiles no generated
 code; and each sample instance must keep what the frozen dataclasses the
-records replaced gave: value equality within one class, the hash of the
-tuple of compared fields, immutability, no ``__dict__``, the repr, and
+records replaced gave: value equality within one class, a hash of the
+compared fields, immutability, no ``__dict__``, the repr, and
 for syntax tree nodes ``__match_args__``, the ``dataclasses`` field list
 and ``replace``.
 """
@@ -209,15 +209,29 @@ def test_record_semantics(name):
 
 @pytest.mark.parametrize("name", sorted(CLASSES.keys() - UNHASHABLE))
 def test_hash_is_that_of_the_compared_fields(name):
+    """A record with one compared field hashes as its bare value, any
+    other as the tuple of its compared fields; equal samples hash equal."""
     values = SAMPLES[name][0]
     compared = tuple(value for field, value in values.items()
                      if field != "span" or name == "Diagnostic")
-    assert hash(CLASSES[name](**values)) == hash(compared)
+    assert len(compared) == len(CLASSES[name]._compared)
+    record = CLASSES[name](**values)
+    assert hash(record) == hash(compared[0] if len(compared) == 1 else compared)
+    assert hash(record) == hash(CLASSES[name](**copy.deepcopy(values)))
 
 
 def test_hashed_samples_have_zero_one_and_several_compared_fields():
     counts = {len(CLASSES[name]._compared) for name in CLASSES.keys() - UNHASHABLE}
     assert {0, 1} < counts  # and at least one count above 1
+
+
+def test_an_event_reads_none_for_a_field_it_lacks():
+    vocabulary = ("actor", "other", "prop", "to", "subject", "target")
+    assert [getattr(Lock(), name) for name in vocabulary] == [None] * 6
+    assert [getattr(React("Anna", "Bob"), name) for name in vocabulary] == [
+        "Anna", None, None, "Bob", None, None]
+    assert PanWith(ANNA).subject is ANNA and CraneTo(COMP).target is COMP
+    assert Speak("Anna").target is None and DollyWith(BOB).actor is None
 
 
 def test_classes_that_share_fields_are_not_equal():
