@@ -254,7 +254,8 @@ def timeline(compiled: CompiledStoryboard) -> list[TimelineEntry]:
 
     Zero-length intervals that change nothing (a lock firing, say) are
     dropped; zero-length changes (a cut) stay as boundary markers.  The
-    closing hold reads the camera token the last firing left behind.
+    closing hold reads the camera token as every firing's ``changes``
+    left it, those of dropped intervals included.
     Interval k shows ``compiled.compositions[k]``, which is the object
     interval k - 1 showed when firing k kept the frame.
     Raises NetStructureError when the replay stalls before every
@@ -267,10 +268,11 @@ def timeline(compiled: CompiledStoryboard) -> list[TimelineEntry]:
     frames = compiled.compositions
     entries: list[TimelineEntry] = []
     last_shot = len(compiled.storyboard.shots) - 1
+    camera = compiled.net.initial[CAMERA_PLACE]
     for k, interval in enumerate(intervals):
+        camera = interval.changes.get(CAMERA_PLACE, camera)
         if interval.fired is None:
-            moving = interval.marking[CAMERA_PLACE][0].get("moving")
-            closing = StateId.MOVING_HOLD if moving else StateId.STATIC_HOLD
+            closing = StateId.MOVING_HOLD if camera[0].get("moving") else StateId.STATIC_HOLD
             entries.append(
                 TimelineEntry(interval.t0, interval.t1, last_shot, closing, False, frames[k])
             )

@@ -9,21 +9,18 @@ token through unchanged, or get a blank token if nothing was consumed from
 that place.
 
 `simulate` accepts nets in which each transition fires at most once and
-at most one transition is enabled at every step, and returns the
-piecewise-constant marking trajectory, closing with a final hold so the
-last marking occupies a real interval.  It keeps transitions on waiting
-lists of empty places instead of rescanning the net, and keeps one
-version list per place (the fat-node method of Driscoll, Sarnak, Sleator
-& Tarjan, "Making data structures persistent", 1989): a firing appends
-only to the places it changed, and each interval's marking is a
-read-only view that bisects those lists.  A replay stores O(places +
-arcs) tuples, which is O(transitions + places) for nets whose
-transitions have a bounded number of arcs, as compiled storyboards do.
+at most one transition is enabled at every step, and returns the firing
+trace: one interval per firing, recording the new tuple of each place
+that firing changed, closing with a final hold so the last marking
+occupies a real interval.  It keeps transitions on waiting lists of empty
+places instead of rescanning the net, and one working marking that it
+changes in place, so a replay stores O(arcs) tuples, which is
+O(transitions) for nets whose transitions have a bounded number of arcs,
+as compiled storyboards do.  The marking over any interval is the
+initial marking with the changes of every earlier interval applied.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Iterator, Mapping
 from enum import Enum
 from fractions import Fraction
 
@@ -98,27 +95,32 @@ class Net(Record):
         for t in transitions:
             if len(set(t.inputs)) != len(t.inputs):
                 raise ValueError(f"transition {t.id} lists an input place twice")
-            for pid in (*t.inputs, *t.outputs, *(pid for pid, _ in t.effect)):
+            for pid in (*t.inputs, *t.outputs):
                 if pid not in known:
                     raise ValueError(f"transition {t.id} uses unknown place {pid!r}")
+            for pid, _ in t.effect:
+                if pid not in t.outputs:
+                    raise ValueError(f"transition {t.id} has an effect on {pid!r}, not an output")
+        initial = {} if initial is None else initial
+        for pid in initial:
+            if pid not in known:
+                raise ValueError(f"initial marking names unknown place {pid!r}")
         _set(self, "places", places)
         _set(self, "transitions", transitions)
-        _set(self, "initial", {} if initial is None else initial)
+        _set(self, "initial", initial)
 
 
 class NetStructureError(ValueError):
     """Simulation refused: ambiguous choice or runaway net."""
 
 
-def _changes(
-    marking: Mapping[str, tuple[PetriToken, ...]], transition: Transition
-) -> dict[str, tuple[PetriToken, ...]]:
+def _changes(marking: Marking, transition: Transition) -> Marking:
     """The new tuple of each place an enabled transition's firing changes.
 
     Each input gives up its oldest token; each output gains its explicit
     effect token, else the token consumed from it, else a blank one.
     """
-    changed: dict[str, tuple[PetriToken, ...]] = {}
+    changed: Marking = {}
     consumed: dict[str, PetriToken] = {}
     for pid in transition.inputs:
         tokens = marking[pid]
@@ -137,58 +139,27 @@ def _changes(
     return changed
 
 
-class _MarkingView(Mapping[str, tuple[PetriToken, ...]]):
-    """Read-only marking after ``step`` firings, read from per-place version lists.
-
-    ``versions[pid]`` holds two parallel lists: the steps at which the
-    place changed, ascending, and the tuple it held from each of them on.
-    A place missing from the initial marking is absent until a firing
-    first outputs to it.
-    """
-
-    __slots__ = ("_versions", "_step")
-
-    def __init__(self, versions: dict[str, tuple[list[int], list]], step: int) -> None:
-        self._versions = versions
-        self._step = step
-
-    def __getitem__(self, pid: str) -> tuple[PetriToken, ...]:
-        steps, values = self._versions[pid]
-        i = bisect_right(steps, self._step) - 1
-        if i < 0:
-            raise KeyError(pid)
-        return values[i]
-
-    def __iter__(self) -> Iterator[str]:
-        step = self._step
-        return (pid for pid, (steps, _) in self._versions.items() if steps[0] <= step)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self)!r})"
-
-
 class MarkingInterval(Record):
-    """The marking holding over ``[t0, t1)``; ``fired`` ends the interval:
-    a transition id, or None for the closing hold."""
+    """One step of a replay over ``[t0, t1)``: ``fired`` ends the interval, a
+    transition id or None for the closing hold, and ``changes`` maps each
+    place its firing consumed from or produced into to the tuple it holds
+    afterwards (``{}`` for the hold)."""
 
-    __slots__ = ("t0", "t1", "marking", "fired")
+    __slots__ = ("t0", "t1", "changes", "fired")
 
-    def __init__(self, t0: Fraction, t1: Fraction, marking: Mapping[str, tuple[PetriToken, ...]],
-                 fired: str | None) -> None:
+    def __init__(self, t0: Fraction, t1: Fraction, changes: Marking, fired: str | None) -> None:
         _set(self, "t0", t0)
         _set(self, "t1", t1)
-        _set(self, "marking", marking)
+        _set(self, "changes", changes)
         _set(self, "fired", fired)
 
 
 def simulate(net: Net) -> list[MarkingInterval]:
     """Run the unique enabled transition to quiescence.
 
-    Each interval shows the marking in force while the named transition
-    runs; the last interval holds the final marking for ``HOLD_DURATION``.
+    Each interval spans the named transition's run and records what its
+    firing changed; the last interval holds the final marking for
+    ``HOLD_DURATION`` and changes nothing.
     A chain fires each transition once, so the run stops after at most
     ``len(net.transitions) + 1`` steps.  Raises NetStructureError when
     more than one transition is enabled (a branching net needs a policy,
@@ -197,15 +168,12 @@ def simulate(net: Net) -> list[MarkingInterval]:
     The net is not rescanned: each transition is ready or waits on one
     empty input place, and only a firing's output places gain tokens, so
     a firing rechecks just the ready transitions and those waiting on its
-    outputs.  One working marking changes in place, and each firing
-    appends its changed places' new tuples to their version lists, so a
-    step costs O(arcs touched) time and memory, and every interval's
-    marking is a view of those lists.
+    outputs.  Each firing's changes are recorded and then applied to the
+    one working marking, so a step costs O(arcs touched) time and memory.
     """
     bound = len(net.transitions) + 1
     trajectory: list[MarkingInterval] = []
     marking = dict(net.initial)
-    versions = {pid: ([0], [tokens]) for pid, tokens in marking.items()}
     clock = Fraction(0)
     ready: list[int] = []
     waiting: dict[str, list[int]] = {}
@@ -221,23 +189,18 @@ def simulate(net: Net) -> list[MarkingInterval]:
                 waiting.setdefault(empty, []).append(i)
 
     classify(list(range(len(net.transitions))))
-    for step in range(bound):
+    for _ in range(bound):
         if len(ready) > 1:
             names = ", ".join(net.transitions[i].id for i in sorted(ready))
             raise NetStructureError(f"not a chain: {names} are enabled together")
-        view = _MarkingView(versions, step)
         if not ready:
-            trajectory.append(MarkingInterval(clock, clock + HOLD_DURATION, view, None))
+            trajectory.append(MarkingInterval(clock, clock + HOLD_DURATION, {}, None))
             return trajectory
         t = net.transitions[ready[0]]
         end = clock + t.duration
-        trajectory.append(MarkingInterval(clock, end, view, t.id))
-        changed = _changes(marking, t)
-        marking.update(changed)
-        for pid, tokens in changed.items():
-            steps, values = versions.setdefault(pid, ([], []))
-            steps.append(step + 1)
-            values.append(tokens)
+        changes = _changes(marking, t)
+        trajectory.append(MarkingInterval(clock, end, changes, t.id))
+        marking.update(changes)
         clock = end
         woken = ready + [i for pid in t.outputs for i in waiting.pop(pid, ())]
         ready.clear()

@@ -1,21 +1,37 @@
-"""Reference rebuild of a frame from the subject tokens of a marking.
+"""Reference rebuilds of replayed markings and of the frames they carry.
+
+``psl.petri.simulate`` records only what each firing changed, so
+``markings`` rebuilds the whole marking in force over every interval:
+the initial marking, with each interval's ``changes`` applied after it
+is recorded.
 
 ``psl.compiler.timeline`` reads the compiler's own frames, so nothing in
-``psl`` reads the subject tokens back.  This inverse of compilation does,
-with code of its own, and the tests compare what it rebuilds from every
-replayed marking with ``CompiledStoryboard.compositions``: the tokens the
-net carries are checked, not trusted.
+``psl`` reads the subject tokens back.  ``composition_of_marking``, an
+inverse of compilation, does, with code of its own, and the tests
+compare what it rebuilds from every replayed marking with
+``CompiledStoryboard.compositions``: the tokens the net carries are
+checked, not trusted.
 """
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from psl.ast import Composition, FlatComposition, ScreenFraction, SubjectSpec
 from psl.compiler import subject_place
-from psl.petri import PetriToken
+from psl.petri import Marking, MarkingInterval, Net, PetriToken
 
 _SUBJECT_PREFIX = subject_place("")
+
+
+def markings(net: Net, intervals: Iterable[MarkingInterval]) -> list[Marking]:
+    """The marking in force over each interval of a replay of ``net``."""
+    marking = dict(net.initial)
+    rebuilt = []
+    for interval in intervals:
+        rebuilt.append(marking)
+        marking = {**marking, **interval.changes}
+    return rebuilt
 
 
 def composition_of_marking(marking: Mapping[str, tuple[PetriToken, ...]]) -> Composition:

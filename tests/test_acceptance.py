@@ -36,7 +36,7 @@ from psl.stylesheet import DEFAULT_STYLESHEET
 
 from fold_reference import apply_stylesheet, normalize_positions
 from petri_reference import fire
-from replay_reference import composition_of_marking
+from replay_reference import composition_of_marking, markings
 from test_corpus import EXPECTED_BROKEN
 
 
@@ -153,7 +153,8 @@ def test_criterion_4_cross_involution_and_replay_equivalence(capsys):
                 if i + 1 < len(sb.shots):
                     frames.append(cur)
             compiled = compile_storyboard(sb)
-            replay = [composition_of_marking(iv.marking) for iv in simulate(compiled.net)]
+            replayed = markings(compiled.net, simulate(compiled.net))
+            replay = [composition_of_marking(marking) for marking in replayed]
             assert replay == frames, path.name
 
 
@@ -166,16 +167,16 @@ def test_criterion_5_net_invariants(capsys):
             compiled = compile_storyboard(sb)
             net = compiled.net
             kind_of = {p.id: p.kind for p in net.places}
-            for interval in simulate(net):
+            for replayed in markings(net, simulate(net)):
                 control = sum(
                     len(tokens)
-                    for pid, tokens in interval.marking.items()
+                    for pid, tokens in replayed.items()
                     if kind_of[pid] is PlaceKind.CONTROL
                 )
                 assert control == 1, path.name
-                camera = interval.marking["camera"]
+                camera = replayed["camera"]
                 assert len(camera) == 1 and isinstance(camera[0].get("moving"), bool)
-                for pid, tokens in interval.marking.items():
+                for pid, tokens in replayed.items():
                     if kind_of[pid] is PlaceKind.SUBJECT:
                         assert len(tokens) <= 1, (path.name, pid)
 

@@ -25,7 +25,7 @@ from psl.formatter import format_composition
 from psl.generator import generate_storyboard
 from psl.petri import Net, NetStructureError, PlaceKind, simulate
 from psl.stylesheet import DEFAULT_STYLESHEET, Stylesheet
-from replay_reference import composition_of_marking
+from replay_reference import composition_of_marking, markings
 
 
 def compiled_of(text, s=DEFAULT_STYLESHEET):
@@ -57,8 +57,7 @@ def test_event_free_shot_compiles_to_an_empty_chain():
 def test_subjects_only_occupy_places_while_on_screen():
     c = compiled_of("MS on Anna, Boris enters from left to MS on Anna and Boris.")
     assert c.net.initial["subject:Boris"] == ()
-    intervals = simulate(c.net)
-    assert intervals[-1].marking["subject:Boris"] != ()
+    assert markings(c.net, simulate(c.net))[-1]["subject:Boris"] != ()
 
 
 def test_one_transition_per_event_single_shot():
@@ -99,10 +98,11 @@ def test_compile_rejects_invalid_storyboards():
 def test_camera_token_moves_during_a_pan():
     c = compiled_of("MS on Anna, pan to CU on Anna.")
     intervals = simulate(c.net)
+    replayed = markings(c.net, intervals)
     # while the pan runs the camera token reads moving, afterwards parked
     assert intervals[0].fired == "t1"
-    assert intervals[0].marking[CAMERA_PLACE][0].get("moving") is True
-    assert intervals[-1].marking[CAMERA_PLACE][0].get("moving") is False
+    assert replayed[0][CAMERA_PLACE][0].get("moving") is True
+    assert replayed[-1][CAMERA_PLACE][0].get("moving") is False
 
 
 def test_camera_token_matches_interval_state_everywhere():
@@ -111,8 +111,9 @@ def test_camera_token_matches_interval_state_everywhere():
         " lock, Boris speaks, dolly to CU on Anna and Boris.\n"
         "Cut to MS on Anna and Boris, crane with Boris."
     )
-    for interval in simulate(c.net):
-        moving = interval.marking[CAMERA_PLACE][0].get("moving")
+    intervals = simulate(c.net)
+    for interval, replayed in zip(intervals, markings(c.net, intervals)):
+        moving = replayed[CAMERA_PLACE][0].get("moving")
         if interval.fired is None:
             continue
         state = c.info[interval.fired].state
@@ -121,18 +122,18 @@ def test_camera_token_matches_interval_state_everywhere():
 
 def test_pan_rewrites_the_subject_token():
     c = compiled_of("MS on Anna, pan to CU on Anna.")
-    intervals = simulate(c.net)
-    before = intervals[0].marking["subject:Anna"][0]
-    after = intervals[1].marking["subject:Anna"][0]
+    replayed = markings(c.net, simulate(c.net))
+    before = replayed[0]["subject:Anna"][0]
+    after = replayed[1]["subject:Anna"][0]
     assert before.get("size") is Size.MS and after.get("size") is Size.CU
 
 
 def test_with_events_pass_subject_tokens_through_bit_identical():
     c = compiled_of("MS on Anna and Boris, pan with Anna, Anna speaks.")
-    intervals = simulate(c.net)
-    for a, b in zip(intervals, intervals[1:]):
+    replayed = markings(c.net, simulate(c.net))
+    for a, b in zip(replayed, replayed[1:]):
         for pid in ("subject:Anna", "subject:Boris"):
-            assert a.marking[pid][0] is b.marking[pid][0]
+            assert a[pid][0] is b[pid][0]
 
 
 def test_holds_appear_only_before_joins():
@@ -172,8 +173,8 @@ def test_shot_frames_match_a_hand_fold():
 
 def test_marking_reconstruction_round_trips_compositions():
     c = compiled_of("MCU on Anna 3/4 left, LS on Boris and Carla, Anna speaks.")
-    for k, interval in enumerate(simulate(c.net)):
-        assert composition_of_marking(interval.marking) == c.compositions[k]
+    for k, marking in enumerate(markings(c.net, simulate(c.net))):
+        assert composition_of_marking(marking) == c.compositions[k]
 
 
 # --- the timeline ----------------------------------------------------------
@@ -186,6 +187,19 @@ def test_still_shot_timeline():
     assert e.state is StateId.STATIC_HOLD
     assert not e.in_transition
     assert format_composition(e.composition) == "MS on Anna front at 1/2"
+
+
+def test_the_closing_state_keeps_the_camera_a_dropped_firing_set_moving():
+    # the lock fires in no time and keeps the frame, so its interval is
+    # dropped, yet its firing is the one that sets the camera moving
+    c = compiled_of("MS on Anna, lock, pan with Anna.")
+    intervals = simulate(c.net)
+    assert (intervals[0].t0, intervals[0].t1) == (0, 0) and CAMERA_PLACE in intervals[0].changes
+    entries = timeline(c)
+    assert [(e.t0, e.t1, e.state) for e in entries] == [
+        (0, 2, StateId.MOVING_HOLD),
+        (2, 3, StateId.MOVING_HOLD),
+    ]
 
 
 @pytest.mark.parametrize("place, fired", [("ctrl:0", 0), ("subject:Boris", 1)])

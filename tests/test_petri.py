@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from conftest import corpus_paths, parse_ok
 from petri_reference import FireError, enabled, fire
+from replay_reference import markings
 
 from psl.compiler import compile_storyboard
 from psl.petri import (
@@ -67,6 +68,19 @@ def test_net_rejects_unknown_arc_targets():
     t = Transition("t", "t", Fraction(1), ("a",), ("ghost",))
     with pytest.raises(ValueError, match="unknown place"):
         Net(places, (t,), {"a": ()})
+
+
+def test_net_rejects_an_initial_marking_on_an_unknown_place():
+    places = (Place("a", PlaceKind.CONTROL),)
+    with pytest.raises(ValueError, match="initial marking names unknown place 'ghost'"):
+        Net(places, (), {"a": (), "ghost": (PetriToken(),)})
+
+
+def test_net_rejects_an_effect_on_a_place_the_transition_does_not_output_to():
+    places = (Place("a", PlaceKind.CONTROL), Place("b", PlaceKind.CONTROL))
+    t = Transition("t", "t", Fraction(1), ("a",), ("a",), (("b", PetriToken.of(n=1)),))
+    with pytest.raises(ValueError, match="transition t has an effect on 'b', not an output"):
+        Net(places, (t,), {"a": (PetriToken(),), "b": ()})
 
 
 def test_enabled_needs_a_token_on_every_input():
@@ -136,9 +150,10 @@ def test_simulate_walks_the_chain():
         (Fraction(2), Fraction(5), "t2"),
         (Fraction(5), Fraction(5) + HOLD_DURATION, None),
     ]
-    # each interval records the marking in force while its transition runs
-    assert intervals[0].marking["a0"] and not intervals[0].marking["a1"]
-    assert intervals[2].marking["a2"]
+    # the marking in force while each transition runs, rebuilt from the changes
+    replayed = markings(net, intervals)
+    assert replayed[0]["a0"] and not replayed[0]["a1"]
+    assert replayed[2]["a2"]
 
 
 def test_simulate_handles_zero_durations():
@@ -178,21 +193,19 @@ def test_simulate_rejects_endless_nets():
             simulate(net)
 
 
-def test_simulated_markings_are_read_only_views_of_each_step():
-    # "b" is no key of the initial marking, so it appears only once filled
-    places = (Place("a", PlaceKind.CONTROL), Place("b", PlaceKind.CONTROL))
+def test_each_interval_records_what_its_firing_changed():
+    # "b" is no key of the initial marking, so it appears only once filled;
+    # "idle" is never touched, so no interval names it
+    places = tuple(Place(pid, PlaceKind.CONTROL) for pid in ("a", "b", "idle"))
     t = Transition("t", "t", Fraction(1), ("a",), ("b",))
     token = PetriToken.of(n=1)
-    net = Net(places, (t,), {"a": (token,)})
-    before, after = (iv.marking for iv in simulate(net))
-    assert dict(before) == {"a": (token,)} and len(before) == 1
-    assert "b" not in before and before.get("b") is None
-    with pytest.raises(KeyError):
-        before["b"]
+    net = Net(places, (t,), {"a": (token,), "idle": (PetriToken.of(n=2),)})
+    firing, hold = simulate(net)
+    assert firing.changes == {"a": (), "b": (PetriToken(),)} and hold.changes == {}
+    before, after = markings(net, (firing, hold))
+    assert before == net.initial and "b" not in before
     assert list(after.items()) == list(fire(net, net.initial, t).items())
-    assert after["a"] == () and after["b"] == (PetriToken(),)
-    with pytest.raises(TypeError):
-        after["a"] = (token,)
+    assert net.initial == {"a": (token,), "idle": (PetriToken.of(n=2),)}
 
 
 def test_interval_is_half_open_record():
@@ -202,15 +215,16 @@ def test_interval_is_half_open_record():
 
 # --- replay oracle ----------------------------------------------------------
 # ``simulate`` keeps waiting lists instead of rescanning the net, and
-# per-place version lists instead of whole markings; the replay below
-# rescans with ``enabled`` and fires with ``fire`` from
+# records each firing's changes instead of whole markings; the replay
+# below rescans with ``enabled`` and fires with ``fire`` from
 # ``petri_reference`` at every step, as the definition reads, moving
 # tokens with code of its own.  Every token ``_net`` places differs from
 # the others, so taking the wrong one shows.  Nets stay small: every
-# interval of the reference holds a full marking, which the simulated
-# view must equal.
+# step of the reference holds a full marking, which the marking rebuilt
+# from the simulated changes must equal.
 
-def rescanning_simulate(net: Net) -> list[MarkingInterval]:
+def rescanning_simulate(net: Net) -> list[tuple]:
+    """``(t0, t1, fired, marking)`` per step of the ``fire`` chain."""
     bound = len(net.transitions) + 1
     trajectory = []
     marking = dict(net.initial)
@@ -221,13 +235,20 @@ def rescanning_simulate(net: Net) -> list[MarkingInterval]:
             names = ", ".join(t.id for t in choices)
             raise NetStructureError(f"not a chain: {names} are enabled together")
         if not choices:
-            trajectory.append(MarkingInterval(clock, clock + HOLD_DURATION, marking, None))
+            trajectory.append((clock, clock + HOLD_DURATION, None, marking))
             return trajectory
         t = choices[0]
-        trajectory.append(MarkingInterval(clock, clock + t.duration, marking, t.id))
+        trajectory.append((clock, clock + t.duration, t.id, marking))
         marking = fire(net, marking, t)
         clock += t.duration
     raise NetStructureError(f"no quiescence after {bound} steps")
+
+
+def replayed_simulate(net: Net) -> list[tuple]:
+    """``(t0, t1, fired, marking)`` per interval of ``simulate``."""
+    intervals = simulate(net)
+    return [(iv.t0, iv.t1, iv.fired, marking)
+            for iv, marking in zip(intervals, markings(net, intervals))]
 
 
 def replay(run, net):
@@ -331,7 +352,7 @@ def corpus_nets(rng):
 def test_simulate_matches_a_rescanning_replay(family):
     rng = random.Random(family.__name__)
     for net in family(rng):
-        assert replay(simulate, net) == replay(rescanning_simulate, net)
+        assert replay(replayed_simulate, net) == replay(rescanning_simulate, net)
 
 
 def test_branching_names_every_enabled_transition_in_net_order():

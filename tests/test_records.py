@@ -140,7 +140,7 @@ SAMPLES = {
                    dict(duration=Fraction(2))),
     "Net": (dict(places=PLACES, transitions=(TRANSITION,), initial={"a": (PetriToken(),)}),
             dict(initial={"b": (PetriToken(),)})),
-    "MarkingInterval": (dict(t0=Fraction(0), t1=Fraction(1), marking={"a": ()}, fired="t1"),
+    "MarkingInterval": (dict(t0=Fraction(0), t1=Fraction(1), changes={"a": ()}, fired="t1"),
                         dict(fired=None)),
     "TransitionInfo": (dict(kind="event", shot_index=0, state=StateId.STATIC_HOLD,
                             changes=False, verb="speak"),

@@ -4,8 +4,8 @@ The draws are derandomized, so every run checks the same examples.  The
 timeline shows the compiler's own frame objects, and the subject tokens
 of every replayed marking must rebuild to them.  The scale test replays a
 board far larger than any in the corpus under a fixed memory bound: each
-interval's marking is a view of per-place version lists, not a copy of
-the whole marking.
+interval records only the places its firing changed, not a copy of the
+whole marking.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from psl import (
     timeline,
 )
 
-from replay_reference import composition_of_marking
+from replay_reference import composition_of_marking, markings
 
 
 @settings(derandomize=True, deadline=None)
@@ -37,8 +37,8 @@ def test_replay_reconstructs_every_folded_frame(rng, depth):
     compiled = compile_storyboard(generate_storyboard(rng, depth))
     intervals = simulate(compiled.net)
     assert len(intervals) == len(compiled.compositions)
-    for k, interval in enumerate(intervals):
-        assert composition_of_marking(interval.marking) == compiled.compositions[k], k
+    for k, marking in enumerate(markings(compiled.net, intervals)):
+        assert composition_of_marking(marking) == compiled.compositions[k], k
     entries = timeline(compiled)
     total = sum(t.duration for t in compiled.net.transitions) + HOLD_DURATION
     assert sum(e.t1 - e.t0 for e in entries) == total
