@@ -5,14 +5,7 @@ crosses Beatrix."), checks its continuity, compiles it into a timed Petri
 net whose simulation yields a timeline of screen compositions, and renders
 each visible frame as a deterministic SVG sketch.
 """
-from .analysis import (
-    ShotCategory,
-    StateId,
-    classify_shot,
-    event_states,
-    infer_target,
-    validate,
-)
+from .analysis import ShotCategory, StateId, classify_shot, validate
 from .ast import (
     Composition,
     ContinueTo,
@@ -53,18 +46,12 @@ from .compiler import (
     timeline,
 )
 from .diagnostics import Diagnostic, Severity, Span, has_errors
-from .formatter import (
-    format_composition,
-    format_event,
-    format_shot,
-    format_storyboard,
-    format_subject,
-)
+from .formatter import format_composition, format_event, format_shot, format_storyboard
 from .generator import generate_sentence, generate_storyboard, random_composition
 from .lexer import tokenize
 from .parser import parse_storyboard
 from .petri import Marking, Net, PetriToken, Place, Transition, simulate
-from .render import FrameLayout, layout, render_frame, render_storyboard
+from .render import layout, render_frame, render_storyboard
 from .stylesheet import (
     DEFAULT_STYLESHEET,
     HOLD_DURATION,
@@ -72,7 +59,6 @@ from .stylesheet import (
     StylesheetError,
     load_stylesheet,
     parse_stylesheet,
-    validate_stylesheet,
 )
 
 __version__ = "0.1.0"

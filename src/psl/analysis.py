@@ -20,6 +20,7 @@ on screen included; the fold reports what it raises.
 Each plane is checked and completed in one pass over its subjects, from
 shared positions: the stylesheet's default row for a cardinality is
 built once per board, and each named anchor has one shared fraction.
+A stylesheet is checked when it is built, so every default row fits.
 """
 from __future__ import annotations
 
@@ -204,7 +205,7 @@ def fold_storyboard(
     """
     diagnostics: list[Diagnostic] = []
     frames_by_shot = []
-    rows: dict[int, list[ScreenFraction | None]] = {}
+    rows: dict[int, list[ScreenFraction]] = {}
     for shot in sb.shots:
         found, frames = fold_shot(shot, s, rows)
         diagnostics += found
@@ -270,9 +271,10 @@ def _complete(
     One pass over each plane checks it and rebuilds it without its span:
     a subject with profile and position set is kept as it is, a missing
     position comes from the memoized row of ``s``, and a named anchor
-    becomes its shared fraction.  Returns ``comp`` itself when some plane
-    cannot be completed; that problem is reported, and the fold goes on
-    by subject names alone.
+    becomes its shared fraction.  Every row of a ``Stylesheet`` was
+    checked when it was built, so only the written positions can fail.
+    Returns ``comp`` itself when some plane cannot be completed; that
+    problem is reported, and the fold goes on by subject names alone.
     """
     seen: set[str] = set()
     profile = s.default_profile
@@ -280,7 +282,9 @@ def _complete(
     for plane in comp.planes:
         span = plane.span if plane.span is not None else fallback
         subjects = plane.subjects
-        row = failed = None  # failed: the first subject whose default cannot be built
+        row = rows.get(len(subjects))
+        if row is None:
+            row = rows[len(subjects)] = [ScreenFraction(p) for p in s.positions_for(len(subjects))]
         completed = []
         explicit = last = None  # the last explicit position, the last completed one
         misordered = clash = False
@@ -292,12 +296,7 @@ def _complete(
             seen.add(name)
             screen = subject.screen
             if screen is None:
-                if row is None:
-                    row = rows.get(len(subjects)) or _default_row(s, rows, len(subjects))
                 screen = row[index]
-                if screen is None:
-                    failed = index if failed is None else failed
-                    continue
             else:
                 if screen.__class__ is ScreenAnchor:
                     screen = _ANCHOR_SCREEN[screen]
@@ -312,8 +311,6 @@ def _complete(
         if misordered:  # the defaulting check would only repeat the complaint
             diagnostics.append(
                 error(E_ORDERING, span, "explicit positions must increase left to right"))
-        elif failed is not None:  # fails as building the default always has
-            ScreenFraction(s.positions_for(len(subjects))[failed])
         elif clash:
             diagnostics.append(error(E_POSITION_CLASH, span, "default positions collide with the "
                                      "explicit ones; spell out every position in this plane"))
@@ -322,20 +319,6 @@ def _complete(
     if len(planes) < len(comp.planes):
         return comp
     return Composition(tuple(planes))
-
-
-def _default_row(s: Stylesheet, rows: dict, n: int) -> list[ScreenFraction | None]:
-    """The default positions of ``s`` for ``n`` subjects, built once per
-    fold; None stands for one that cannot be built (a short row or a
-    value outside (0, 1)), which fails only when a subject takes it."""
-    positions = s.positions_for(n)
-    row = rows[n] = []
-    for index in range(n):
-        try:
-            row.append(ScreenFraction(positions[index]))
-        except (IndexError, TypeError, ValueError):
-            row.append(None)
-    return row
 
 
 def _at_or_after(a, b) -> bool:

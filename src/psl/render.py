@@ -70,13 +70,11 @@ class Frame(Record):
 
 
 def layout(c: Composition, s: Stylesheet = DEFAULT_STYLESHEET) -> FrameLayout:
-    """Place a fully specified composition; caption is its canonical text."""
+    """Place a fully specified composition; caption is its canonical text.
+    Figure heights come from ``s``; every ``Stylesheet`` has one per size."""
     figures = []
     for plane_index, plane in enumerate(c.planes):
-        try:
-            height = s.figure_height_by_size[plane.size]
-        except KeyError:
-            raise ValueError(f"stylesheet has no figure height for {plane.size.name}") from None
+        height = s.figure_height_by_size[plane.size]
         for subject in plane.subjects:
             if subject.profile is None or subject.screen is None:
                 raise ValueError(f"layout needs a fully specified composition ({subject.name})")

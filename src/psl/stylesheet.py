@@ -19,7 +19,8 @@ through binary floating point; ``1e5`` or ``1_000`` is a bad number).  The
 count in a ``positions.N`` key is ASCII digits as well.  A loaded file
 overlays the defaults key by key.  Only a line feed ends a line, as in a
 storyboard; the whitespace around a line, a key or a value, the CR of a
-CRLF included, is dropped.
+CRLF included, is dropped.  A sheet built in code is checked by the same
+rules when it is constructed, with the same messages.
 """
 from __future__ import annotations
 
@@ -37,16 +38,26 @@ DURATION_VERBS = EVENT_VERBS + tuple(join.value for join in ShotTransition)
 #: Marker verbs that may legitimately take zero time.
 ZERO_OK_VERBS = (Lock.verb, ShotTransition.CUT.value)
 
+#: The number types a stylesheet may hold; a float would break exact time.
+_EXACT = (int, Fraction)
+
 #: Length of the closing beat that keeps every shot's last composition visible.
 HOLD_DURATION = Fraction(1)
 
 
 class StylesheetError(ValueError):
-    """Raised for unusable stylesheets or completions that break ordering."""
+    """Raised for unusable stylesheets."""
 
 
 class Stylesheet(Record):
-    """The numbers of one stylesheet; an omitted table is empty."""
+    """The numbers of one stylesheet, checked when it is built.
+
+    An omitted table is empty.  Every figure height is required; a verb
+    with no duration warns W203 and takes 1 unit.  Numbers are exact
+    (``int`` or ``Fraction``), and the tables must not be changed after
+    construction: ``StylesheetError`` says what is wrong, as it does for
+    the file form.
+    """
 
     __slots__ = (
         "default_profile", "positions_by_cardinality", "duration_by_verb", "figure_height_by_size"
@@ -62,6 +73,7 @@ class Stylesheet(Record):
         _set(self, "duration_by_verb", {} if duration_by_verb is None else duration_by_verb)
         _set(self, "figure_height_by_size",
              {} if figure_height_by_size is None else figure_height_by_size)
+        validate_stylesheet(self)
 
     def positions_for(self, n: int) -> tuple[Fraction, ...]:
         """Default positions for ``n`` subjects; even spacing off the table."""
@@ -69,6 +81,42 @@ class Stylesheet(Record):
         if got is not None:
             return got
         return tuple(Fraction(k, n + 1) for k in range(1, n + 1))
+
+
+def validate_stylesheet(s: Stylesheet) -> None:
+    """Raise StylesheetError unless ``s`` is usable end to end; the check
+    that building a ``Stylesheet`` runs."""
+    for n, positions in s.positions_by_cardinality.items():
+        if n < 1:
+            raise StylesheetError(f"positions.{n}: the count must be at least 1")
+        if len(positions) != n:
+            raise StylesheetError(f"positions.{n} must list exactly {n} values")
+        if not all(isinstance(p, _EXACT) for p in positions):
+            raise StylesheetError(f"positions.{n} must be exact numbers")
+        if any(not (0 < p < 1) for p in positions):
+            raise StylesheetError(f"positions.{n} must lie inside (0, 1)")
+        if any(a >= b for a, b in zip(positions, positions[1:])):
+            raise StylesheetError(f"positions.{n} must increase left to right")
+    for verb, duration in s.duration_by_verb.items():
+        if verb not in DURATION_VERBS:
+            raise StylesheetError(f"unknown duration verb {verb!r}")
+        if not isinstance(duration, _EXACT):
+            raise StylesheetError(f"duration.{verb} must be an exact number")
+        if duration < 0:
+            raise StylesheetError(f"duration.{verb} must not be negative")
+        if duration == 0 and verb not in ZERO_OK_VERBS:
+            raise StylesheetError(f"duration.{verb} must be positive")
+    heights = s.figure_height_by_size
+    for size in Size:
+        if size not in heights:
+            raise StylesheetError(f"height.{size.name} is missing")
+        if not isinstance(heights[size], _EXACT):
+            raise StylesheetError(f"height.{size.name} must be an exact number")
+        if not (0 < heights[size] <= 2):
+            raise StylesheetError(f"height.{size.name} must be in (0, 2]")
+    ordered = [heights[size] for size in sorted(Size)]
+    if any(a <= b for a, b in zip(ordered, ordered[1:])):
+        raise StylesheetError("figure heights must shrink from BCU to VLS")
 
 
 DEFAULT_STYLESHEET = Stylesheet(
@@ -107,35 +155,6 @@ _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]*)")
 # A count is ASCII digits; a minus sign is kept so that a negative count
 # gets validate_stylesheet's "at least 1" rather than "bad key".
 _COUNT_RE = re.compile(r"-?[0-9]+")
-
-
-def validate_stylesheet(s: Stylesheet) -> None:
-    """Raise StylesheetError unless ``s`` is usable end to end."""
-    for n, positions in s.positions_by_cardinality.items():
-        if n < 1:
-            raise StylesheetError(f"positions.{n}: the count must be at least 1")
-        if len(positions) != n:
-            raise StylesheetError(f"positions.{n} must list exactly {n} values")
-        if any(not (0 < p < 1) for p in positions):
-            raise StylesheetError(f"positions.{n} must lie inside (0, 1)")
-        if any(a >= b for a, b in zip(positions, positions[1:])):
-            raise StylesheetError(f"positions.{n} must increase left to right")
-    for verb, duration in s.duration_by_verb.items():
-        if verb not in DURATION_VERBS:
-            raise StylesheetError(f"unknown duration verb {verb!r}")
-        if duration < 0:
-            raise StylesheetError(f"duration.{verb} must not be negative")
-        if duration == 0 and verb not in ZERO_OK_VERBS:
-            raise StylesheetError(f"duration.{verb} must be positive")
-    heights = s.figure_height_by_size
-    for size in Size:
-        if size not in heights:
-            raise StylesheetError(f"height.{size.name} is missing")
-        if not (0 < heights[size] <= 2):
-            raise StylesheetError(f"height.{size.name} must be in (0, 2]")
-    ordered = [heights[size] for size in sorted(Size)]
-    if any(a <= b for a, b in zip(ordered, ordered[1:])):
-        raise StylesheetError("figure heights must shrink from BCU to VLS")
 
 
 def parse_stylesheet(text: str) -> Stylesheet:
@@ -179,9 +198,7 @@ def parse_stylesheet(text: str) -> Stylesheet:
         else:
             raise StylesheetError(f"line {lineno}: unknown key {key!r}")
 
-    sheet = Stylesheet(profile, positions, durations, heights)
-    validate_stylesheet(sheet)
-    return sheet
+    return Stylesheet(profile, positions, durations, heights)
 
 
 def load_stylesheet(path: str) -> Stylesheet:

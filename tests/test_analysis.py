@@ -297,14 +297,10 @@ def test_a_named_anchor_folds_to_a_shared_screen_fraction():
     assert after_pan[0][0] is left
 
 
-def test_a_programmatic_row_outside_the_frame_fails_where_a_subject_takes_it():
-    s = Stylesheet(positions_by_cardinality={3: (Fraction(1, 4), Fraction(5, 4), Fraction(1, 2))})
-    with pytest.raises(ValueError, match=re.escape("screen fraction 5/4 not in (0, 1)")):
-        validate(parse_ok("MS on Anna and Boris and Carla."), s)
-    assert folded_positions("MS on Anna and Boris at 1/3 and Carla at 2/3.", s) == [
-        [[ScreenFraction(Fraction(1, 4)), ScreenFraction(Fraction(1, 3)), ScreenFraction(Fraction(2, 3))]]
-    ]
-    assert codes_of("MS on Anna at 2/3 and Boris and Carla at 1/3.", s) == [E_ORDERING]
+def test_a_programmatic_row_outside_the_frame_is_rejected_when_built():
+    with pytest.raises(StylesheetError, match=re.escape("positions.3 must lie inside (0, 1)")):
+        Stylesheet(positions_by_cardinality={3: (Fraction(1, 4), Fraction(5, 4), Fraction(1, 2))},
+                   figure_height_by_size=DEFAULT_STYLESHEET.figure_height_by_size)
 
 
 # --- validation -------------------------------------------------------------
@@ -350,7 +346,8 @@ def test_lock_unused_warns():
 
 
 def test_missing_duration_warns():
-    bare = Stylesheet(duration_by_verb={"speak": Fraction(2)})
+    bare = Stylesheet(duration_by_verb={"speak": Fraction(2)},
+                      figure_height_by_size=DEFAULT_STYLESHEET.figure_height_by_size)
     sb = parse_ok("MS on Anna and Boris, Anna speaks, Anna exits left.\nCut to CU on Boris.")
     diagnostics = validate(sb, bare)
     assert [d.code for d in diagnostics] == [W_NO_DURATION, W_NO_DURATION]

@@ -384,7 +384,8 @@ def test_defaults_coercion_and_checks():
     assert PetriToken().attrs == () and TRANSITION.effect == ()
     net = psl.Net(PLACES, ())
     assert net.initial == {} and net.initial is not psl.Net(PLACES, ()).initial
-    assert psl.Stylesheet().positions_by_cardinality == {}
+    heights = psl.DEFAULT_STYLESHEET.figure_height_by_size
+    assert psl.Stylesheet(figure_height_by_size=heights).positions_by_cardinality == {}
     assert COMPILED.diagnostics == ()
     with pytest.raises(TypeError):
         Speak("Anna", SPAN)  # span is keyword-only on events
@@ -392,7 +393,7 @@ def test_defaults_coercion_and_checks():
                 lambda: FlatComposition(Size.MS, ()), lambda: Composition(()),
                 lambda: Storyboard(()), lambda: Storyboard((SHOT,), (ShotTransition.CUT,)),
                 lambda: Transition("t", "t", Fraction(-1), (), ()),
-                lambda: psl.Net(PLACES + PLACES, ())):
+                lambda: psl.Net(PLACES + PLACES, ()), lambda: psl.Stylesheet()):
         with pytest.raises(ValueError):
             bad()
     assert isinstance(Diagnostic(Severity.WARNING, "W201", SPAN, "m"), Diagnostic)

@@ -1,6 +1,7 @@
 """Stylesheets: defaults, the text format, and validation."""
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import corpus_paths, parse_ok
+from psl.analysis import validate
 from psl.ast import Profile, Size
+from psl.compiler import compile_storyboard, timeline
+from psl.jsonio import net_json, timeline_json
+from psl.render import render_compiled
 from psl.stylesheet import (
     DEFAULT_STYLESHEET,
     DURATION_VERBS,
@@ -112,6 +118,73 @@ def test_bad_stylesheets_are_rejected(text, hint):
     assert hint in str(exc.value)
 
 
+def built(positions=None, durations=None, heights=None, profile=Profile.FRONT):
+    """A sheet built in code, each table laid over ``DEFAULT_STYLESHEET``'s."""
+    s = DEFAULT_STYLESHEET
+    return Stylesheet(profile, {**s.positions_by_cardinality, **(positions or {})},
+                      {**s.duration_by_verb, **(durations or {})},
+                      {**s.figure_height_by_size, **(heights or {})})
+
+
+#: The validation-stage cases above, as the tables a caller would build.
+_BUILT_LIKE_FILES = [
+    ("positions.-1 = 1/2", dict(positions={-1: (Fraction(1, 2),)})),
+    ("positions.0 = 1/2", dict(positions={0: (Fraction(1, 2),)})),
+    ("duration.teleport = 1", dict(durations={"teleport": Fraction(1)})),
+    ("duration.speak = -1", dict(durations={"speak": Fraction(-1)})),
+    ("duration.speak = 0", dict(durations={"speak": Fraction(0)})),
+    ("positions.2 = 1/2", dict(positions={2: (Fraction(1, 2),)})),
+    ("positions.2 = 2/3, 1/3", dict(positions={2: (Fraction(2, 3), Fraction(1, 3))})),
+    ("positions.1 = 3/2", dict(positions={1: (Fraction(3, 2),)})),
+    ("height.MS = 0", dict(heights={Size.MS: Fraction(0)})),
+    ("height.MS = 1.9", dict(heights={Size.MS: Fraction(19, 10)})),
+]
+
+
+@pytest.mark.parametrize("text,tables", _BUILT_LIKE_FILES, ids=[t for t, _ in _BUILT_LIKE_FILES])
+def test_a_sheet_built_in_code_fails_as_its_file_does(text, tables):
+    with pytest.raises(StylesheetError) as from_file:
+        parse_stylesheet(text)
+    with pytest.raises(StylesheetError) as from_code:
+        built(**tables)
+    assert str(from_code.value) == str(from_file.value)
+
+
+@pytest.mark.parametrize(
+    "tables,message",
+    [
+        (dict(positions={3: (Fraction(1, 4),)}), "positions.3 must list exactly 3 values"),
+        (dict(positions={3: (Fraction(1, 4), Fraction(5, 4), Fraction(1, 2))}),
+         "positions.3 must lie inside (0, 1)"),
+        (dict(positions={2: (0.25, 0.75)}), "positions.2 must be exact numbers"),
+        (dict(positions={4: (0.125, 0.375, 0.625, 0.875)}), "positions.4 must be exact numbers"),
+        (dict(durations={"speak": 2.0}), "duration.speak must be an exact number"),
+        (dict(heights={Size.MS: 0.75}), "height.MS must be an exact number"),
+    ],
+)
+def test_tables_built_in_code_are_checked(tables, message):
+    with pytest.raises(StylesheetError, match=re.escape(message)):
+        built(**tables)
+
+
+def test_a_sheet_built_in_code_runs_the_whole_pipeline():
+    """Int and Fraction numbers, a row of its own, a left profile and no
+    duration for ``exit``: every corpus board goes through every stage."""
+    durations = {verb: 2 if d else 0 for verb, d in DEFAULT_STYLESHEET.duration_by_verb.items()}
+    del durations["exit"]
+    heights = {size: Fraction(h) for size, h in DEFAULT_STYLESHEET.figure_height_by_size.items()}
+    s = Stylesheet(Profile.LEFT, {2: (Fraction(1, 5), Fraction(4, 5))}, durations, heights)
+    codes = []
+    for path in corpus_paths():
+        board = parse_ok(path.read_text(encoding="utf-8"))
+        codes += [d.code for d in validate(board, s)]
+        compiled = compile_storyboard(board, s)
+        entries = timeline(compiled)
+        assert net_json(compiled) and timeline_json(entries)
+        assert render_compiled(compiled), path
+    assert codes and set(codes) == {"W203"}
+
+
 def test_line_numbers_in_messages():
     with pytest.raises(StylesheetError) as exc:
         parse_stylesheet("duration.speak = 3\nwat = 1\n")
@@ -119,9 +192,8 @@ def test_line_numbers_in_messages():
 
 
 def test_missing_height_is_rejected():
-    bare = Stylesheet()
     with pytest.raises(StylesheetError, match="height.BCU is missing"):
-        validate_stylesheet(bare)
+        Stylesheet()
 
 
 def test_load_from_file(tmp_path):
