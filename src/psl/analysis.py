@@ -25,7 +25,6 @@ A stylesheet is checked when it is built, so every default row fits.
 from __future__ import annotations
 
 from enum import Enum, IntEnum
-from fractions import Fraction
 
 from .ast import (
     CameraRole,
@@ -322,10 +321,8 @@ def _complete(
 
 
 def _at_or_after(a, b) -> bool:
-    """``a >= b``, and False with no ``a``; for two Fractions, by integer cross-products."""
-    if a.__class__ is Fraction and b.__class__ is Fraction:
-        return a.numerator * b.denominator >= b.numerator * a.denominator
-    return a is not None and a >= b
+    """``a >= b`` by integer cross-products, and False with no ``a``."""
+    return a is not None and a.numerator * b.denominator >= b.numerator * a.denominator
 
 
 def _apply_checked(

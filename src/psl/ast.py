@@ -93,14 +93,16 @@ _ANCHOR_FRACTION = {
 
 
 class ScreenFraction(Record):
-    """Explicit horizontal position, strictly inside the frame."""
+    """Explicit horizontal position, strictly inside the frame: an exact
+    number, ``int`` or ``Fraction``."""
 
     __slots__ = ("value",)
 
     def __init__(self, value: Fraction) -> None:
-        # A Fraction's reduced terms answer without two Fraction comparisons.
-        if not (0 < value.numerator < value.denominator if value.__class__ is Fraction
-                else 0 < value < 1):
+        if not isinstance(value, (int, Fraction)):
+            raise ValueError(f"screen fraction {value} is not an exact number")
+        # The reduced terms answer without two Fraction comparisons.
+        if not 0 < value.numerator < value.denominator:
             raise ValueError(f"screen fraction {value} not in (0, 1)")
         _set(self, "value", value)
 

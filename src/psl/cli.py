@@ -9,9 +9,11 @@ of its inputs, so repeated runs print identical bytes.  ``main`` may be
 called many times in one process: it builds the argument parser on its
 first call and reuses it, and reads its input files anew on every call,
 parsing a stylesheet only when its text differs from the last one parsed.
-``main`` pauses the cyclic garbage collector for the call and restores
-the caller's setting on return: the pipeline's objects form no reference
-cycles, so collections during a command would find nothing to free.
+Every command that takes a FILE reads, parses and reports it through one
+loader.  ``main`` pauses the cyclic garbage collector for the call and
+restores the caller's setting on return: the pipeline's objects form no
+reference cycles, so collections would find nothing to free.  argparse's
+help formatter does, so ``main`` collects once after usage or help.
 """
 from __future__ import annotations
 
@@ -24,8 +26,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analysis import ShotCategory, classify_shot, validate
-from .ast import EVENT_VERBS, Size, Storyboard, storyboard_compositions
-from .compiler import CompiledStoryboard, CompileError, compile_storyboard, timeline
+from .ast import EVENT_VERBS, Size, storyboard_compositions
+from .compiler import CompileError, compile_storyboard, timeline
 from .diagnostics import Diagnostic, has_errors, in_source_order
 from .formatter import format_storyboard
 from .generator import generate_sentence
@@ -88,50 +90,34 @@ def _print_diagnostics(diagnostics: list[Diagnostic], path: str, as_json: bool) 
         print(line, file=sys.stderr)
 
 
-def _load_checked(args: argparse.Namespace) -> Storyboard:
-    """Parse and validate ``args.file``; print problems, raise on errors."""
+def _load(args: argparse.Namespace, stage: str = "validate"):
+    """``args.file`` parsed (``stage`` "parse"), validated ("validate") or
+    compiled, which validates once ("compile"); print problems, raise on
+    errors."""
     style = _load_style(args)
-    source = _read_source(args.file)
-    sb, diagnostics = parse_storyboard(source)
-    if sb is not None:
-        diagnostics = diagnostics + validate(sb, style)
-    _print_diagnostics(diagnostics, args.file, getattr(args, "json", False))
-    if sb is None or has_errors(diagnostics):
-        raise _Exit(1, "")
-    return sb
-
-
-def _load_compiled(args: argparse.Namespace) -> CompiledStoryboard:
-    """Parse and compile ``args.file``, validating once; print problems,
-    raise on errors."""
-    style = _load_style(args)
-    source = _read_source(args.file)
-    sb, diagnostics = parse_storyboard(source)
-    compiled = None
-    if sb is not None:
+    result, diagnostics = parse_storyboard(_read_source(args.file))
+    if result is not None and stage == "validate":
+        diagnostics = diagnostics + validate(result, style)
+    elif result is not None and stage == "compile":
         try:
-            compiled = compile_storyboard(sb, style)
-            diagnostics = diagnostics + list(compiled.diagnostics)
+            result = compile_storyboard(result, style)
+            diagnostics = diagnostics + list(result.diagnostics)
         except CompileError as err:
+            result = None
             diagnostics = diagnostics + list(err.diagnostics)
-    _print_diagnostics(diagnostics, args.file, False)
-    if compiled is None:
+    _print_diagnostics(diagnostics, args.file, getattr(args, "json", False))
+    if result is None or has_errors(diagnostics):
         raise _Exit(1, "")
-    return compiled
+    return result
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    _load_checked(args)
+    _load(args)
     return 0
 
 
 def cmd_fmt(args: argparse.Namespace) -> int:
-    source = _read_source(args.file)
-    sb, diagnostics = parse_storyboard(source)
-    if sb is None:
-        _print_diagnostics(diagnostics, args.file, False)
-        return 1
-    text = format_storyboard(sb) + "\n"
+    text = format_storyboard(_load(args, "parse")) + "\n"
     if args.write:
         try:
             Path(args.file).write_text(text, encoding="utf-8")
@@ -143,19 +129,19 @@ def cmd_fmt(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    compiled = _load_compiled(args)
+    compiled = _load(args, "compile")
     print(net_json(compiled))
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    compiled = _load_compiled(args)
+    compiled = _load(args, "compile")
     print(timeline_json(timeline(compiled)))
     return 0
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    frames = render_compiled(_load_compiled(args))
+    frames = render_compiled(_load(args, "compile"))
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -169,7 +155,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    sb = _load_checked(args)
+    sb = _load(args)
     categories = {category.value: 0 for category in ShotCategory}
     for shot in sb.shots:
         categories[classify_shot(shot).value] += 1
@@ -200,17 +186,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-class _Formatter(argparse.HelpFormatter):
-    """argparse's formatter, taken apart once its text is out: it and its
-    sections refer to each other, a cycle only the collector would free."""
-
-    def format_help(self) -> str:
-        text = super().format_help()
-        self._root_section.items.clear()
-        self._root_section = self._current_section = None
-        return text
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``psl`` parser, built on the first call; every later call
@@ -218,12 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psl",
         description="Parse, check, format, compile, simulate, and sketch prose storyboards.",
-        formatter_class=_Formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def command(name: str, func, help_text: str, *, file: bool = True):
-        p = sub.add_parser(name, help=help_text, formatter_class=_Formatter)
+        p = sub.add_parser(name, help=help_text)
         if file:
             p.add_argument("file", metavar="FILE", help="storyboard source file")
         p.set_defaults(func=func)
@@ -259,7 +233,11 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # after usage or help: free argparse's formatter cycles
+            gc.collect()
+            raise
         try:
             return args.func(args)
         except _Exit as stop:

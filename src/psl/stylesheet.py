@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
 from .ast import EVENT_VERBS, Lock, Profile, ShotTransition, Size
@@ -54,9 +55,10 @@ class Stylesheet(Record):
 
     An omitted table is empty.  Every figure height is required; a verb
     with no duration warns W203 and takes 1 unit.  Numbers are exact
-    (``int`` or ``Fraction``), and the tables must not be changed after
-    construction: ``StylesheetError`` says what is wrong, as it does for
-    the file form.
+    (``int`` or ``Fraction``), the profile a ``Profile``, each count an
+    ``int``: ``StylesheetError`` says what is wrong, as it does for the
+    file form.  Each table is copied into a read-only mapping, each row
+    of positions into a tuple.
     """
 
     __slots__ = (
@@ -68,12 +70,16 @@ class Stylesheet(Record):
                  duration_by_verb: Mapping[str, Fraction] | None = None,
                  figure_height_by_size: Mapping[Size, Fraction] | None = None) -> None:
         _set(self, "default_profile", default_profile)
-        _set(self, "positions_by_cardinality",
-             {} if positions_by_cardinality is None else positions_by_cardinality)
-        _set(self, "duration_by_verb", {} if duration_by_verb is None else duration_by_verb)
-        _set(self, "figure_height_by_size",
-             {} if figure_height_by_size is None else figure_height_by_size)
+        _set(self, "positions_by_cardinality", MappingProxyType(
+            {n: tuple(row) for n, row in (positions_by_cardinality or {}).items()}))
+        _set(self, "duration_by_verb", MappingProxyType(dict(duration_by_verb or {})))
+        _set(self, "figure_height_by_size", MappingProxyType(dict(figure_height_by_size or {})))
         validate_stylesheet(self)
+
+    def __reduce__(self):
+        """Copy and pickle through ``__init__``: a read-only mapping has no pickled form."""
+        return self.__class__, (self.default_profile, *map(dict, (
+            self.positions_by_cardinality, self.duration_by_verb, self.figure_height_by_size)))
 
     def positions_for(self, n: int) -> tuple[Fraction, ...]:
         """Default positions for ``n`` subjects; even spacing off the table."""
@@ -86,7 +92,11 @@ class Stylesheet(Record):
 def validate_stylesheet(s: Stylesheet) -> None:
     """Raise StylesheetError unless ``s`` is usable end to end; the check
     that building a ``Stylesheet`` runs."""
+    if not isinstance(s.default_profile, Profile):
+        raise StylesheetError(f"profile {s.default_profile!r} is not a Profile")
     for n, positions in s.positions_by_cardinality.items():
+        if n.__class__ is not int:
+            raise StylesheetError(f"positions.{n!r}: the count must be an int")
         if n < 1:
             raise StylesheetError(f"positions.{n}: the count must be at least 1")
         if len(positions) != n:

@@ -474,8 +474,10 @@ def test_no_command_leaves_cyclic_garbage(capsys, tmp_path):
             found = gc.collect()
             if found:
                 left[f"{command} {path.parent.name}/{path.name}"] = found
-    # usage errors: argparse prints usage and raises SystemExit(2)
-    for argv in (["check", "--bogus", str(CROSS)], ["check"], ["bogus"], ["fuzz", "--count", "x"]):
+    # usage errors, which raise SystemExit(2), and help, which raises SystemExit(0)
+    commands = ("check", "fmt", "compile", "simulate", "render", "stats", "fuzz")
+    for argv in (["check", "--bogus", str(CROSS)], ["check"], ["bogus"], ["fuzz", "--count", "x"],
+                 [], ["--help"], *([command, "--help"] for command in commands)):
         with pytest.raises(SystemExit):
             main(argv)
         capsys.readouterr()

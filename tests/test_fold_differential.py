@@ -206,10 +206,11 @@ def test_the_event_boards_reach_every_continuity_rule():
 
 
 def test_library_built_positions_match_the_reference():
-    """Trees built without the parser: float and Fraction positions,
-    anchors and blanks, with and without spans."""
+    """Trees built without the parser: Fraction positions, anchors and
+    blanks, with and without spans."""
     rng = random.Random("fold-library")
-    values = [None, None, 0.2, 0.5, 0.75, Fraction(1, 3), Fraction(3, 5), *ScreenAnchor]
+    values = [None, None, Fraction(1, 5), Fraction(1, 2), Fraction(3, 4), Fraction(1, 3),
+              Fraction(3, 5), *ScreenAnchor]
 
     def composition():
         planes = []

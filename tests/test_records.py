@@ -360,18 +360,24 @@ def test_replace_builds_a_new_subject():
     assert ANNA.screen == ScreenFraction(Fraction(1, 3))
 
 
-@pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(999, 1000), Fraction(1, 10**30), 0.5])
+@pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(999, 1000), Fraction(1, 10**30)])
 def test_a_screen_fraction_takes_a_value_inside_the_frame(value):
     assert ScreenFraction(value).value == value
 
 
-@pytest.mark.parametrize(
-    "value", [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 2), 0, 1, 2, -1, 0.0, 1.0, 1.5]
-)
+@pytest.mark.parametrize("value", [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 2), 0, 1, 2, -1])
 def test_a_screen_fraction_outside_the_frame_is_refused_by_value(value):
     with pytest.raises(ValueError) as refused:
         ScreenFraction(value)
     assert str(refused.value) == f"screen fraction {value} not in (0, 1)"
+
+
+@pytest.mark.parametrize("value", [0.5, 0.0, 1.0, 1.5, "1/2", None])
+def test_an_inexact_screen_fraction_is_refused(value):
+    # A float position would fail in JSON and print text that does not reparse.
+    with pytest.raises(ValueError) as refused:
+        ScreenFraction(value)
+    assert str(refused.value) == f"screen fraction {value} is not an exact number"
 
 
 def test_defaults_coercion_and_checks():

@@ -1,6 +1,8 @@
 """Stylesheets: defaults, the text format, and validation."""
 from __future__ import annotations
 
+import copy
+import pickle
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -160,11 +162,39 @@ def test_a_sheet_built_in_code_fails_as_its_file_does(text, tables):
         (dict(positions={4: (0.125, 0.375, 0.625, 0.875)}), "positions.4 must be exact numbers"),
         (dict(durations={"speak": 2.0}), "duration.speak must be an exact number"),
         (dict(heights={Size.MS: 0.75}), "height.MS must be an exact number"),
+        (dict(profile="sideways"), "profile 'sideways' is not a Profile"),
+        (dict(profile=None), "profile None is not a Profile"),
+        (dict(positions={"2": (Fraction(1, 4), Fraction(3, 4))}),
+         "positions.'2': the count must be an int"),
+        (dict(positions={True: (Fraction(1, 2),)}), "positions.True: the count must be an int"),
+        (dict(positions={2.0: (Fraction(1, 4), Fraction(3, 4))}),
+         "positions.2.0: the count must be an int"),
     ],
 )
 def test_tables_built_in_code_are_checked(tables, message):
     with pytest.raises(StylesheetError, match=re.escape(message)):
         built(**tables)
+
+
+def test_a_built_sheet_keeps_its_own_read_only_tables():
+    heights = dict(DEFAULT_STYLESHEET.figure_height_by_size)
+    row = [Fraction(1, 4), Fraction(3, 4)]
+    positions = {2: row}
+    s = Stylesheet(Profile.FRONT, positions, None, heights)
+    heights.pop(Size.MS)
+    row.pop()
+    positions[3] = (Fraction(1, 2),)
+    assert s.figure_height_by_size[Size.MS] == Fraction(3, 4)
+    assert s.positions_for(2) == (Fraction(1, 4), Fraction(3, 4))
+    assert s.positions_for(3) == (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+    twins = [pickle.loads(pickle.dumps(DEFAULT_STYLESHEET)), copy.deepcopy(DEFAULT_STYLESHEET)]
+    assert twins == [DEFAULT_STYLESHEET] * 2
+    for sheet in (s, DEFAULT_STYLESHEET, *twins):
+        for table in (sheet.positions_by_cardinality, sheet.duration_by_verb,
+                      sheet.figure_height_by_size):
+            with pytest.raises(TypeError):
+                table["speak"] = Fraction(9)
+    assert DEFAULT_STYLESHEET.duration_by_verb["speak"] == 2
 
 
 def test_a_sheet_built_in_code_runs_the_whole_pipeline():
