@@ -8,7 +8,8 @@ file listings) go to standard output.  Every command is a pure function
 of its inputs, so repeated runs print identical bytes.  ``main`` may be
 called many times in one process: it builds the argument parser on its
 first call and reuses it, and reads its input files anew on every call,
-parsing a stylesheet only when its text differs from the last one parsed.
+parsing a storyboard or a stylesheet only when its text differs from the
+last one parsed.
 Every command that takes a FILE reads, parses and reports it through one
 loader.  ``main`` pauses the cyclic garbage collector for the call and
 restores the caller's setting on return: the pipeline's objects form no
@@ -70,6 +71,14 @@ def _parse_style(text: str) -> Stylesheet:
     return parse_stylesheet(text)
 
 
+@functools.lru_cache(maxsize=1)
+def _parse_source(text: str):
+    """``parse_storyboard(text)``, parsed again only when the text differs
+    from the last call's: the tree and its diagnostics, which no caller
+    changes."""
+    return parse_storyboard(text)
+
+
 def _load_style(args: argparse.Namespace) -> Stylesheet:
     style_path = getattr(args, "style", None)
     if style_path is None:
@@ -95,7 +104,7 @@ def _load(args: argparse.Namespace, stage: str = "validate"):
     compiled, which validates once ("compile"); print problems, raise on
     errors."""
     style = _load_style(args)
-    result, diagnostics = parse_storyboard(_read_source(args.file))
+    result, diagnostics = _parse_source(_read_source(args.file))
     if result is not None and stage == "validate":
         diagnostics = diagnostics + validate(result, style)
     elif result is not None and stage == "compile":
@@ -214,13 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("compile", cmd_compile, "emit the timed Petri net as JSON"),
         ("simulate", cmd_simulate, "emit the simulated timeline as JSON"),
         ("render", cmd_render, "write one SVG sketch per visible frame"),
+        ("stats", cmd_stats, "shot and event histograms as JSON"),
     ):
         p = command(name, func, help_text)
         p.add_argument("--style", metavar="PATH", help="stylesheet overlay file")
         if name == "render":
             p.add_argument("--out", metavar="DIR", required=True, help="output directory")
-
-    command("stats", cmd_stats, "shot and event histograms as JSON")
 
     fuzz = command("fuzz", cmd_fuzz, "roundtrip random sentences", file=False)
     fuzz.add_argument("--count", type=int, default=100, metavar="N", help="sentences to try")
