@@ -8,8 +8,7 @@ file listings) go to standard output.  Every command is a pure function
 of its inputs, so repeated runs print identical bytes.  ``main`` may be
 called many times in one process: it builds the argument parser on its
 first call and reuses it, and reads its input files anew on every call,
-parsing a storyboard or a stylesheet only when its text differs from the
-last one parsed.
+parsing a stylesheet only when its text differs from the last one parsed.
 Every command that takes a FILE reads, parses and reports it through one
 loader.  ``main`` pauses the cyclic garbage collector for the call and
 restores the caller's setting on return: the pipeline's objects form no
@@ -71,14 +70,6 @@ def _parse_style(text: str) -> Stylesheet:
     return parse_stylesheet(text)
 
 
-@functools.lru_cache(maxsize=1)
-def _parse_source(text: str):
-    """``parse_storyboard(text)``, parsed again only when the text differs
-    from the last call's: the tree and its diagnostics, which no caller
-    changes."""
-    return parse_storyboard(text)
-
-
 def _load_style(args: argparse.Namespace) -> Stylesheet:
     style_path = getattr(args, "style", None)
     if style_path is None:
@@ -104,7 +95,7 @@ def _load(args: argparse.Namespace, stage: str = "validate"):
     compiled, which validates once ("compile"); print problems, raise on
     errors."""
     style = _load_style(args)
-    result, diagnostics = _parse_source(_read_source(args.file))
+    result, diagnostics = parse_storyboard(_read_source(args.file))
     if result is not None and stage == "validate":
         diagnostics = diagnostics + validate(result, style)
     elif result is not None and stage == "compile":

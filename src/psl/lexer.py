@@ -1,18 +1,21 @@
 """Lexer for prose storyboard text.
 
-One compiled scanner lexes each line in a single pass.  Each match is a
-run of blanks (space, tab, CR) and then one lexeme: a word or punctuation
-mark, a number, or a run of characters outside the alphabet (``#`` among
-them).  A word is classified by one dict lookup, which gives its kind, its
-value and whether it can end a multi-word keyword; keywords are
+One compiled scanner lexes the whole source in a single pass.  Each match
+is a run of blanks (space, tab, CR, LF) and then one lexeme: a word or
+punctuation mark, a number, or a run of characters outside the alphabet
+(``#`` among them).  A line whose first non-blank character
+(``str.isspace``) is ``#`` is a comment from there on; before the scan,
+each comment becomes as many spaces, so no offset moves, and one regular
+expression finds them all in linear time however many ``#`` a line holds.
+A board repeats its lexemes, so each distinct spelling is classified once
+per call, by one dict lookup for a keyword or punctuation mark: its kind,
+its value and whether it can end a multi-word keyword.  Keywords are
 case-insensitive and subject names keep their spelling.  A word that can
 end a multi-word keyword ("Cut to", "medium long shot") right after a
-reserved word looks back, longest match first, over the raw words before
-it; since no such word opens or continues a keyword, this finds the
-phrases that a longest match from the first word would.  A line that holds
-a ``#`` and whose first non-blank character (``str.isspace``) is ``#`` is
-a comment from there on; each line is checked once, so the rule is linear
-however many ``#`` a line holds.
+reserved word looks back, longest match first, over the reserved words
+before it; since every word of a keyword but its last is reserved, and
+no word that ends one opens or continues one, this finds the phrases
+that a longest match from the first word would.
 
 Spans are byte offsets into the UTF-8 encoding of the source, half open.
 The scan counts characters; in an ASCII source those are the byte offsets,
@@ -128,11 +131,13 @@ _WORDS: dict[str, tuple[TokenKind, object, bool]] = {
 }
 
 _SCAN = re.compile(
-    r"([ \t\r]*)(?:"                                              # blanks, then one lexeme:
-    r"([A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*|[,.])"  # a word or punctuation,
-    r"|([0-9]+(?:/[0-9]+)?)"                                     # a fraction or an integer,
-    r"|([^ \t\rA-Za-z0-9,.]+))"                                  # or characters outside the alphabet
+    r"([ \t\r\n]*)("                                              # blanks, then one lexeme:
+    r"[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*|[,.]"     # a word or punctuation,
+    r"|[0-9]+(?:/[0-9]+)?"                                        # a fraction or an integer,
+    r"|[^ \t\r\nA-Za-z0-9,.]+)"                                   # or characters outside the alphabet
 )
+# A comment: from a '#' that is its line's first non-blank (``str.isspace``) to the line's end.
+_COMMENT = re.compile(r"^([^\S\n]*)#[^\n]*", re.MULTILINE)
 
 
 def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
@@ -146,71 +151,78 @@ def lex(source: str) -> tuple[list[Token], list[Diagnostic], int]:
     to_byte = _byte_offsets(source)
     tokens: list[Token] = []
     append, new = tokens.append, tuple.__new__
-    # read once: on Python 3.10 and 3.11 TokenKind.X runs EnumMeta.__getattr__'s lookup
-    IDENT, RESERVED, FRACTION = TokenKind.IDENT, TokenKind.RESERVED, TokenKind.FRACTION
+    RESERVED = TokenKind.RESERVED  # read once: on Python 3.10 and 3.11 TokenKind.X is slow
     diagnostics: list[Diagnostic] = []
     bad_words: list[Diagnostic] = []  # reported after the other diagnostics
+    # A board repeats its lexemes, so each spelling is classified once per call.
+    seen: dict[str, tuple[TokenKind | None, object, bool]] = {}
     floor = 0  # phrases start at tokens[floor] or later: none spans a rejected word
     pos = 0  # character index; token offsets become byte offsets at the end
-    for line in source.split("\n"):
-        line_end = pos + len(line)
-        if "#" in line:
-            rest = line.lstrip()
-            if rest.startswith("#"):  # a comment line: only the blanks before '#' are lexed
-                line = line[:len(line) - len(rest)]
-        for blanks, word, number, bad in _SCAN.findall(line):
-            start = pos + len(blanks)
-            if word:
-                pos = start + len(word)
-                low = word.lower()
-                hit = _WORDS.get(low)
-                if hit is None:
-                    if "-" not in word:
-                        append(new(Token, (IDENT, word, start, pos, word)))
-                        continue
-                    floor = len(tokens)
-                    message = f"{word!r} is not a keyword and names cannot contain '-'"
-                    bad_words.append(error(E_BAD_WORD, Span(to_byte[start], to_byte[pos]), message))
-                    continue
-                kind, value, ends = hit
-                if ends and len(tokens) > floor and tokens[-1].kind is RESERVED:
-                    back = tokens[max(floor, len(tokens) - 2):]
-                    words = [t.lexeme.lower() for t in back]
-                    for n in range(len(back), 0, -1):
-                        phrase = _PHRASES.get((*words[-n:], low))
-                        if phrase is not None:
-                            # the lexeme keeps what lies between the words
-                            start = back[-n].start
-                            word = source[start:pos]
-                            kind, value = phrase
-                            del tokens[-n:]
-                            break
-                append(new(Token, (kind, word, start, pos, value)))
-                continue
-            if number:
-                pos = start + len(number)
-                num, slash, den = number.partition("/")
-                if not slash:
-                    code, message = E_BAD_CHAR, f"expected a fraction like 1/3, found {number!r}"
-                else:
-                    try:
-                        value = Fraction(int(num), int(den))
-                    except ZeroDivisionError:
-                        code, message = E_NUMBER_RANGE, "fraction denominator is zero"
-                    except ValueError:  # int() refuses more digits than this limit
-                        limit = sys.get_int_max_str_digits()
-                        code, message = E_NUMBER_RANGE, f"fraction has more than {limit} digits"
-                    else:
-                        append(new(Token, (FRACTION, number, start, pos, value)))
-                        continue
+    # Comments become blanks of the same length, so offsets are unchanged.
+    text = _COMMENT.sub(_blank_comment, source) if "#" in source else source
+    for blanks, lexeme in _SCAN.findall(text):
+        start = pos + len(blanks)
+        pos = start + len(lexeme)
+        hit = seen.get(lexeme)
+        if hit is None:
+            hit = seen[lexeme] = _classify(lexeme)
+        kind, value, ends = hit
+        if kind is None:  # value is the error's code and message
+            code, message = value
+            found = error(code, Span(to_byte[start], to_byte[pos]), message)
+            if code == E_BAD_WORD:
+                floor = len(tokens)
+                bad_words.append(found)
             else:
-                pos = start + len(bad)
-                code, message = E_BAD_CHAR, f"unexpected character {bad!r}"
-            diagnostics.append(error(code, Span(to_byte[start], to_byte[pos]), message))
-        pos = line_end + 1
+                diagnostics.append(found)
+            continue
+        if ends and len(tokens) > floor and tokens[-1].kind is RESERVED:
+            key = (tokens[-1].lexeme.lower(), lexeme.lower())
+            n = 1
+            if len(tokens) - 1 > floor and tokens[-2].kind is RESERVED:
+                longer = (tokens[-2].lexeme.lower(), *key)
+                if longer in _PHRASES:
+                    key, n = longer, 2
+            phrase = _PHRASES.get(key)
+            if phrase is not None:
+                # the lexeme keeps what lies between the words
+                start = tokens[-n].start
+                lexeme = source[start:pos]
+                kind, value = phrase
+                del tokens[-n:]
+        append(new(Token, (kind, lexeme, start, pos, value)))
     if not source.isascii():
         tokens = [new(Token, (k, w, to_byte[s], to_byte[e], v)) for k, w, s, e, v in tokens]
     return tokens, diagnostics + bad_words, to_byte[-1]
+
+
+def _blank_comment(comment: re.Match) -> str:
+    return comment[1] + " " * (comment.end() - comment.end(1))
+
+
+def _classify(lexeme: str) -> tuple[TokenKind | None, object, bool]:
+    """One lexeme's kind, value and whether it can end a phrase; an error
+    has no kind, and its value is its code and message."""
+    first = lexeme[0]
+    if first.isascii() and (first.isalpha() or first in ",."):
+        hit = _WORDS.get(lexeme.lower())
+        if hit is not None:
+            return hit
+        if "-" in lexeme:
+            return None, (E_BAD_WORD, f"{lexeme!r} is not a keyword and names cannot contain '-'"), False
+        return TokenKind.IDENT, lexeme, False
+    if not "0" <= first <= "9":
+        return None, (E_BAD_CHAR, f"unexpected character {lexeme!r}"), False
+    num, slash, den = lexeme.partition("/")
+    if not slash:
+        return None, (E_BAD_CHAR, f"expected a fraction like 1/3, found {lexeme!r}"), False
+    try:
+        return TokenKind.FRACTION, Fraction(int(num), int(den)), False
+    except ZeroDivisionError:
+        return None, (E_NUMBER_RANGE, "fraction denominator is zero"), False
+    except ValueError:  # int() refuses more digits than this limit
+        limit = sys.get_int_max_str_digits()
+        return None, (E_NUMBER_RANGE, f"fraction has more than {limit} digits"), False
 
 
 def _byte_offsets(source: str) -> Sequence[int]:

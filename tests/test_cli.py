@@ -321,76 +321,6 @@ def test_a_stylesheet_is_read_every_call_and_parsed_once_per_text(capsys, monkey
     assert len(parsed) == 2
 
 
-# --- the parse memo ---------------------------------------------------------
-
-@pytest.fixture
-def parses(monkeypatch):
-    """The texts ``main`` parses from here on, with its memo cleared first."""
-    parsed = []
-
-    def counting(text):
-        parsed.append(text)
-        return psl.parse_storyboard(text)
-
-    cli._parse_source.cache_clear()
-    monkeypatch.setattr(cli, "parse_storyboard", counting)
-    yield parsed
-    cli._parse_source.cache_clear()
-
-
-def test_every_command_on_one_file_parses_it_once(capsys, parses, tmp_path):
-    calls = [["check"], ["check", "--json"], ["fmt"], ["compile"], ["simulate"], ["stats"],
-             ["render", "--out", str(tmp_path / "frames")]]
-    for argv in calls:
-        code, out, err = run(capsys, *argv, str(CROSS))
-        assert (code, err) == (0, ""), argv
-    assert parses == [CROSS.read_text(encoding="utf-8")]
-
-
-def test_an_edit_of_the_same_length_is_parsed_again(capsys, parses, tmp_path):
-    path = tmp_path / "board.psl"
-    outputs = []
-    for name in ("Anna", "Bert"):
-        path.write_text(f"ms ON {name}.\n", encoding="utf-8")
-        outputs.append(run(capsys, "fmt", str(path)))
-    assert outputs == [(0, "MS on Anna.\n", ""), (0, "MS on Bert.\n", "")]
-    assert parses == ["ms ON Anna.\n", "ms ON Bert.\n"]
-
-
-def test_check_after_fmt_write_parses_the_rewritten_text(capsys, parses, tmp_path):
-    path = tmp_path / "messy.psl"
-    path.write_text("ms ON Anna,Boris speaks.\n", encoding="utf-8")
-    assert run(capsys, "fmt", "--write", str(path)) == (0, "", "")
-    code, out, err = run(capsys, "check", str(path))
-    assert (code, out) == (1, "")
-    assert err == f"{path}:12: E101 Boris is not on screen\n"
-    assert parses == ["ms ON Anna,Boris speaks.\n", "MS on Anna, Boris speaks.\n"]
-
-
-def test_the_same_text_at_another_path_is_not_parsed_again(capsys, parses, tmp_path):
-    copy = tmp_path / OFFSCREEN.name
-    copy.write_bytes(OFFSCREEN.read_bytes())
-    first, second = run(capsys, "check", str(OFFSCREEN)), run(capsys, "check", str(copy))
-    assert first == (1, "", f"{OFFSCREEN}:12: E101 Boris is not on screen\n")
-    assert second == (1, "", f"{copy}:12: E101 Boris is not on screen\n")
-    assert len(parses) == 1
-
-
-@pytest.mark.parametrize("path", [OFFSCREEN, *broken_paths()[:3]], ids=lambda p: p.name)
-def test_a_broken_board_checked_twice_prints_the_same_diagnostics(capsys, parses, path):
-    first = run(capsys, "check", str(path))
-    assert first[0] == 1 and first[2]
-    assert run(capsys, "check", str(path)) == first
-    assert len(parses) == 1
-
-
-def test_the_library_parse_keeps_no_memo():
-    text = CROSS.read_text(encoding="utf-8")
-    first, second = psl.parse_storyboard(text), psl.parse_storyboard(text)
-    assert first == second
-    assert first[0] is not second[0]
-
-
 @pytest.mark.parametrize(
     "line, command, message",
     [

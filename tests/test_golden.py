@@ -4,10 +4,7 @@ Each case runs one command on one corpus file (valid or broken) with the
 default stylesheet and hashes its exit code, standard output, standard
 error and, for ``render``, every SVG written.  Paths that depend on where
 the tests run are replaced by placeholders first.  A refactor that keeps
-these digests keeps every byte the command line prints or writes.  The
-cases run twice: file by file, so each file's later commands reuse the
-parse ``main`` keeps of its text, and with that memo cleared before each
-call, so every command also parses the text itself.
+these digests keeps every byte the command line prints or writes.
 
 To print fresh digests after a deliberate output change::
 
@@ -25,7 +22,6 @@ from pathlib import Path
 
 import pytest
 
-from psl import cli
 from psl.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,19 +79,10 @@ def test_every_case_is_pinned(pinned):
     assert sorted(pinned) == sorted(_key(path, command) for path, command in CASES)
 
 
-every_case = pytest.mark.parametrize(
+@pytest.mark.parametrize(
     "path, command", CASES, ids=[_key(path, command) for path, command in CASES]
 )
-
-
-@every_case
 def test_output_matches_the_pinned_digest(pinned, path, command):
-    assert digest(path, command) == pinned[_key(path, command)]
-
-
-@every_case
-def test_output_matches_the_pinned_digest_with_the_memo_cold(pinned, path, command):
-    cli._parse_source.cache_clear()
     assert digest(path, command) == pinned[_key(path, command)]
 
 

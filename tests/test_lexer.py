@@ -118,6 +118,21 @@ def test_hyphenated_non_keyword_is_rejected():
     assert [t.kind for t in tokens] == [TokenKind.IDENT]
 
 
+def test_a_repeated_lexeme_is_reported_and_spanned_at_each_place():
+    # The lexer classifies each spelling once per call; every occurrence
+    # still gets its own token or diagnostic.
+    text = "at 1/0 @ x-y at 1/0 @ x-y, 2/4 Anna 2/4 anna"
+    tokens, diagnostics = tokenize(text)
+    assert [(d.code, d.span.start) for d in diagnostics] == [
+        (E_NUMBER_RANGE, 3), (E_BAD_CHAR, 7), (E_NUMBER_RANGE, 16), (E_BAD_CHAR, 20),
+        (E_BAD_WORD, 9), (E_BAD_WORD, 22),
+    ]
+    assert [(t.lexeme, t.start, t.value) for t in tokens if t.kind is not TokenKind.AT] == [
+        (",", 25, None), ("2/4", 27, Fraction(1, 2)), ("Anna", 31, "Anna"),
+        ("2/4", 36, Fraction(1, 2)), ("anna", 40, "anna"),
+    ]
+
+
 def test_comment_lines_are_skipped():
     with_comment = "# a note\nMS on Anna.\n"
     without = "MS on Anna.\n"
