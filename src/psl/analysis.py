@@ -78,6 +78,11 @@ class StateId(IntEnum):
     MOVING_CHANGE = 4   # camera travels toward a new composition
 
 
+#: Each StateId at index ``value - 1``: a lookup, where calling the enum
+#: would search its members.
+_STATES = tuple(StateId)
+
+
 class ContinuityError(ValueError):
     """An event that cannot apply to the current composition."""
 
@@ -180,8 +185,8 @@ def event_states(events: tuple[ScreenEvent, ...]) -> list[StateId]:
         if e.camera is not CameraRole.NONE:
             moving = e.camera is not CameraRole.LOCK
             tracking = moving and not e.drives_frame
-        states.append(StateId(1 + 2 * moving + e.drives_frame))
-    states.append(StateId(1 + 2 * tracking))
+        states.append(_STATES[2 * moving + e.drives_frame])
+    states.append(_STATES[2 * tracking])
     return states
 
 

@@ -10,30 +10,29 @@ called many times in one process: it builds the argument parser on its
 first call and reuses it, and reads its input files anew on every call,
 parsing a stylesheet only when its text differs from the last one parsed.
 Every command that takes a FILE reads, parses and reports it through one
-loader.  ``main`` pauses the cyclic garbage collector for the call and
-restores the caller's setting on return: the pipeline's objects form no
-reference cycles, so collections would find nothing to free.  argparse's
-help formatter does, so ``main`` collects once after usage or help.
+loader.  Importing this module loads only the front end every command
+runs (parser, validator, stylesheets, formatter); a command imports the
+compiler, the JSON writers, the renderer or the generator when it runs,
+so a ``check`` process never loads the net code.  ``main`` pauses the
+cyclic garbage collector for the call and restores the caller's setting
+on return: the pipeline's objects form no reference cycles, so
+collections would find nothing to free.  argparse's help formatter
+does, so ``main`` collects once after usage or help.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import gc
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .analysis import ShotCategory, classify_shot, validate
 from .ast import EVENT_VERBS, Size, storyboard_compositions
-from .compiler import CompileError, compile_storyboard, timeline
 from .diagnostics import Diagnostic, has_errors, in_source_order
 from .formatter import format_storyboard
-from .generator import generate_sentence
-from .jsonio import SCHEMA_VERSION, net_json, stats_json, timeline_json
 from .parser import parse_storyboard
-from .render import render_compiled
 from .stylesheet import DEFAULT_STYLESHEET, Stylesheet, StylesheetError, parse_stylesheet
 
 
@@ -82,6 +81,9 @@ def _load_style(args: argparse.Namespace) -> Stylesheet:
 
 
 def _print_diagnostics(diagnostics: list[Diagnostic], path: str, as_json: bool) -> None:
+    if as_json:
+        import json
+        from .jsonio import SCHEMA_VERSION
     for d in in_source_order(diagnostics):
         if as_json:
             line = json.dumps({"psl_schema": SCHEMA_VERSION, **d.to_dict()})
@@ -99,6 +101,7 @@ def _load(args: argparse.Namespace, stage: str = "validate"):
     if result is not None and stage == "validate":
         diagnostics = diagnostics + validate(result, style)
     elif result is not None and stage == "compile":
+        from .compiler import CompileError, compile_storyboard
         try:
             result = compile_storyboard(result, style)
             diagnostics = diagnostics + list(result.diagnostics)
@@ -129,18 +132,22 @@ def cmd_fmt(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    from .jsonio import net_json
     compiled = _load(args, "compile")
     print(net_json(compiled))
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .compiler import timeline
+    from .jsonio import timeline_json
     compiled = _load(args, "compile")
     print(timeline_json(timeline(compiled)))
     return 0
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from .render import render_compiled
     frames = render_compiled(_load(args, "compile"))
     out = Path(args.out)
     try:
@@ -155,6 +162,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .jsonio import stats_json
     sb = _load(args)
     categories = {category.value: 0 for category in ShotCategory}
     for shot in sb.shots:
@@ -173,6 +181,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    from .generator import generate_sentence
     if args.count < 1:
         raise _Exit(2, "psl: --count must be at least 1")
     failures = 0

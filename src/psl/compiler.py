@@ -130,13 +130,14 @@ def _subject_tokens(comp: Composition) -> dict[str, PetriToken]:
     tokens: dict[str, PetriToken] = {}
     for plane_index, plane in enumerate(comp.planes):
         for slot, subject in enumerate(plane.subjects):
-            tokens[subject_place(subject.name)] = PetriToken.of(
-                plane=plane_index,
-                slot=slot,
-                size=plane.size,
-                profile=subject.profile,
-                screen=subject.screen.fraction,
-            )
+            # The attrs in key order, as ``PetriToken.of`` would sort them.
+            tokens[subject_place(subject.name)] = PetriToken((
+                ("plane", plane_index),
+                ("profile", subject.profile),
+                ("screen", subject.screen.fraction),
+                ("size", plane.size),
+                ("slot", slot),
+            ))
     return tokens
 
 
@@ -183,12 +184,12 @@ def compile_storyboard(
                           join, _duration(s, join), ()))
             compositions += (held, after if changes else held)
 
-    subject_names = sorted(
-        {name for frames in frames_by_shot for f in frames for name in f.subject_names()}
-    )
+    distinct = {id(f): f for f in compositions}.values()  # a shared frame once
+    subject_names = sorted({name for f in distinct for name in f.subject_names()})
+    controls = [control_place(k) for k in range(len(steps) + 1)]
     places = [Place(CAMERA_PLACE, PlaceKind.CAMERA)]
     places += [Place(subject_place(n), PlaceKind.SUBJECT) for n in subject_names]
-    places += [Place(control_place(k), PlaceKind.CONTROL) for k in range(len(steps) + 1)]
+    places += [Place(pid, PlaceKind.CONTROL) for pid in controls]
 
     # The camera token always describes the interval its marking spans, so
     # each transition installs the motion flag of the step that follows it;
@@ -203,8 +204,8 @@ def compile_storyboard(
     opening = on_screen = _subject_tokens(compositions[0])
     for k, (meta, label, duration, reads) in enumerate(steps, start=1):
         tid = f"t{k}"
-        inputs = [control_place(k - 1)]
-        outputs = [control_place(k)]
+        inputs = [controls[k - 1]]
+        outputs = [controls[k]]
         effect: list[tuple[str, PetriToken]] = []
         if meta.changes or meta.kind == "join":
             after_tokens = _subject_tokens(compositions[k])
@@ -228,7 +229,7 @@ def compile_storyboard(
 
     initial: Marking = {p.id: () for p in places}
     initial[CAMERA_PLACE] = (PetriToken.of(moving=motion[0]),)
-    initial[control_place(0)] = (PetriToken(),)
+    initial[controls[0]] = (PetriToken(),)
     for pid, token in opening.items():
         initial[pid] = (token,)
 

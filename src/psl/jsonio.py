@@ -20,11 +20,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .ast import Composition, Profile, Size, SubjectSpec
-from .compiler import CompiledStoryboard, TimelineEntry
-from .petri import PetriToken
+
+if TYPE_CHECKING:
+    from .compiler import CompiledStoryboard, TimelineEntry
+    from .petri import PetriToken
 
 SCHEMA_VERSION = 1
 

@@ -1,9 +1,12 @@
-"""Shared helpers: corpus locations and a strict parse."""
+"""Shared helpers: corpus locations, a strict parse and a fresh interpreter."""
 from __future__ import annotations
 
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
+import psl
 from psl import Severity, parse_storyboard
 
 pytest_plugins = ["pytester"]
@@ -31,6 +34,16 @@ def corpus_paths() -> list[Path]:
 
 def broken_paths() -> list[Path]:
     return sorted(BROKEN_DIR.glob("*.psl"))
+
+
+def fresh_stdout(code: str) -> str:
+    """What a fresh interpreter that runs ``code`` prints, with this test
+    run's ``psl`` first on the path."""
+    src = str(Path(psl.__file__).resolve().parent.parent)
+    script = f"import sys; sys.path.insert(0, {src!r})\n{code}"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, timeout=120)
+    return done.stdout
 
 
 def parse_ok(text: str):

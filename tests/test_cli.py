@@ -4,14 +4,12 @@ from __future__ import annotations
 import gc
 import json
 import random
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import psl
-from conftest import BROKEN_DIR, CORPUS_DIR, broken_paths, corpus_paths, parse_ok
+from conftest import BROKEN_DIR, CORPUS_DIR, broken_paths, corpus_paths, fresh_stdout, parse_ok
 from psl import analysis, cli, compiler
 from psl.cli import main
 from psl.diagnostics import in_source_order
@@ -25,16 +23,6 @@ OFFSCREEN = BROKEN_DIR / "b06_offscreen.psl"
 UNCALLED = ("xml", "http", "email", "ssl", "socket", "urllib.request")
 
 
-def fresh_stdout(code):
-    """What a fresh interpreter that runs ``code`` prints, with this test
-    run's ``psl`` first on the path."""
-    src = str(Path(psl.__file__).resolve().parent.parent)
-    script = f"import sys; sys.path.insert(0, {src!r})\n{code}"
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          check=True, timeout=120)
-    return done.stdout
-
-
 def modules_after(code):
     """Every module loaded in a fresh interpreter that runs ``code``."""
     return set(fresh_stdout(f"{code}\nprint(*sorted(sys.modules))").split())
@@ -42,7 +30,7 @@ def modules_after(code):
 
 def test_importing_the_cli_loads_no_xml_http_or_socket_module():
     loaded = modules_after("import psl.cli") - modules_after("pass")
-    assert "psl.render" in loaded
+    assert "psl.parser" in loaded
     assert sorted(m for m in loaded if any(m == p or m.startswith(p + ".") for p in UNCALLED)) == []
 
 
@@ -53,7 +41,54 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     added = set(fresh_stdout(
         "before = set(sys.modules)\nimport psl.cli\nprint(*sorted(set(sys.modules) - before))"
     ).split())
-    assert "psl.render" in added
+    assert "psl.parser" in added
+    assert sorted(added & {"dataclasses", "inspect"}) == []
+
+
+def test_importing_the_cli_loads_no_stage_past_the_front_end():
+    added = set(fresh_stdout(
+        "before = set(sys.modules)\nimport psl.cli\nprint(*sorted(set(sys.modules) - before))"
+    ).split())
+    assert "psl.parser" in added
+    later = {"psl.compiler", "psl.petri", "psl.jsonio", "psl.render", "psl.generator", "json"}
+    assert sorted(added & later) == []
+
+
+#: What ``import psl.cli`` loads of ``psl``: every command runs these.
+FRONT_END = {"psl", "psl.analysis", "psl.ast", "psl.cli", "psl.diagnostics", "psl.formatter",
+             "psl.lexer", "psl.parser", "psl.stylesheet"}
+#: The modules each command loads beyond the front end.
+COMMAND_MODULES = {
+    "check": (),
+    "check --json": ("jsonio",),
+    "fmt": (),
+    "stats": ("jsonio",),
+    "compile": ("compiler", "petri", "jsonio"),
+    "simulate": ("compiler", "petri", "jsonio"),
+    "render": ("compiler", "petri", "render"),
+    "fuzz": ("generator",),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
+    """A fresh interpreter imports the CLI and runs one command; the modules
+    are diffed within it, as above."""
+    argv = command.split()
+    argv += ["--count", "3"] if command == "fuzz" else [str(CROSS)]
+    if command == "render":
+        argv += ["--out", str(tmp_path)]
+    added = set(fresh_stdout(
+        "import contextlib, io\n"
+        "before = set(sys.modules)\n"
+        "from psl.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(*sorted(set(sys.modules) - before))"
+    ).split())
+    own = FRONT_END | {f"psl.{name}" for name in COMMAND_MODULES[command]}
+    assert sorted(m for m in added if m.split(".")[0] == "psl") == sorted(own)
+    assert sorted(m for m in added if any(m == p or m.startswith(p + ".") for p in UNCALLED)) == []
     assert sorted(added & {"dataclasses", "inspect"}) == []
 
 
