@@ -18,8 +18,8 @@ yields the diagnostics and the completed frames the compiler lays out.
 ``infer_target`` holds every continuity rule of an event step, who is
 on screen included; the fold reports what it raises.
 Each plane is checked and completed in one pass over its subjects, from
-shared positions: the stylesheet's default row for a cardinality is
-built once per board, and each named anchor has one shared fraction.
+shared positions: a default row is built once per board (an even one of
+up to 8 subjects once per process), and each named anchor has one fraction.
 A stylesheet is checked when it is built, so every default row fits.
 """
 from __future__ import annotations
@@ -196,6 +196,8 @@ _FALLBACK_SPAN = Span(0, 0)
 
 #: The one position each named anchor folds to, shared by every frame.
 _ANCHOR_SCREEN = {anchor: ScreenFraction(anchor.fraction) for anchor in ScreenAnchor}
+#: Even-spacing rows of up to 8 subjects, by count, built on first use for every call.
+_EVEN_ROWS: dict[int, tuple[ScreenFraction, ...]] = {}
 
 
 def fold_storyboard(
@@ -235,8 +237,8 @@ def fold_shot(
     event that fails is reported and skipped, so one mistake does not
     cascade.  The frames are the opening frame and the frame after each
     event, completed by the stylesheet with named anchors replaced by
-    their fractions.  ``rows`` holds the default positions of ``s``
-    built so far, by cardinality; the shots of one board share it.
+    their fractions.  ``rows`` holds the rows of ``s`` built so far, by
+    cardinality, save the even ones of up to 8 subjects that every call shares.
     """
     rows = {} if rows is None else rows
     fallback = _span_of(shot)
@@ -274,9 +276,9 @@ def _complete(
 
     One pass over each plane checks it and rebuilds it without its span:
     a subject with profile and position set is kept as it is, a missing
-    position comes from the memoized row of ``s``, and a named anchor
-    becomes its shared fraction.  Every row of a ``Stylesheet`` was
-    checked when it was built, so only the written positions can fail.
+    position comes from a memoized row (``rows``, ``_EVEN_ROWS``), and a
+    named anchor becomes its shared fraction.  Every row of a ``Stylesheet``
+    was checked when it was built, so only the written positions can fail.
     Returns ``comp`` itself when some plane cannot be completed; that
     problem is reported, and the fold goes on by subject names alone.
     """
@@ -286,9 +288,9 @@ def _complete(
     for plane in comp.planes:
         span = plane.span if plane.span is not None else fallback
         subjects = plane.subjects
-        row = rows.get(len(subjects))
-        if row is None:
-            row = rows[len(subjects)] = [ScreenFraction(p) for p in s.positions_for(len(subjects))]
+        n = len(subjects)
+        table = rows if n > 8 or n in s.positions_by_cardinality else _EVEN_ROWS
+        row = table.get(n) or table.setdefault(n, tuple(ScreenFraction(p) for p in s.positions_for(n)))
         completed = []
         explicit = last = None  # the last explicit position, the last completed one
         misordered = clash = False

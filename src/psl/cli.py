@@ -6,9 +6,10 @@ invocation is (unknown flags, unreadable files, unwritable directories).
 Diagnostics go to standard error; artifacts (canonical text, JSON,
 file listings) go to standard output.  Every command is a pure function
 of its inputs, so repeated runs print identical bytes.  ``main`` may be
-called many times in one process: it builds the argument parser on its
-first call and reuses it, and reads its input files anew on every call,
-parsing a stylesheet only when its text differs from the last one parsed.
+called many times in one process: it builds the argument parsers on its
+first call and reuses them, leaves a command's arguments to its parser,
+and reads its input files anew on every call, parsing a stylesheet only
+when its text differs from the last one parsed.
 Every command that takes a FILE reads, parses and reports it through one
 loader.  Importing this module loads only the front end every command
 runs (parser, validator, stylesheets, formatter); a command imports the
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -46,14 +48,17 @@ class _Exit(Exception):
 
 
 def _read_source(path: str) -> str:
-    """The file's text, less one leading UTF-8 byte-order mark.
-
-    Line endings are kept as they are, so diagnostic offsets count the
-    file's bytes from after the mark; ``fmt --write`` writes canonical
-    text without it.
+    """The file's text, less one leading UTF-8 byte-order mark: what
+    ``Path(path).read_bytes().decode("utf-8-sig")`` gives, error texts
+    included, without the cost of pathlib or of that codec.  Line endings
+    are kept, so diagnostic offsets count the file's bytes from after the
+    mark; ``fmt --write`` writes canonical text without it.
     """
+    name = os.fspath(Path(path)) if os.path.basename(path) in ("", ".") else path
     try:
-        return Path(path).read_bytes().decode("utf-8-sig")
+        with open(name, "rb") as file:
+            data = file.read()
+        return (data[3:] if data.startswith(b"\xef\xbb\xbf") else data).decode("utf-8")
     except OSError as err:
         raise _Exit(2, f"psl: cannot read {path}: {err.strerror or err}") from None
     except UnicodeDecodeError as err:
@@ -73,9 +78,8 @@ def _load_style(args: argparse.Namespace) -> Stylesheet:
     style_path = getattr(args, "style", None)
     if style_path is None:
         return DEFAULT_STYLESHEET
-    text = _read_source(style_path)
     try:
-        return _parse_style(text)
+        return _parse_style(_read_source(style_path))
     except StylesheetError as err:
         raise _Exit(1, f"psl: bad stylesheet {style_path}: {err}") from None
 
@@ -85,11 +89,8 @@ def _print_diagnostics(diagnostics: list[Diagnostic], path: str, as_json: bool) 
         import json
         from .jsonio import SCHEMA_VERSION
     for d in in_source_order(diagnostics):
-        if as_json:
-            line = json.dumps({"psl_schema": SCHEMA_VERSION, **d.to_dict()})
-        else:
-            line = d.render(path)
-        print(line, file=sys.stderr)
+        print(json.dumps({"psl_schema": SCHEMA_VERSION, **d.to_dict()}) if as_json
+              else d.render(path), file=sys.stderr)
 
 
 def _load(args: argparse.Namespace, stage: str = "validate"):
@@ -133,16 +134,14 @@ def cmd_fmt(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     from .jsonio import net_json
-    compiled = _load(args, "compile")
-    print(net_json(compiled))
+    print(net_json(_load(args, "compile")))
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .compiler import timeline
     from .jsonio import timeline_json
-    compiled = _load(args, "compile")
-    print(timeline_json(timeline(compiled)))
+    print(timeline_json(timeline(_load(args, "compile"))))
     return 0
 
 
@@ -165,16 +164,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from .jsonio import stats_json
     sb = _load(args)
     categories = {category.value: 0 for category in ShotCategory}
+    verbs = {verb: 0 for verb in EVENT_VERBS}
     for shot in sb.shots:
         categories[classify_shot(shot).value] += 1
+        for e in shot.events:
+            verbs[e.verb] += 1
     sizes = {size.name: 0 for size in Size}
     for comp in storyboard_compositions(sb):
         for plane in comp.planes:
             sizes[plane.size.name] += 1
-    verbs = {verb: 0 for verb in EVENT_VERBS}
-    for shot in sb.shots:
-        for e in shot.events:
-            verbs[e.verb] += 1
     mean = Fraction(sum(verbs.values()), len(sb.shots))
     print(stats_json(len(sb.shots), categories, sizes, verbs, mean))
     return 0
@@ -195,6 +193,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}  # each command's parser, from build_parser
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``psl`` parser, built on the first call; every later call
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def command(name: str, func, help_text: str, *, file: bool = True):
-        p = sub.add_parser(name, help=help_text)
+        p = _COMMANDS[name] = sub.add_parser(name, help=help_text)
         if file:
             p.add_argument("file", metavar="FILE", help="storyboard source file")
         p.set_defaults(func=func)
@@ -237,12 +238,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` less its ``command`` field, in one
+    argparse pass when ``argv`` starts with a command whose parser takes the rest."""
+    parser = build_parser()
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _COMMANDS[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = _parse_args(sys.argv[1:] if argv is None else argv)
         except SystemExit:  # after usage or help: free argparse's formatter cycles
             gc.collect()
             raise

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import parse_ok
 from fold_reference import apply_stylesheet
+from psl import analysis
 from psl.analysis import (
     ContinuityError,
     ShotCategory,
@@ -284,6 +285,21 @@ def test_each_stylesheet_gets_its_own_default_rows():
                    (DEFAULT_STYLESHEET, (Fraction(1, 3), Fraction(2, 3))),
                    (quarters, (Fraction(1, 4), Fraction(3, 4)))):
         assert folded_positions(text, s) == [[[ScreenFraction(f) for f in row]]] * 3
+
+
+def test_even_spacing_rows_up_to_eight_subjects_are_shared_between_calls():
+    names = ("Anna", "Boris", "Carla", "Dmitri", "Elena", "Fiona", "Gregor", "Hana", "Ivan")
+    quarters = parse_stylesheet("positions.2 = 1/4, 3/4\n")
+    for n in (1, 2, 3, 8, 9):
+        text = "MS on " + " and ".join(names[:n]) + "."
+        (first,), = folded_positions(text)
+        (again,), = folded_positions(text)
+        (styled,), = folded_positions(text, quarters)
+        assert first == again == [ScreenFraction(Fraction(k, n + 1)) for k in range(1, n + 1)]
+        assert all(a is b for a, b in zip(first, again)) is (n <= 8), n
+        assert all(a is b for a, b in zip(first, styled)) is (n <= 8 and n != 2), n
+    # what is kept between calls is bounded, whatever the input
+    assert set(analysis._EVEN_ROWS) <= set(range(1, 9))
 
 
 def test_a_named_anchor_folds_to_a_shared_screen_fraction():

@@ -1,10 +1,14 @@
 """The command line: every operation, every exit code."""
 from __future__ import annotations
 
+import argparse
+import errno
 import gc
 import json
+import os
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +172,45 @@ def test_a_stylesheet_may_start_with_a_byte_order_mark(capsys, tmp_path):
     assert json.loads(out)["entries"][0]["t1"] == "4"  # the default cross takes 2
 
 
+def _read_as_before(path):
+    """The reference reader: the text pathlib and the "utf-8-sig" codec
+    give, or the exit code and ``psl:`` line that ``_read_source`` must stop with."""
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except OSError as err:
+        return 2, f"psl: cannot read {path}: {err.strerror or err}"
+    except UnicodeDecodeError as err:
+        return 2, f"psl: {path} is not valid UTF-8: {err}"
+
+
+READS = {
+    "one mark": BOM + b"MS on Anna, Boris speaks.\n",
+    "two marks": BOM + BOM + b"MS on Anna.\n",
+    "a mark, then a bad byte": BOM + b"\xffMS on Anna.\n",
+    "a bad first byte": b"\xffMS on Anna.\n",
+    "a bad later byte": b"MS on Anna\xc3.\n",
+    "a truncated mark": b"\xef\xbbMS on Anna.\n",
+    "the mark alone": BOM,
+    "nothing": b"",
+}
+
+
+@pytest.mark.parametrize("case", [*READS, "a directory", "a missing file", "under a file",
+                                  "the file and a slash", "the file and /.", "an empty path"])
+def test_a_file_reads_as_it_did_through_pathlib(capsys, tmp_path, case):
+    path = tmp_path / "board.psl"
+    path.write_bytes(READS.get(case, b"MS on Anna.\n"))
+    name = {"a directory": str(tmp_path), "a missing file": str(tmp_path / "missing.psl"),
+            "under a file": f"{path}/x.psl", "the file and a slash": f"{path}/",
+            "the file and /.": f"{path}/.", "an empty path": ""}.get(case, str(path))
+    before = _read_as_before(name)
+    try:
+        assert cli._read_source(name) == before
+    except cli._Exit as stop:
+        assert (stop.code, stop.message) == before
+        assert run(capsys, "check", name) == (2, "", before[1] + "\n")
+
+
 @pytest.mark.parametrize(("newline", "found"), [
     ("\r\n", [("E101", b"Anna speaks"), ("E101", b"Dan speaks")]),
     # a lone CR is a blank, not a line break, so that '#' opens no comment
@@ -230,6 +273,15 @@ def test_fmt_write_leaves_broken_files_alone(capsys, tmp_path):
     assert code == 1
     assert path.read_text(encoding="utf-8") == original
     assert "E002" in err
+
+
+def test_fmt_write_that_cannot_write_is_an_invocation_error(capsys, monkeypatch, tmp_path):
+    regular = tmp_path / "regular"
+    regular.write_text("", encoding="utf-8")
+    monkeypatch.setattr(cli, "_read_source", lambda path: "ms ON Anna.")  # a read that works
+    code, out, err = run(capsys, "fmt", "--write", f"{regular}/board.psl")
+    assert (code, out) == (2, "")
+    assert err == f"psl: cannot write {regular}/board.psl: {os.strerror(errno.ENOTDIR)}\n"
 
 
 def test_fmt_is_idempotent_over_the_corpus(capsys):
@@ -308,6 +360,15 @@ def test_render_requires_out(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["render", str(CROSS)])
     assert exc.value.code == 2
+
+
+def test_render_into_a_regular_file_is_an_invocation_error(capsys, tmp_path):
+    regular = tmp_path / "frames"
+    regular.write_text("kept\n", encoding="utf-8")
+    code, out, err = run(capsys, "render", str(CROSS), "--out", str(regular))
+    assert (code, out) == (2, "")
+    assert err == f"psl: cannot write to {regular}: {os.strerror(errno.EEXIST)}\n"
+    assert regular.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_render_respects_a_stylesheet(capsys, tmp_path):
@@ -432,6 +493,20 @@ def test_fuzz_reports_a_summary(capsys):
     assert out == "5 sentences, 5 ok, 0 failed\n"
 
 
+def test_fuzz_prints_each_failed_roundtrip_and_exits_1(capsys, monkeypatch):
+    failing = psl.generate_sentence(4)
+    format_storyboard = cli.format_storyboard
+
+    def one_wrong(sb):
+        text = format_storyboard(sb)
+        return "" if text == failing else text
+
+    monkeypatch.setattr(cli, "format_storyboard", one_wrong)
+    code, out, err = run(capsys, "fuzz", "--count", "3", "--seed", "3")
+    assert (code, err) == (1, "")
+    assert out == f"{failing}\n3 sentences, 2 ok, 1 failed\n"
+
+
 def test_fuzz_rejects_non_positive_counts(capsys):
     code, out, err = run(capsys, "fuzz", "--count", "0")
     assert code == 2
@@ -450,6 +525,77 @@ def test_no_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def _argvs(file, sheet, out):
+    """Command lines that parse, and ones that end in usage, help or an error."""
+    commands = ("check", "fmt", "compile", "simulate", "render", "stats", "fuzz")
+    return [
+        ["check", file], ["check", "--json", file], ["check", file, "--style", sheet],
+        ["check", f"--style={sheet}", file], ["check", "--sty", sheet, file], ["check", "--js", file],
+        ["fmt", file], ["fmt", "--write", file], ["fmt", file, "--write"],
+        ["compile", file], ["compile", "--style", sheet, file],
+        ["simulate", file], ["simulate", file, f"--style={sheet}"],
+        ["render", file, "--out", out], ["render", f"--out={out}", "--style", sheet, file],
+        ["render", "--o", out, file], ["render", file], ["render", "--out", out],
+        ["stats", file], ["stats", "--style", sheet, file],
+        ["fuzz"], ["fuzz", "--count", "5", "--seed", "3"], ["fuzz", "--seed=-1"], ["fuzz", "--c", "2"],
+        ["fuzz", "--count", "x"], ["fuzz", "--count", "-5"], ["fuzz", "--count"], ["fuzz", file],
+        # "--" ends the options, before or after the command
+        ["check", "--", file], ["check", "--json", "--", file], ["check", "--", "--json"],
+        ["fmt", "--", "-x"], ["--", "check", file], ["check", file, "--"], ["fuzz", "--"],
+        # help at top level and per command
+        ["-h"], ["--help"], ["--he"], ["check", file, "--help"], ["check", "-h", "--bogus"],
+        *([command, "-h"] for command in commands), *([command, "--help"] for command in commands),
+        # unknown options, a second positional, a missing FILE or value
+        ["check", "--bogus", file], ["check", file, "--bogus"], ["check", "-x", file],
+        ["fuzz", "--bogus"], ["fmt", "--write=1", file], ["check", file, file], ["fmt", file, "more"],
+        ["check"], ["check", "--json"], ["check", "--style"], ["check", file, "--style"],
+        ["stats", "--style", sheet], ["check", "--bogus"],
+        # no command, an unknown one, a misspelt one, a top-level option
+        [], ["frobnicate"], ["frobnicate", file], ["CHECK", file], ["chec", file], ["-x"],
+        ["--bogus", "check", file],
+    ]
+
+
+def _parsed(parse, argv, capsys):
+    """The fields ``parse`` sets but ``command``, or how it stopped."""
+    try:
+        args = parse(argv)
+    except SystemExit as stop:
+        captured = capsys.readouterr()
+        return ("SystemExit", stop.code, captured.out, captured.err)
+    assert capsys.readouterr() == ("", "")
+    return {key: value for key, value in vars(args).items() if key != "command"}
+
+
+def test_main_parses_every_command_line_as_the_full_parser_does(capsys, tmp_path):
+    sheet = tmp_path / "slow.sheet"
+    sheet.write_text("duration.cross = 4\n", encoding="utf-8")
+    for argv in _argvs(str(CROSS), str(sheet), str(tmp_path / "frames")):
+        full = _parsed(cli.build_parser().parse_args, list(argv), capsys)
+        # main parses through _parse_args; only a line it rejects is run whole
+        assert _parsed(cli._parse_args, list(argv), capsys) == full, argv
+        if isinstance(full, tuple):
+            assert _parsed(main, list(argv), capsys) == full, argv
+
+
+def test_a_command_line_that_starts_with_a_command_is_parsed_once(capsys, monkeypatch):
+    parsers = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    assert run(capsys, "check", "--style", str(CROSS), str(CROSS))[0] == 1
+    assert run(capsys, "fuzz", "--count", "2") == (0, "2 sentences, 2 ok, 0 failed\n", "")
+    assert parsers == ["psl check", "psl fuzz"]
+    with pytest.raises(SystemExit):  # what the command's parser leaves goes to the full parser
+        main(["check", str(CROSS), "--bogus"])
+    assert parsers[2:] == ["psl check", "psl", "psl check"]
+    capsys.readouterr()
 
 
 def test_the_parser_is_built_on_the_first_call_only():

@@ -1,6 +1,7 @@
 """The test harness itself: one failing test must not hide another."""
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import psl
@@ -21,7 +22,9 @@ def test_a_failing_plain_test_after_it():
 
 def test_a_failing_property_test_does_not_stop_the_run(pytester, monkeypatch):
     """Run under this suite's conftest and its ``filterwarnings = error``."""
-    monkeypatch.setenv("PYTHONPATH", str(Path(psl.__file__).resolve().parents[1]))
+    # psl first, then the inherited path, which may be where pytest is found
+    src = str(Path(psl.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     pytester.makeconftest(Path(__file__).with_name("conftest.py").read_text(encoding="utf-8"))
     pytester.makeini("[pytest]\nfilterwarnings = error\n")
     pytester.makepyfile(test_planted=PLANTED)
