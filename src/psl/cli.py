@@ -2,30 +2,29 @@
 
 Exit codes are uniform across subcommands: 0 on success, 1 when the
 input is at fault (syntax, continuity, failed roundtrips), 2 when the
-invocation is (unknown flags, unreadable files, unwritable directories).
-Diagnostics go to standard error; artifacts (canonical text, JSON,
-file listings) go to standard output.  Every command is a pure function
-of its inputs, so repeated runs print identical bytes.  ``main`` may be
+invocation is (unknown flags, unreadable files, unwritable paths).
+Diagnostics go to standard error; artifacts (canonical text, JSON, file
+listings) go to standard output.  Every command is a pure function of
+its inputs, so repeated runs print identical bytes.  ``main`` may be
 called many times in one process: it builds the argument parsers on its
 first call and reuses them, leaves a command's arguments to its parser,
-and reads its input files anew on every call, parsing a stylesheet only
-when its text differs from the last one parsed.
-Every command that takes a FILE reads, parses and reports it through one
-loader.  Importing this module loads only the front end every command
-runs (parser, validator, stylesheets, formatter); a command imports the
-compiler, the JSON writers, the renderer or the generator when it runs,
-so a ``check`` process never loads the net code.  ``main`` pauses the
-cyclic garbage collector for the call and restores the caller's setting
-on return: the pipeline's objects form no reference cycles, so
-collections would find nothing to free.  argparse's help formatter
-does, so ``main`` collects once after usage or help.
+and reads its input files anew on every call, through the one reader
+``psl.stylesheet.read_text``, parsing a stylesheet only when its text
+differs from the last one parsed.  Every FILE is read, parsed and
+reported through one loader.  Importing this module loads only the front
+end every command runs (parser, validator, stylesheets, formatter); a
+command imports the compiler, the JSON writers, the renderer or the
+generator when it runs, so a ``check`` process never loads the net code.
+``main`` pauses the cyclic garbage collector for the call and restores
+the caller's setting on return: the pipeline's objects form no reference
+cycles, so collections would find nothing to free.  argparse's help
+formatter does, so ``main`` collects once after usage or help.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import gc
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,34 +34,26 @@ from .ast import EVENT_VERBS, Size, storyboard_compositions
 from .diagnostics import Diagnostic, has_errors, in_source_order
 from .formatter import format_storyboard
 from .parser import parse_storyboard
-from .stylesheet import DEFAULT_STYLESHEET, Stylesheet, StylesheetError, parse_stylesheet
+from .stylesheet import DEFAULT_STYLESHEET, Stylesheet, StylesheetError, parse_stylesheet, read_text
 
 
 class _Exit(Exception):
-    """Abort the command with a message and a specific exit code."""
+    """``_Exit(code, message)`` aborts the command with that exit code and message."""
 
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-        self.message = message
+
+def _cannot(action: str, err: Exception) -> _Exit:
+    """Exit 2 with the system's reason, or with the text of a ValueError (a NUL in the path)."""
+    return _Exit(2, f"psl: cannot {action}: {getattr(err, 'strerror', None) or err}")
 
 
 def _read_source(path: str) -> str:
-    """The file's text, less one leading UTF-8 byte-order mark: what
-    ``Path(path).read_bytes().decode("utf-8-sig")`` gives, error texts
-    included, without the cost of pathlib or of that codec.  Line endings
-    are kept, so diagnostic offsets count the file's bytes from after the
-    mark; ``fmt --write`` writes canonical text without it.
-    """
-    name = os.fspath(Path(path)) if os.path.basename(path) in ("", ".") else path
+    """``read_text(path)``, its errors as exits; ``fmt --write`` writes no byte-order mark."""
     try:
-        with open(name, "rb") as file:
-            data = file.read()
-        return (data[3:] if data.startswith(b"\xef\xbb\xbf") else data).decode("utf-8")
-    except OSError as err:
-        raise _Exit(2, f"psl: cannot read {path}: {err.strerror or err}") from None
-    except UnicodeDecodeError as err:
+        return read_text(path)
+    except UnicodeDecodeError as err:  # a ValueError, so caught first
         raise _Exit(2, f"psl: {path} is not valid UTF-8: {err}") from None
+    except (OSError, ValueError) as err:
+        raise _cannot(f"read {path}", err) from None
 
 
 @functools.lru_cache(maxsize=1)
@@ -124,9 +115,10 @@ def cmd_fmt(args: argparse.Namespace) -> int:
     text = format_storyboard(_load(args, "parse")) + "\n"
     if args.write:
         try:
-            Path(args.file).write_text(text, encoding="utf-8")
+            with open(args.file, "w", encoding="utf-8") as file:
+                file.write(text)
         except OSError as err:
-            raise _Exit(2, f"psl: cannot write {args.file}: {err.strerror or err}") from None
+            raise _cannot(f"write {args.file}", err) from None
     else:
         sys.stdout.write(text)
     return 0
@@ -153,8 +145,8 @@ def cmd_render(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for frame in frames:
             (out / frame.filename).write_text(frame.svg, encoding="utf-8")
-    except OSError as err:
-        raise _Exit(2, f"psl: cannot write to {args.out}: {err.strerror or err}") from None
+    except (OSError, ValueError) as err:
+        raise _cannot(f"write to {args.out}", err) from None
     for frame in frames:
         print(out / frame.filename)
     return 0
@@ -261,9 +253,10 @@ def main(argv: list[str] | None = None) -> int:
         try:
             return args.func(args)
         except _Exit as stop:
-            if stop.message:
-                print(stop.message, file=sys.stderr)
-            return stop.code
+            code, message = stop.args
+            if message:
+                print(message, file=sys.stderr)
+            return code
     finally:
         if collecting:
             gc.enable()

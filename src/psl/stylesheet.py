@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
@@ -211,12 +210,19 @@ def parse_stylesheet(text: str) -> Stylesheet:
     return Stylesheet(profile, positions, durations, heights)
 
 
+def read_text(path: str) -> str:
+    """The text of the file at ``path`` as ``psl`` reads every file: opened as given, UTF-8
+    less one leading byte-order mark, line endings kept.  OSError, or ValueError for a NUL
+    in the path, if it cannot be read; UnicodeDecodeError if it is not UTF-8."""
+    with open(path, "rb") as file:
+        data = file.read()
+    return (data[3:] if data.startswith(b"\xef\xbb\xbf") else data).decode("utf-8")
+
+
 def load_stylesheet(path: str) -> Stylesheet:
-    """Parse the file at ``path``, less one leading UTF-8 byte-order mark,
-    with its line endings as they are, as the command line reads it;
-    OSError if it cannot be read."""
+    """Parse the file at ``path``, read as the command line reads it; OSError if unreadable."""
     try:
-        text = Path(path).read_bytes().decode("utf-8-sig")
+        text = read_text(path)
     except UnicodeDecodeError:
         raise StylesheetError(f"{path} is not valid UTF-8") from None
     return parse_stylesheet(text)

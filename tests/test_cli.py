@@ -8,7 +8,6 @@ import json
 import os
 import random
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -172,43 +171,93 @@ def test_a_stylesheet_may_start_with_a_byte_order_mark(capsys, tmp_path):
     assert json.loads(out)["entries"][0]["t1"] == "4"  # the default cross takes 2
 
 
-def _read_as_before(path):
-    """The reference reader: the text pathlib and the "utf-8-sig" codec
-    give, or the exit code and ``psl:`` line that ``_read_source`` must stop with."""
+def _read_by_open(path):
+    """The reference reader: the text that ``open(path, "rb")`` on the path
+    as given and the "utf-8-sig" codec give, or the error they stop with."""
     try:
-        return Path(path).read_bytes().decode("utf-8-sig")
-    except OSError as err:
-        return 2, f"psl: cannot read {path}: {err.strerror or err}"
-    except UnicodeDecodeError as err:
-        return 2, f"psl: {path} is not valid UTF-8: {err}"
+        with open(path, "rb") as file:
+            return file.read().decode("utf-8-sig")
+    except (OSError, UnicodeDecodeError) as err:
+        return err
 
 
+def _stop_line(path, err):
+    """The ``psl:`` line that a read stopped by ``err`` ends in, with exit 2."""
+    if isinstance(err, UnicodeDecodeError):
+        return f"psl: {path} is not valid UTF-8: {err}\n"
+    return f"psl: cannot read {path}: {err.strerror}\n"
+
+
+BODY = b"<body>"
+#: The bytes of each readable case, with BODY where the storyboard or the stylesheet goes.
 READS = {
-    "one mark": BOM + b"MS on Anna, Boris speaks.\n",
-    "two marks": BOM + BOM + b"MS on Anna.\n",
-    "a mark, then a bad byte": BOM + b"\xffMS on Anna.\n",
-    "a bad first byte": b"\xffMS on Anna.\n",
-    "a bad later byte": b"MS on Anna\xc3.\n",
-    "a truncated mark": b"\xef\xbbMS on Anna.\n",
+    "one mark": BOM + BODY,
+    "two marks": BOM + BOM + BODY,
+    "a mark, then a bad byte": BOM + b"\xff" + BODY,
+    "a bad first byte": b"\xff" + BODY,
+    "a bad later byte": BODY + b"\xc3.\n",
+    "a truncated mark": b"\xef\xbb" + BODY,
     "the mark alone": BOM,
     "nothing": b"",
 }
+#: Paths beside or under the written file that name nothing readable.
+UNREADABLE = {
+    "a directory": "{dir}", "a missing file": "{dir}/missing", "under a file": "{file}/x",
+    "the file and a slash": "{file}/", "the file and /.": "{file}/.", "an empty path": "",
+}
 
 
-@pytest.mark.parametrize("case", [*READS, "a directory", "a missing file", "under a file",
-                                  "the file and a slash", "the file and /.", "an empty path"])
+@pytest.mark.parametrize("case", [*READS, *UNREADABLE])
 def test_a_file_reads_as_it_did_through_pathlib(capsys, tmp_path, case):
-    path = tmp_path / "board.psl"
-    path.write_bytes(READS.get(case, b"MS on Anna.\n"))
-    name = {"a directory": str(tmp_path), "a missing file": str(tmp_path / "missing.psl"),
-            "under a file": f"{path}/x.psl", "the file and a slash": f"{path}/",
-            "the file and /.": f"{path}/.", "an empty path": ""}.get(case, str(path))
-    before = _read_as_before(name)
+    """Each case read as the storyboard, as ``--style`` with a valid sheet
+    body, and through ``load_stylesheet``, against a reader built on
+    ``open`` alone: the same text, or the same error.  The pathlib reader
+    this once matched read ``FILE/`` and ``FILE/.`` as ``FILE``, and ""
+    as "."; those paths now get the operating system's own answer."""
+    paths = []
+    for name, body in (("board.psl", b"MS on Anna.\n"), ("cross.sheet", b"duration.cross = 4\n")):
+        file = tmp_path / name
+        file.write_bytes(READS.get(case, BODY).replace(BODY, body))
+        paths.append(UNREADABLE.get(case, "{file}").format(dir=tmp_path, file=file))
+    board, sheet = paths
+
+    text = _read_by_open(board)
+    if isinstance(text, str):
+        assert cli._read_source(board) == text
+    else:
+        assert run(capsys, "check", board) == (2, "", _stop_line(board, text))
+
+    text = _read_by_open(sheet)
+    styled = ("check", "--style", sheet, str(CROSS))
+    if not isinstance(text, str):
+        assert run(capsys, *styled) == (2, "", _stop_line(sheet, text))
+        with pytest.raises((OSError, StylesheetError)) as exc:
+            load_stylesheet(sheet)
+        if isinstance(text, OSError):
+            assert exc.value.strerror == text.strerror
+        else:
+            assert str(exc.value) == f"{sheet} is not valid UTF-8"
+        return
     try:
-        assert cli._read_source(name) == before
-    except cli._Exit as stop:
-        assert (stop.code, stop.message) == before
-        assert run(capsys, "check", name) == (2, "", before[1] + "\n")
+        expected = parse_stylesheet(text)
+    except StylesheetError as err:  # two marks: the second is text, and no key
+        assert run(capsys, *styled) == (1, "", f"psl: bad stylesheet {sheet}: {err}\n")
+        with pytest.raises(StylesheetError) as exc:
+            load_stylesheet(sheet)
+        assert str(exc.value) == str(err)
+        return
+    assert cli._load_style(argparse.Namespace(style=sheet)) == expected
+    assert load_stylesheet(sheet) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "a\0b"), ("check", "--style", "a\0b", str(CROSS)), ("render", str(CROSS), "--out", "a\0b"),
+], ids=["FILE", "--style", "--out"])
+def test_a_nul_byte_in_a_path_is_an_invocation_error(capsys, argv):
+    """``open`` and ``mkdir`` refuse such a path with a ValueError; a shell
+    cannot pass one, but an in-process caller can."""
+    action = "write to" if "--out" in argv else "read"
+    assert run(capsys, *argv) == (2, "", f"psl: cannot {action} a\0b: embedded null byte\n")
 
 
 @pytest.mark.parametrize(("newline", "found"), [
@@ -282,6 +331,15 @@ def test_fmt_write_that_cannot_write_is_an_invocation_error(capsys, monkeypatch,
     code, out, err = run(capsys, "fmt", "--write", f"{regular}/board.psl")
     assert (code, out) == (2, "")
     assert err == f"psl: cannot write {regular}/board.psl: {os.strerror(errno.ENOTDIR)}\n"
+
+
+def test_fmt_write_to_the_file_and_a_slash_leaves_the_file_alone(capsys, tmp_path):
+    path = tmp_path / "messy.psl"
+    path.write_bytes(b"ms ON Anna.")
+    code, out, err = run(capsys, "fmt", "--write", f"{path}/")
+    assert (code, out) == (2, "")
+    assert err == f"psl: cannot read {path}/: {os.strerror(errno.ENOTDIR)}\n"
+    assert path.read_bytes() == b"ms ON Anna."
 
 
 def test_fmt_is_idempotent_over_the_corpus(capsys):
