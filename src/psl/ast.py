@@ -24,7 +24,7 @@ from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import ClassVar, Iterator, Union
 
-from .diagnostics import Record, Span, _set
+from .diagnostics import Record, Span
 
 
 class Size(IntEnum):
@@ -50,6 +50,8 @@ class Profile(Enum):
     THREE_QUARTER_BACK_RIGHT = "3/4 back right"
     RIGHT = "right"
     THREE_QUARTER_RIGHT = "3/4 right"
+
+    __hash__ = object.__hash__  # members are singletons; Enum.__hash__ hashes the name in Python
 
     @property
     def azimuth(self) -> int:
@@ -104,7 +106,7 @@ class ScreenFraction(Record):
         # The reduced terms answer without two Fraction comparisons.
         if not 0 < value.numerator < value.denominator:
             raise ValueError(f"screen fraction {value} not in (0, 1)")
-        _set(self, "value", value)
+        self._setters[0](self, value)
 
     @property
     def fraction(self) -> Fraction:
@@ -128,9 +130,10 @@ class SubjectSpec(Record):
 
     def __init__(self, name: str, profile: Profile | None = None,
                  screen: ScreenPosition | None = None) -> None:
-        _set(self, "name", name)
-        _set(self, "profile", profile)
-        _set(self, "screen", screen)
+        set_name, set_profile, set_screen = self._setters
+        set_name(self, name)
+        set_profile(self, profile)
+        set_screen(self, screen)
 
 
 class FlatComposition(Record):
@@ -144,9 +147,10 @@ class FlatComposition(Record):
         subjects = tuple(subjects)
         if not subjects:
             raise ValueError("a plane needs at least one subject")
-        _set(self, "size", size)
-        _set(self, "subjects", subjects)
-        _set(self, "span", span)
+        set_size, set_subjects, set_span = self._setters
+        set_size(self, size)
+        set_subjects(self, subjects)
+        set_span(self, span)
 
 
 class Composition(Record):
@@ -158,7 +162,7 @@ class Composition(Record):
         planes = tuple(planes)
         if not planes:
             raise ValueError("a composition needs at least one plane")
-        _set(self, "planes", planes)
+        self._setters[0](self, planes)
 
     def subject_names(self) -> list[str]:
         """Names in plane order, left to right within each plane."""
@@ -207,7 +211,7 @@ class ScreenEvent(Record):
     camera: ClassVar[CameraRole] = CameraRole.NONE
 
     def __init__(self, *, span: Span | None = None) -> None:
-        _set(self, "span", span)
+        self._setters[0](self, span)
 
 
 class Lock(ScreenEvent):
@@ -226,8 +230,9 @@ class CameraWith(ScreenEvent):
     phrase = "{verb} with {subject}"
 
     def __init__(self, subject: SubjectSpec, *, span: Span | None = None) -> None:
-        _set(self, "subject", subject)
-        _set(self, "span", span)
+        set_span, set_subject = self._setters
+        set_subject(self, subject)
+        set_span(self, span)
 
 
 class PanWith(CameraWith):
@@ -254,8 +259,9 @@ class CameraTo(ScreenEvent):
     drives_frame = True
 
     def __init__(self, target: Composition, *, span: Span | None = None) -> None:
-        _set(self, "target", target)
-        _set(self, "span", span)
+        set_span, set_target = self._setters
+        set_target(self, target)
+        set_span(self, span)
 
 
 class PanTo(CameraTo):
@@ -288,8 +294,9 @@ class Speak(ScreenEvent):
     phrase = "{actor} speaks"
 
     def __init__(self, actor: str, *, span: Span | None = None) -> None:
-        _set(self, "actor", actor)
-        _set(self, "span", span)
+        set_span, set_actor = self._setters
+        set_actor(self, actor)
+        set_span(self, span)
 
 
 class React(ScreenEvent):
@@ -300,9 +307,10 @@ class React(ScreenEvent):
     phrase = "{actor} reacts[ to {to}]"
 
     def __init__(self, actor: str, to: str | None = None, *, span: Span | None = None) -> None:
-        _set(self, "actor", actor)
-        _set(self, "to", to)
-        _set(self, "span", span)
+        set_span, set_actor, set_to = self._setters
+        set_actor(self, actor)
+        set_to(self, to)
+        set_span(self, span)
 
 
 class Use(ScreenEvent):
@@ -313,9 +321,10 @@ class Use(ScreenEvent):
     phrase = "{actor} uses {prop}"
 
     def __init__(self, actor: str, prop: str, *, span: Span | None = None) -> None:
-        _set(self, "actor", actor)
-        _set(self, "prop", prop)
-        _set(self, "span", span)
+        set_span, set_actor, set_prop = self._setters
+        set_actor(self, actor)
+        set_prop(self, prop)
+        set_span(self, span)
 
 
 class Touch(ScreenEvent):
@@ -326,9 +335,10 @@ class Touch(ScreenEvent):
     phrase = "{actor} touches {prop}"
 
     def __init__(self, actor: str, prop: str, *, span: Span | None = None) -> None:
-        _set(self, "actor", actor)
-        _set(self, "prop", prop)
-        _set(self, "span", span)
+        set_span, set_actor, set_prop = self._setters
+        set_actor(self, actor)
+        set_prop(self, prop)
+        set_span(self, span)
 
 
 class Cross(ScreenEvent):
@@ -340,9 +350,10 @@ class Cross(ScreenEvent):
     drives_frame = True
 
     def __init__(self, actor: str, other: str, *, span: Span | None = None) -> None:
-        _set(self, "actor", actor)
-        _set(self, "other", other)
-        _set(self, "span", span)
+        set_span, set_actor, set_other = self._setters
+        set_actor(self, actor)
+        set_other(self, other)
+        set_span(self, span)
 
 
 class Enter(ScreenEvent):
@@ -355,10 +366,11 @@ class Enter(ScreenEvent):
 
     def __init__(self, actor: str, side: Side, target: Composition, *,
                  span: Span | None = None) -> None:
-        _set(self, "actor", actor)
-        _set(self, "side", side)
-        _set(self, "target", target)
-        _set(self, "span", span)
+        set_span, set_actor, set_side, set_target = self._setters
+        set_actor(self, actor)
+        set_side(self, side)
+        set_target(self, target)
+        set_span(self, span)
 
 
 class Exit(ScreenEvent):
@@ -370,9 +382,10 @@ class Exit(ScreenEvent):
     drives_frame = True
 
     def __init__(self, actor: str, side: Side, *, span: Span | None = None) -> None:
-        _set(self, "actor", actor)
-        _set(self, "side", side)
-        _set(self, "span", span)
+        set_span, set_actor, set_side = self._setters
+        set_actor(self, actor)
+        set_side(self, side)
+        set_span(self, span)
 
 
 class Move(ScreenEvent):
@@ -384,9 +397,10 @@ class Move(ScreenEvent):
     drives_frame = True
 
     def __init__(self, actor: str, target: Composition, *, span: Span | None = None) -> None:
-        _set(self, "actor", actor)
-        _set(self, "target", target)
-        _set(self, "span", span)
+        set_span, set_actor, set_target = self._setters
+        set_actor(self, actor)
+        set_target(self, target)
+        set_span(self, span)
 
 
 #: Every event class, in vocabulary order.
@@ -416,9 +430,10 @@ class Shot(Record):
 
     def __init__(self, initial: Composition, events: tuple[ScreenEvent, ...] = (),
                  span: Span | None = None) -> None:
-        _set(self, "initial", initial)
-        _set(self, "events", tuple(events))
-        _set(self, "span", span)
+        set_initial, set_events, set_span = self._setters
+        set_initial(self, initial)
+        set_events(self, tuple(events))
+        set_span(self, span)
 
 
 class Storyboard(Record):
@@ -433,8 +448,9 @@ class Storyboard(Record):
             raise ValueError("a storyboard needs at least one shot")
         if len(joins) != len(shots) - 1:
             raise ValueError(f"{len(shots)} shots need {len(shots) - 1} joins, got {len(joins)}")
-        _set(self, "shots", shots)
-        _set(self, "joins", joins)
+        set_shots, set_joins = self._setters
+        set_shots(self, shots)
+        set_joins(self, joins)
 
 
 # --- small structural helpers ------------------------------------------

@@ -33,7 +33,7 @@ from typing import Mapping
 
 from .analysis import StateId, event_states, fold_shot, fold_storyboard
 from .ast import Composition, ScreenEvent, Shot, Storyboard, referenced_names
-from .diagnostics import Diagnostic, Record, Severity, _set, has_errors
+from .diagnostics import Diagnostic, Record, Severity, has_errors
 from .formatter import format_event
 from .petri import (
     Marking,
@@ -79,11 +79,12 @@ class TransitionInfo(Record):
 
     def __init__(self, kind: str, shot_index: int, state: StateId, changes: bool,
                  verb: str) -> None:
-        _set(self, "kind", kind)
-        _set(self, "shot_index", shot_index)
-        _set(self, "state", state)
-        _set(self, "changes", changes)
-        _set(self, "verb", verb)
+        set_kind, set_shot_index, set_state, set_changes, set_verb = self._setters
+        set_kind(self, kind)
+        set_shot_index(self, shot_index)
+        set_state(self, state)
+        set_changes(self, changes)
+        set_verb(self, verb)
 
 
 class CompiledStoryboard(Record):
@@ -101,12 +102,13 @@ class CompiledStoryboard(Record):
     def __init__(self, storyboard: Storyboard, stylesheet: Stylesheet, net: Net,
                  info: Mapping[str, TransitionInfo], compositions: tuple[Composition, ...],
                  diagnostics: tuple[Diagnostic, ...] = ()) -> None:
-        _set(self, "storyboard", storyboard)
-        _set(self, "stylesheet", stylesheet)
-        _set(self, "net", net)
-        _set(self, "info", info)
-        _set(self, "compositions", compositions)
-        _set(self, "diagnostics", diagnostics)
+        set_storyboard, set_stylesheet, set_net, set_info, set_compositions, set_diagnostics = self._setters
+        set_storyboard(self, storyboard)
+        set_stylesheet(self, stylesheet)
+        set_net(self, net)
+        set_info(self, info)
+        set_compositions(self, compositions)
+        set_diagnostics(self, diagnostics)
 
 
 def _reject_errors(diagnostics: list[Diagnostic]) -> None:
@@ -242,12 +244,13 @@ class TimelineEntry(Record):
 
     def __init__(self, t0: Fraction, t1: Fraction, shot_index: int, state: StateId,
                  in_transition: bool, composition: Composition) -> None:
-        _set(self, "t0", t0)
-        _set(self, "t1", t1)
-        _set(self, "shot_index", shot_index)
-        _set(self, "state", state)
-        _set(self, "in_transition", in_transition)
-        _set(self, "composition", composition)
+        set_t0, set_t1, set_shot_index, set_state, set_in_transition, set_composition = self._setters
+        set_t0(self, t0)
+        set_t1(self, t1)
+        set_shot_index(self, shot_index)
+        set_state(self, state)
+        set_in_transition(self, in_transition)
+        set_composition(self, composition)
 
 
 def timeline(compiled: CompiledStoryboard) -> list[TimelineEntry]:

@@ -12,9 +12,6 @@ from enum import Enum
 from operator import attrgetter
 from typing import Iterable
 
-#: Sets a field in a record's ``__init__``, past ``Record.__setattr__``.
-_set = object.__setattr__
-
 
 class Severity(Enum):
     ERROR = "error"
@@ -40,7 +37,8 @@ class Record:
     record's compared fields, equality, hash, repr and match arguments.
 
     A record lists its fields in ``__slots__``, in order, and sets them in
-    its ``__init__`` through ``_set``; assigning or deleting an attribute
+    its ``__init__`` through ``_setters``, each slot's own ``__set__`` in
+    field order, bound once per class; assigning or deleting an attribute
     afterwards raises ``dataclasses.FrozenInstanceError``.  Every field is
     compared except those a class names in ``_uncompared`` (a syntax
     node's source ``span``).  A record equals only a record of its own
@@ -60,9 +58,10 @@ class Record:
     _compared: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(
-            name for base in reversed(cls.__mro__) for name in base.__dict__.get("__slots__", ())
-        )
+        slots = [(base, name) for base in reversed(cls.__mro__)
+                 for name in base.__dict__.get("__slots__", ())]
+        cls._fields = tuple(name for _, name in slots)
+        cls._setters = tuple(base.__dict__[name].__set__ for base, name in slots)
         compared = cls._compared = tuple(
             name for name in cls._fields if name not in cls._uncompared
         )
@@ -96,7 +95,7 @@ class Record:
     def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
         """Restore the slots of a copied or unpickled record."""
         for name, value in state[1].items():
-            _set(self, name, value)
+            object.__setattr__(self, name, value)
 
 
 class Span(Record):
@@ -107,8 +106,9 @@ class Span(Record):
     def __init__(self, start: int, end: int) -> None:
         if start < 0 or end < start:
             raise ValueError(f"bad span [{start}, {end})")
-        _set(self, "start", start)
-        _set(self, "end", end)
+        set_start, set_end = self._setters
+        set_start(self, start)
+        set_end(self, end)
 
 
 # Lexical and syntactic errors.
@@ -139,10 +139,11 @@ class Diagnostic(Record):
     __slots__ = ("severity", "code", "span", "message")
 
     def __init__(self, severity: Severity, code: str, span: Span, message: str) -> None:
-        _set(self, "severity", severity)
-        _set(self, "code", code)
-        _set(self, "span", span)
-        _set(self, "message", message)
+        set_severity, set_code, set_span, set_message = self._setters
+        set_severity(self, severity)
+        set_code(self, code)
+        set_span(self, span)
+        set_message(self, message)
 
     def render(self, filename: str) -> str:
         """One-line form used by the command line: ``file:offset: code message``."""

@@ -9,7 +9,8 @@ each comment becomes as many spaces, so no offset moves, and one regular
 expression finds them all in linear time however many ``#`` a line holds.
 A board repeats its lexemes, so each distinct spelling is classified once
 per call, by one dict lookup for a keyword or punctuation mark: its kind,
-its value and whether it can end a multi-word keyword.  Keywords are
+its value and whether it can end a multi-word keyword.  A keyword in lower,
+capitalized or upper case is classified once per process.  Keywords are
 case-insensitive and subject names keep their spelling.  A word that can
 end a multi-word keyword ("Cut to", "medium long shot") right after a
 reserved word looks back, longest match first, over the reserved words
@@ -130,6 +131,10 @@ _WORDS: dict[str, tuple[TokenKind, object, bool]] = {
     ).items()
 }
 
+# Each keyword in lower, capitalized and upper case; a call's ``seen`` starts from a copy.
+_SPELLINGS = {spelling: hit for word, hit in _WORDS.items()
+              for spelling in (word, word.capitalize(), word.upper())}
+
 _SCAN = re.compile(
     r"([ \t\r\n]*)("                                              # blanks, then one lexeme:
     r"[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*|[,.]"     # a word or punctuation,
@@ -154,8 +159,8 @@ def lex(source: str) -> tuple[list[Token], list[Diagnostic], int]:
     RESERVED = TokenKind.RESERVED  # read once: on Python 3.10 and 3.11 TokenKind.X is slow
     diagnostics: list[Diagnostic] = []
     bad_words: list[Diagnostic] = []  # reported after the other diagnostics
-    # A board repeats its lexemes, so each spelling is classified once per call.
-    seen: dict[str, tuple[TokenKind | None, object, bool]] = {}
+    # A board repeats its lexemes, so each other spelling is classified once per call.
+    seen: dict[str, tuple[TokenKind | None, object, bool]] = _SPELLINGS.copy()
     floor = 0  # phrases start at tokens[floor] or later: none spans a rejected word
     pos = 0  # character index; token offsets become byte offsets at the end
     # Comments become blanks of the same length, so offsets are unchanged.

@@ -24,7 +24,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from .diagnostics import Record, _set
+from .diagnostics import Record
 from .stylesheet import HOLD_DURATION
 
 
@@ -38,8 +38,9 @@ class Place(Record):
     __slots__ = ("id", "kind")
 
     def __init__(self, id: str, kind: PlaceKind) -> None:
-        _set(self, "id", id)
-        _set(self, "kind", kind)
+        set_id, set_kind = self._setters
+        set_id(self, id)
+        set_kind(self, kind)
 
 
 class PetriToken(Record):
@@ -48,7 +49,7 @@ class PetriToken(Record):
     __slots__ = ("attrs",)
 
     def __init__(self, attrs: tuple[tuple[str, object], ...] = ()) -> None:
-        _set(self, "attrs", attrs)
+        self._setters[0](self, attrs)
 
     @classmethod
     def of(cls, **attrs: object) -> "PetriToken":
@@ -71,12 +72,13 @@ class Transition(Record):
                  outputs: tuple[str, ...], effect: tuple[tuple[str, PetriToken], ...] = ()) -> None:
         if duration < 0:
             raise ValueError(f"transition {id} has negative duration")
-        _set(self, "id", id)
-        _set(self, "label", label)
-        _set(self, "duration", duration)
-        _set(self, "inputs", inputs)
-        _set(self, "outputs", outputs)
-        _set(self, "effect", effect)
+        set_id, set_label, set_duration, set_inputs, set_outputs, set_effect = self._setters
+        set_id(self, id)
+        set_label(self, label)
+        set_duration(self, duration)
+        set_inputs(self, inputs)
+        set_outputs(self, outputs)
+        set_effect(self, effect)
 
 
 #: A marking maps every place id to the tokens it holds.
@@ -105,9 +107,10 @@ class Net(Record):
         for pid in initial:
             if pid not in known:
                 raise ValueError(f"initial marking names unknown place {pid!r}")
-        _set(self, "places", places)
-        _set(self, "transitions", transitions)
-        _set(self, "initial", initial)
+        set_places, set_transitions, set_initial = self._setters
+        set_places(self, places)
+        set_transitions(self, transitions)
+        set_initial(self, initial)
 
 
 class NetStructureError(ValueError):
@@ -148,10 +151,11 @@ class MarkingInterval(Record):
     __slots__ = ("t0", "t1", "changes", "fired")
 
     def __init__(self, t0: Fraction, t1: Fraction, changes: Marking, fired: str | None) -> None:
-        _set(self, "t0", t0)
-        _set(self, "t1", t1)
-        _set(self, "changes", changes)
-        _set(self, "fired", fired)
+        set_t0, set_t1, set_changes, set_fired = self._setters
+        set_t0(self, t0)
+        set_t1(self, t1)
+        set_changes(self, changes)
+        set_fired(self, fired)
 
 
 def simulate(net: Net) -> list[MarkingInterval]:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .ast import Composition, Profile, Storyboard
 from .compiler import CompiledStoryboard, compile_storyboard, timeline
-from .diagnostics import Record, _set
+from .diagnostics import Record
 from .formatter import format_composition
 from .stylesheet import DEFAULT_STYLESHEET, Stylesheet
 
@@ -44,11 +44,12 @@ class Figure(Record):
 
     def __init__(self, name: str, x: Fraction, height: Fraction, facing: Profile,
                  plane: int) -> None:
-        _set(self, "name", name)
-        _set(self, "x", x)
-        _set(self, "height", height)
-        _set(self, "facing", facing)
-        _set(self, "plane", plane)
+        set_name, set_x, set_height, set_facing, set_plane = self._setters
+        set_name(self, name)
+        set_x(self, x)
+        set_height(self, height)
+        set_facing(self, facing)
+        set_plane(self, plane)
 
 
 class FrameLayout(Record):
@@ -57,16 +58,18 @@ class FrameLayout(Record):
     __slots__ = ("figures", "caption")
 
     def __init__(self, figures: tuple[Figure, ...], caption: str) -> None:
-        _set(self, "figures", figures)
-        _set(self, "caption", caption)
+        set_figures, set_caption = self._setters
+        set_figures(self, figures)
+        set_caption(self, caption)
 
 
 class Frame(Record):
     __slots__ = ("filename", "svg")
 
     def __init__(self, filename: str, svg: str) -> None:
-        _set(self, "filename", filename)
-        _set(self, "svg", svg)
+        set_filename, set_svg = self._setters
+        set_filename(self, filename)
+        set_svg(self, svg)
 
 
 def layout(c: Composition, s: Stylesheet = DEFAULT_STYLESHEET) -> FrameLayout:
@@ -152,11 +155,15 @@ _FRAME_OPEN = "\n".join((
 ))
 
 
-def _frame_svg(l: FrameLayout, stamp: str | None, drawn: dict[Figure, str]) -> str:
+def _frame_svg(l: FrameLayout, stamp: str | None, drawn: dict[tuple, str]) -> str:
     lines = [_FRAME_OPEN]
     for fig in l.figures:
-        if (svg := drawn.get(fig)) is None:
-            svg = drawn[fig] = _figure_svg(fig)
+        # A key of ints, a str and a Profile hashes in C; a Fraction hashes in Python.
+        x, height = fig.x, fig.height
+        key = (fig.name, x.numerator, x.denominator, height.numerator, height.denominator,
+               fig.facing, fig.plane)
+        if (svg := drawn.get(key)) is None:
+            svg = drawn[key] = _figure_svg(fig)
         lines.append(svg)
     lines.append("</g>")
     if stamp is not None:

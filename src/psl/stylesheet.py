@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .ast import EVENT_VERBS, Lock, Profile, ShotTransition, Size
-from .diagnostics import Record, _set
+from .diagnostics import Record
 
 #: Verbs with a duration: every event verb plus the two joins.
 DURATION_VERBS = EVENT_VERBS + tuple(join.value for join in ShotTransition)
@@ -68,11 +68,12 @@ class Stylesheet(Record):
                  positions_by_cardinality: Mapping[int, tuple[Fraction, ...]] | None = None,
                  duration_by_verb: Mapping[str, Fraction] | None = None,
                  figure_height_by_size: Mapping[Size, Fraction] | None = None) -> None:
-        _set(self, "default_profile", default_profile)
-        _set(self, "positions_by_cardinality", MappingProxyType(
+        set_profile, set_positions, set_durations, set_heights = self._setters
+        set_profile(self, default_profile)
+        set_positions(self, MappingProxyType(
             {n: tuple(row) for n, row in (positions_by_cardinality or {}).items()}))
-        _set(self, "duration_by_verb", MappingProxyType(dict(duration_by_verb or {})))
-        _set(self, "figure_height_by_size", MappingProxyType(dict(figure_height_by_size or {})))
+        set_durations(self, MappingProxyType(dict(duration_by_verb or {})))
+        set_heights(self, MappingProxyType(dict(figure_height_by_size or {})))
         validate_stylesheet(self)
 
     def __reduce__(self):
@@ -220,7 +221,8 @@ def read_text(path: str) -> str:
 
 
 def load_stylesheet(path: str) -> Stylesheet:
-    """Parse the file at ``path``, read as the command line reads it; OSError if unreadable."""
+    """Parse the file at ``path``, read as ``read_text`` reads it: OSError, or ValueError for a
+    NUL in the path, if unreadable; StylesheetError if it is not UTF-8 or not a usable sheet."""
     try:
         text = read_text(path)
     except UnicodeDecodeError:

@@ -4,14 +4,18 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 from conftest import broken_paths, corpus_paths
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psl.ast import Size
 from psl.diagnostics import E_BAD_CHAR, E_BAD_WORD, E_NUMBER_RANGE
 from psl.formatter import format_storyboard
 from psl.generator import generate_storyboard
-from psl.lexer import _PHRASES, TokenKind, tokenize
+from psl import lexer
+from psl.lexer import _PHRASES, _SPELLINGS, _WORDS, TokenKind, _classify, tokenize
 from psl.parser import parse_storyboard
 
 
@@ -235,3 +239,34 @@ def test_a_line_of_many_hashes_lexes_in_linear_time():
         assert [t.kind for t in tokens] == [
             TokenKind.SIZE, TokenKind.ON, TokenKind.IDENT, TokenKind.PERIOD,
         ]
+
+
+def test_each_spelling_in_the_table_classifies_as_it_would_alone():
+    assert _SPELLINGS
+    for spelling, hit in _SPELLINGS.items():
+        assert hit == _classify(spelling), spelling
+    assert {"MS", "Ms", "ms", "Cut", "CLOSE-UP", "Close-up", ","} <= _SPELLINGS.keys()
+    before = dict(_SPELLINGS)
+    tokenize("Cut to MS on Zoe, Bob. ms on ZOE, 1/3 ~ Zoe-x.")
+    assert _SPELLINGS == before  # a call classifies into its own copy
+
+
+def _any_case(word: str) -> st.SearchStrategy[str]:
+    """``word`` as the table spells it, or in a mix of cases it does not hold."""
+    return st.sampled_from((word, word.capitalize(), word.upper())) | st.tuples(
+        *(st.sampled_from((c.lower(), c.upper())) for c in word)).map("".join)
+
+
+_LEXEMES = st.one_of(
+    st.sampled_from(sorted(_WORDS)).flatmap(_any_case),
+    st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,6}(-[A-Za-z]{1,3})?", fullmatch=True),
+    st.tuples(st.integers(0, 12), st.integers(0, 12)).map(lambda nd: f"{nd[0]}/{nd[1]}"),
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(_LEXEMES, min_size=8, max_size=40).map(" ".join))
+def test_lexing_with_the_spelling_table_matches_classifying_every_lexeme(text):
+    with_table = tokenize(text)
+    with mock.patch.object(lexer, "_SPELLINGS", {}):
+        assert tokenize(text) == with_table

@@ -246,6 +246,9 @@ def test_load_rejects_non_utf8_and_passes_on_os_errors(tmp_path):
         load_stylesheet(str(path))
     with pytest.raises(OSError):
         load_stylesheet(str(tmp_path / "missing.sheet"))
+    with pytest.raises(ValueError, match="null byte") as exc:
+        load_stylesheet(str(tmp_path / "a\x00b.sheet"))
+    assert exc.type is ValueError  # the path is bad, not the sheet: no StylesheetError
 
 
 # --- mutated stylesheets -------------------------------------------------
