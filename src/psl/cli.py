@@ -6,15 +6,18 @@ invocation is (unknown flags, unreadable files, unwritable paths).
 Diagnostics go to standard error; artifacts (canonical text, JSON, file
 listings) go to standard output.  Every command is a pure function of
 its inputs, so repeated runs print identical bytes.  ``main`` may be
-called many times in one process: it builds the argument parsers on its
-first call and reuses them, leaves a command's arguments to its parser,
-and reads its input files anew on every call, through the one reader
-``psl.stylesheet.read_text``, parsing a stylesheet only when its text
-differs from the last one parsed.  Every FILE is read, parsed and
-reported through one loader.  Importing this module loads only the front
-end every command runs (parser, validator, stylesheets, formatter); a
-command imports the compiler, the JSON writers, the renderer or the
-generator when it runs, so a ``check`` process never loads the net code.
+called many times in one process.  It reads a plain command line (a FILE
+command, its options spelt exactly, once each, and one FILE) straight from
+one table of each command's options, and imports and builds argparse from
+that table only for help, abbreviations, ``=`` forms, ``--``, ``fuzz`` and
+errors, once per process.  It reads its input files anew on every call,
+through the one reader ``psl.stylesheet.read_text``, parsing a stylesheet
+only when its text differs from the last one parsed.  Every FILE is read,
+parsed and reported through one loader.  Importing this module loads only
+the front end every command runs (parser, validator, stylesheets,
+formatter); a command imports the compiler, the JSON writers, the renderer
+or the generator when it runs, so a ``check`` process never loads the net
+code, and a plain line never loads argparse.
 ``main`` pauses the cyclic garbage collector for the call and restores
 the caller's setting on return: the pipeline's objects form no reference
 cycles, so collections would find nothing to free.  argparse's help
@@ -22,12 +25,12 @@ formatter does, so ``main`` collects once after usage or help.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from .analysis import ShotCategory, classify_shot, validate
 from .ast import EVENT_VERBS, Size, storyboard_compositions
@@ -65,7 +68,7 @@ def _parse_style(text: str) -> Stylesheet:
     return parse_stylesheet(text)
 
 
-def _load_style(args: argparse.Namespace) -> Stylesheet:
+def _load_style(args: SimpleNamespace) -> Stylesheet:
     style_path = getattr(args, "style", None)
     if style_path is None:
         return DEFAULT_STYLESHEET
@@ -84,7 +87,7 @@ def _print_diagnostics(diagnostics: list[Diagnostic], path: str, as_json: bool) 
               else d.render(path), file=sys.stderr)
 
 
-def _load(args: argparse.Namespace, stage: str = "validate"):
+def _load(args: SimpleNamespace, stage: str = "validate"):
     """``args.file`` parsed (``stage`` "parse"), validated ("validate") or
     compiled, which validates once ("compile"); print problems, raise on
     errors."""
@@ -106,12 +109,12 @@ def _load(args: argparse.Namespace, stage: str = "validate"):
     return result
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     _load(args)
     return 0
 
 
-def cmd_fmt(args: argparse.Namespace) -> int:
+def cmd_fmt(args: SimpleNamespace) -> int:
     text = format_storyboard(_load(args, "parse")) + "\n"
     if args.write:
         try:
@@ -124,20 +127,20 @@ def cmd_fmt(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compile(args: argparse.Namespace) -> int:
+def cmd_compile(args: SimpleNamespace) -> int:
     from .jsonio import net_json
     print(net_json(_load(args, "compile")))
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: SimpleNamespace) -> int:
     from .compiler import timeline
     from .jsonio import timeline_json
     print(timeline_json(timeline(_load(args, "compile"))))
     return 0
 
 
-def cmd_render(args: argparse.Namespace) -> int:
+def cmd_render(args: SimpleNamespace) -> int:
     from .render import render_compiled
     frames = render_compiled(_load(args, "compile"))
     out = Path(args.out)
@@ -152,7 +155,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: SimpleNamespace) -> int:
     from .jsonio import stats_json
     sb = _load(args)
     categories = {category.value: 0 for category in ShotCategory}
@@ -170,7 +173,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fuzz(args: argparse.Namespace) -> int:
+def cmd_fuzz(args: SimpleNamespace) -> int:
     from .generator import generate_sentence
     if args.count < 1:
         raise _Exit(2, "psl: --count must be at least 1")
@@ -185,60 +188,83 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-_COMMANDS: dict[str, argparse.ArgumentParser] = {}  # each command's parser, from build_parser
+#: The ``--style`` option, which every FILE command but ``fmt`` takes.
+_STYLE = ("PATH", "stylesheet overlay file", False)
+#: Every command that reads a FILE: its function, its help, and each
+#: option's spelling with its metavar (None for a flag), help and whether
+#: it is required.  ``build_parser`` and ``_parse_args`` both read it.
+_FILE_COMMANDS = {
+    "check": (cmd_check, "parse and validate; diagnostics on stderr",
+              {"--json": (None, "diagnostics as JSON lines", False), "--style": _STYLE}),
+    "fmt": (cmd_fmt, "print (or rewrite) the canonical form",
+            {"--write": (None, "rewrite FILE in place", False)}),
+    "compile": (cmd_compile, "emit the timed Petri net as JSON", {"--style": _STYLE}),
+    "simulate": (cmd_simulate, "emit the simulated timeline as JSON", {"--style": _STYLE}),
+    "render": (cmd_render, "write one SVG sketch per visible frame",
+               {"--style": _STYLE, "--out": ("DIR", "output directory", True)}),
+    "stats": (cmd_stats, "shot and event histograms as JSON", {"--style": _STYLE}),
+}
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``psl`` parser, built on the first call; every later call
-    returns the same object, so callers must not change it."""
+def build_parser():
+    """The ``psl`` argparse parser, built on the first call; every later
+    call returns the same object, so callers must not change it."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="psl",
         description="Parse, check, format, compile, simulate, and sketch prose storyboards.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def command(name: str, func, help_text: str, *, file: bool = True):
-        p = _COMMANDS[name] = sub.add_parser(name, help=help_text)
-        if file:
-            p.add_argument("file", metavar="FILE", help="storyboard source file")
+    for name, (func, help_text, options) in _FILE_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file", metavar="FILE", help="storyboard source file")
+        for spelling, (metavar, option_help, required) in options.items():
+            kind = {"action": "store_true"} if metavar is None else {"metavar": metavar}
+            p.add_argument(spelling, **kind, required=required, help=option_help)
         p.set_defaults(func=func)
-        return p
-
-    check = command("check", cmd_check, "parse and validate; diagnostics on stderr")
-    check.add_argument("--json", action="store_true", help="diagnostics as JSON lines")
-    check.add_argument("--style", metavar="PATH", help="stylesheet overlay file")
-
-    fmt = command("fmt", cmd_fmt, "print (or rewrite) the canonical form")
-    fmt.add_argument("--write", action="store_true", help="rewrite FILE in place")
-
-    for name, func, help_text in (
-        ("compile", cmd_compile, "emit the timed Petri net as JSON"),
-        ("simulate", cmd_simulate, "emit the simulated timeline as JSON"),
-        ("render", cmd_render, "write one SVG sketch per visible frame"),
-        ("stats", cmd_stats, "shot and event histograms as JSON"),
-    ):
-        p = command(name, func, help_text)
-        p.add_argument("--style", metavar="PATH", help="stylesheet overlay file")
-        if name == "render":
-            p.add_argument("--out", metavar="DIR", required=True, help="output directory")
-
-    fuzz = command("fuzz", cmd_fuzz, "roundtrip random sentences", file=False)
+    fuzz = sub.add_parser("fuzz", help="roundtrip random sentences")
     fuzz.add_argument("--count", type=int, default=100, metavar="N", help="sentences to try")
     fuzz.add_argument("--seed", type=int, default=0, metavar="N", help="base RNG seed")
-
+    fuzz.set_defaults(func=cmd_fuzz)
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)`` less its ``command`` field, in one
-    argparse pass when ``argv`` starts with a command whose parser takes the rest."""
-    parser = build_parser()
-    if argv and argv[0] in _COMMANDS:
-        args, rest = _COMMANDS[argv[0]].parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return parser.parse_args(argv)
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """What the full parser reads from ``argv``, a FILE command's line, when
+    the line is plain: each option spelt exactly and given once, a value not
+    starting with "-" after each option that takes one, every required
+    option, and one FILE; else None."""
+    func, _, options = _FILE_COMMANDS[argv[0]]
+    given, file = {}, None
+    words = iter(argv[1:])
+    for word in words:
+        if word[:1] != "-":
+            if file is not None:
+                return None
+            file = word
+        elif word in given or word not in options:
+            return None
+        elif options[word][0] is None:
+            given[word] = True
+        else:
+            value = given[word] = next(words, "-")
+            if value[:1] == "-":
+                return None
+    fields = {"command": argv[0], "file": file, "func": func}
+    for spelling, (metavar, _, required) in options.items():
+        if required and spelling not in given:
+            return None
+        fields[spelling[2:]] = given.get(spelling, None if metavar else False)
+    return None if file is None else SimpleNamespace(**fields)
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """``build_parser().parse_args(argv)``, read from ``_FILE_COMMANDS`` alone
+    when the line is plain; help, abbreviations, ``=`` forms, ``--``, ``fuzz``
+    and every error go to argparse."""
+    args = _plain_args(argv) if argv and argv[0] in _FILE_COMMANDS else None
+    return args or build_parser().parse_args(argv, namespace=SimpleNamespace())
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -143,9 +143,13 @@ def _subject_tokens(comp: Composition) -> dict[str, PetriToken]:
     return tokens
 
 
+#: The duration of a verb the stylesheet leaves out (validation warns, W203).
+_MISSING_DURATION = Fraction(1)
+
+
 def _duration(s: Stylesheet, verb: str) -> Fraction:
-    """Stylesheet duration, or 1 unit when missing (validation warns, W203)."""
-    return s.duration_by_verb.get(verb, Fraction(1))
+    """Stylesheet duration, or 1 unit when missing."""
+    return s.duration_by_verb.get(verb, _MISSING_DURATION)
 
 
 def _reads(e: ScreenEvent) -> tuple[str, ...]:

@@ -117,6 +117,11 @@ class NetStructureError(ValueError):
     """Simulation refused: ambiguous choice or runaway net."""
 
 
+#: The token an output gains when its transition consumed nothing from it;
+#: tokens are immutable, so every such output shares this one.
+_BLANK = PetriToken()
+
+
 def _changes(marking: Marking, transition: Transition) -> Marking:
     """The new tuple of each place an enabled transition's firing changes.
 
@@ -129,14 +134,14 @@ def _changes(marking: Marking, transition: Transition) -> Marking:
         tokens = marking[pid]
         consumed[pid] = tokens[0]
         changed[pid] = tokens[1:]
-    explicit = dict(transition.effect)
+    explicit = dict(transition.effect) if transition.effect else {}
     for pid in transition.outputs:
         if pid in explicit:
             token = explicit[pid]
         elif pid in consumed:
             token = consumed[pid]
         else:
-            token = PetriToken()
+            token = _BLANK
         before = changed[pid] if pid in changed else marking.get(pid, ())
         changed[pid] = (*before, token)
     return changed
@@ -184,13 +189,12 @@ def simulate(net: Net) -> list[MarkingInterval]:
 
     def classify(indices: list[int]) -> None:
         for i in indices:
-            empty = next(
-                (pid for pid in net.transitions[i].inputs if not marking.get(pid, ())), None
-            )
-            if empty is None:
-                ready.append(i)
+            for pid in net.transitions[i].inputs:
+                if not marking.get(pid, ()):
+                    waiting.setdefault(pid, []).append(i)
+                    break
             else:
-                waiting.setdefault(empty, []).append(i)
+                ready.append(i)
 
     classify(list(range(len(net.transitions))))
     for _ in range(bound):

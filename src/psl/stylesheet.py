@@ -38,11 +38,14 @@ DURATION_VERBS = EVENT_VERBS + tuple(join.value for join in ShotTransition)
 #: Marker verbs that may legitimately take zero time.
 ZERO_OK_VERBS = (Lock.verb, ShotTransition.CUT.value)
 
-#: The number types a stylesheet may hold; a float would break exact time.
-_EXACT = (int, Fraction)
-
 #: Length of the closing beat that keeps every shot's last composition visible.
 HOLD_DURATION = Fraction(1)
+
+
+def _exact(x: object) -> bool:
+    """``x`` may stand in a stylesheet: an int or a Fraction.  A float would
+    break exact time, and a bool would print as "True"."""
+    return isinstance(x, (int, Fraction)) and x.__class__ is not bool
 
 
 class StylesheetError(ValueError):
@@ -54,10 +57,10 @@ class Stylesheet(Record):
 
     An omitted table is empty.  Every figure height is required; a verb
     with no duration warns W203 and takes 1 unit.  Numbers are exact
-    (``int`` or ``Fraction``), the profile a ``Profile``, each count an
-    ``int``: ``StylesheetError`` says what is wrong, as it does for the
-    file form.  Each table is copied into a read-only mapping, each row
-    of positions into a tuple.
+    (``int`` or ``Fraction``, never ``bool``), the profile a ``Profile``,
+    each count an ``int``: ``StylesheetError`` says what is wrong, as it
+    does for the file form.  Each table is copied into a read-only
+    mapping, each row of positions into a tuple.
     """
 
     __slots__ = (
@@ -101,7 +104,7 @@ def validate_stylesheet(s: Stylesheet) -> None:
             raise StylesheetError(f"positions.{n}: the count must be at least 1")
         if len(positions) != n:
             raise StylesheetError(f"positions.{n} must list exactly {n} values")
-        if not all(isinstance(p, _EXACT) for p in positions):
+        if not all(map(_exact, positions)):
             raise StylesheetError(f"positions.{n} must be exact numbers")
         if any(not (0 < p < 1) for p in positions):
             raise StylesheetError(f"positions.{n} must lie inside (0, 1)")
@@ -110,7 +113,7 @@ def validate_stylesheet(s: Stylesheet) -> None:
     for verb, duration in s.duration_by_verb.items():
         if verb not in DURATION_VERBS:
             raise StylesheetError(f"unknown duration verb {verb!r}")
-        if not isinstance(duration, _EXACT):
+        if not _exact(duration):
             raise StylesheetError(f"duration.{verb} must be an exact number")
         if duration < 0:
             raise StylesheetError(f"duration.{verb} must not be negative")
@@ -120,7 +123,7 @@ def validate_stylesheet(s: Stylesheet) -> None:
     for size in Size:
         if size not in heights:
             raise StylesheetError(f"height.{size.name} is missing")
-        if not isinstance(heights[size], _EXACT):
+        if not _exact(heights[size]):
             raise StylesheetError(f"height.{size.name} must be an exact number")
         if not (0 < heights[size] <= 2):
             raise StylesheetError(f"height.{size.name} must be in (0, 2]")

@@ -2,14 +2,18 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import gc
+import io
 import json
 import os
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psl
 from conftest import BROKEN_DIR, CORPUS_DIR, broken_paths, corpus_paths, fresh_stdout, parse_ok
@@ -613,32 +617,86 @@ def _argvs(file, sheet, out):
         # no command, an unknown one, a misspelt one, a top-level option
         [], ["frobnicate"], ["frobnicate", file], ["CHECK", file], ["chec", file], ["-x"],
         ["--bogus", "check", file],
+        # the edges of a plain line: a repeated option, a value that starts
+        # with "-", an empty FILE, options after FILE, another command's
+        # option, a FILE that names a command, render without --style (also above)
+        ["check", "--json", "--json", file], ["check", "--style", sheet, "--style", sheet, file],
+        ["check", "--style", "-1", file], ["check", "--style", "-", file], ["check", "-1"],
+        ["check", ""], ["fmt", "--write", ""], ["check", "--style", "", file],
+        ["check", file, "--json"], ["check", file, "--json", "--style", sheet],
+        ["fmt", "--json", file], ["check", "--out", out, file], ["check", "--write", file],
+        ["check", "check"], ["fmt", "render"], ["render", "stats", "--out", out],
+        ["render", "--out", out, file], ["render", "--out", out, "--out", out, file],
     ]
 
 
-def _parsed(parse, argv, capsys):
-    """The fields ``parse`` sets but ``command``, or how it stopped."""
-    try:
-        args = parse(argv)
-    except SystemExit as stop:
-        captured = capsys.readouterr()
-        return ("SystemExit", stop.code, captured.out, captured.err)
-    assert capsys.readouterr() == ("", "")
-    return {key: value for key, value in vars(args).items() if key != "command"}
+def _parsed(parse, argv):
+    """The fields ``parse`` sets, or how it stopped.  Output is captured by
+    redirection, not ``capsys``, which a property test cannot reset
+    between its examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(argv)
+        except SystemExit as stop:
+            return ("SystemExit", stop.code, out.getvalue(), err.getvalue())
+    assert (out.getvalue(), err.getvalue()) == ("", "")
+    return vars(args)
 
 
-def test_main_parses_every_command_line_as_the_full_parser_does(capsys, tmp_path):
+def test_main_parses_every_command_line_as_the_full_parser_does(tmp_path):
     sheet = tmp_path / "slow.sheet"
     sheet.write_text("duration.cross = 4\n", encoding="utf-8")
     for argv in _argvs(str(CROSS), str(sheet), str(tmp_path / "frames")):
-        full = _parsed(cli.build_parser().parse_args, list(argv), capsys)
+        full = _parsed(cli.build_parser().parse_args, list(argv))
         # main parses through _parse_args; only a line it rejects is run whole
-        assert _parsed(cli._parse_args, list(argv), capsys) == full, argv
+        assert _parsed(cli._parse_args, list(argv)) == full, argv
         if isinstance(full, tuple):
-            assert _parsed(main, list(argv), capsys) == full, argv
+            assert _parsed(main, list(argv)) == full, argv
 
 
-def test_a_command_line_that_starts_with_a_command_is_parsed_once(capsys, monkeypatch):
+#: Words a command line is drawn from: commands, exact spellings, words
+#: that are paths or values, and abbreviated and "=" spellings, the option
+#: terminator, a lone dash, help, an unknown option, a negative number and
+#: an empty word.
+_NAMES = ("check", "fmt", "compile", "simulate", "render", "stats", "fuzz")
+_SPELT = ("--json", "--style", "--write", "--out", "--count", "--seed")
+_PLAIN = ("a.psl", "frames", "b/c.psl", "3", "x")
+_ODD = ("--js", "--sty", "--wr", "--o", "--c", "--s", "--help", "--style=a.sheet", "--out=frames",
+        "--json=1", "--count=3", "--", "-", "-h", "-x", "-1", "")
+#: Each command's options with their values, as a plain line has them.
+_OWN = {"check": (("--json",), ("--style", "a.sheet")), "fmt": (("--write",),),
+        "compile": (("--style", "a.sheet"),), "simulate": (("--style", "a.sheet"),),
+        "render": (("--style", "a.sheet"), ("--out", "frames")), "stats": (("--style", "a.sheet"),),
+        "fuzz": (("--count", "3"), ("--seed", "1"))}
+#: Pieces that make a line not plain: a value that starts with "-", a
+#: missing value, another command's option, a second FILE.
+_BREAKERS = (("--style", "-1"), ("--out",), ("--write",), ("a.psl",))
+
+
+def _lines(name):
+    """Lines of command ``name``: some of its own options, at most one piece
+    that makes the line not plain, and one FILE, in any order."""
+    parts = st.tuples(st.lists(st.sampled_from(_OWN[name]), unique=True),
+                      st.sampled_from(((),) * 4 + tuple((piece,) for piece in _BREAKERS)),
+                      st.sampled_from(("a.psl", "", "check", "b/c.psl", "-1")))
+    return parts.flatmap(lambda p: st.permutations([*p[0], *p[1], (p[2],)])).map(
+        lambda pieces: [name, *(word for piece in pieces for word in piece)])
+
+
+#: Any 0-6 words, or a line of one command.
+_ARGVS = st.one_of(st.lists(st.sampled_from(_NAMES + _SPELT + _PLAIN + _ODD), max_size=6),
+                   st.sampled_from(_NAMES).flatmap(_lines))
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(_ARGVS)
+def test_the_plain_reader_agrees_with_argparse_on_any_command_line(argv):
+    assert _parsed(cli._parse_args, list(argv)) == _parsed(cli.build_parser().parse_args, list(argv))
+
+
+def test_a_command_line_that_starts_with_a_command_is_parsed_once(capsys, monkeypatch, tmp_path):
+    """A plain line runs no argparse parser; any other runs the full parser once."""
     parsers = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -648,17 +706,22 @@ def test_a_command_line_that_starts_with_a_command_is_parsed_once(capsys, monkey
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
     assert run(capsys, "check", "--style", str(CROSS), str(CROSS))[0] == 1
+    assert run(capsys, "render", str(CROSS), "--out", str(tmp_path))[0] == 0
+    assert run(capsys, "fmt", "--write", str(tmp_path / "missing.psl"))[0] == 2
+    assert parsers == []
+    assert run(capsys, "check", f"--style={CROSS}", str(CROSS))[0] == 1
     assert run(capsys, "fuzz", "--count", "2") == (0, "2 sentences, 2 ok, 0 failed\n", "")
-    assert parsers == ["psl check", "psl fuzz"]
-    with pytest.raises(SystemExit):  # what the command's parser leaves goes to the full parser
+    assert parsers == ["psl", "psl check", "psl", "psl fuzz"]
+    with pytest.raises(SystemExit):
         main(["check", str(CROSS), "--bogus"])
-    assert parsers[2:] == ["psl check", "psl", "psl check"]
+    assert parsers[4:] == ["psl", "psl check"]
     capsys.readouterr()
 
 
 def test_the_parser_is_built_on_the_first_call_only():
-    # Counts parsers created in a fresh interpreter: none at import (so
-    # start-up does not pay for them), some on the first call, none after.
+    # Counts parsers created in a fresh interpreter: none at import or for
+    # plain lines (so neither pays for them), some on the first line that
+    # needs argparse, none after.
     script = (
         "import argparse\n"
         "made = []\n"
@@ -669,15 +732,38 @@ def test_the_parser_is_built_on_the_first_call_only():
         "argparse.ArgumentParser.__init__ = counting\n"
         "import psl.cli\n"
         "counts = [len(made)]\n"
-        "for _ in range(2):\n"
-        f"    assert psl.cli.main(['check', {str(CROSS)!r}]) == 0\n"
+        f"for argv in (['check', {str(CROSS)!r}], ['check', '--json', {str(CROSS)!r}],\n"
+        f"             ['check', '--js', {str(CROSS)!r}], ['check', '--', {str(CROSS)!r}],\n"
+        f"             ['check', {str(CROSS)!r}]):\n"
+        "    assert psl.cli.main(argv) == 0\n"
         "    counts.append(len(made))\n"
-        "print(counts[0], counts[1] - counts[0], counts[2] - counts[1])\n"
+        "print(*counts)\n"
     )
-    at_import, first, second = map(int, fresh_stdout(script).split())
-    assert at_import == 0
-    assert first > 0
-    assert second == 0
+    counts = list(map(int, fresh_stdout(script).split()))
+    assert counts[:3] == [0, 0, 0]
+    assert counts[3] > 0
+    assert counts[4:] == [counts[3]] * 2
+
+
+def test_a_plain_command_line_loads_neither_argparse_nor_gettext(tmp_path):
+    """Every FILE command, styled where it takes a stylesheet, in one fresh
+    interpreter; the modules are diffed within it, as above."""
+    sheet = tmp_path / "slow.sheet"
+    sheet.write_text("duration.cross = 4\n", encoding="utf-8")
+    file, style, out = str(CROSS), str(sheet), str(tmp_path / "frames")
+    lines = [["check", "--json", "--style", style, file], ["fmt", file],
+             ["compile", file, "--style", style], ["simulate", file],
+             ["render", "--style", style, file, "--out", out], ["stats", "--style", style, file]]
+    added = set(fresh_stdout(
+        "import contextlib, io\n"
+        "before = set(sys.modules)\n"
+        "from psl.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert [main(argv) for argv in {lines!r}] == [0] * 6\n"
+        "print(*sorted(set(sys.modules) - before))"
+    ).split())
+    assert "psl.render" in added
+    assert sorted(added & {"argparse", "gettext"}) == []
 
 
 def test_a_reused_parser_behaves_like_a_fresh_one(capsys, tmp_path):
