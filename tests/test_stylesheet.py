@@ -162,12 +162,6 @@ def test_a_sheet_built_in_code_fails_as_its_file_does(text, tables):
         (dict(positions={4: (0.125, 0.375, 0.625, 0.875)}), "positions.4 must be exact numbers"),
         (dict(durations={"speak": 2.0}), "duration.speak must be an exact number"),
         (dict(heights={Size.MS: 0.75}), "height.MS must be an exact number"),
-        # a bool is an int to isinstance, but would print as "True" in a net
-        (dict(durations={"speak": True}), "duration.speak must be an exact number"),
-        (dict(durations={"cut": False}), "duration.cut must be an exact number"),
-        (dict(heights={Size.MS: True}), "height.MS must be an exact number"),
-        (dict(positions={1: (True,)}), "positions.1 must be exact numbers"),
-        (dict(positions={2: (False, Fraction(1, 2))}), "positions.2 must be exact numbers"),
         (dict(profile="sideways"), "profile 'sideways' is not a Profile"),
         (dict(profile=None), "profile None is not a Profile"),
         (dict(positions={"2": (Fraction(1, 4), Fraction(3, 4))}),
@@ -175,6 +169,12 @@ def test_a_sheet_built_in_code_fails_as_its_file_does(text, tables):
         (dict(positions={True: (Fraction(1, 2),)}), "positions.True: the count must be an int"),
         (dict(positions={2.0: (Fraction(1, 4), Fraction(3, 4))}),
          "positions.2.0: the count must be an int"),
+        # a bool is an int to isinstance, but would print as "True" in a net
+        (dict(durations={"speak": True}), "duration.speak must be an exact number"),
+        (dict(durations={"cut": False}), "duration.cut must be an exact number"),
+        (dict(heights={Size.MS: True}), "height.MS must be an exact number"),
+        (dict(positions={1: (True,)}), "positions.1 must be exact numbers"),
+        (dict(positions={2: (False, Fraction(1, 2))}), "positions.2 must be exact numbers"),
     ],
 )
 def test_tables_built_in_code_are_checked(tables, message):
