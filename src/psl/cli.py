@@ -12,12 +12,14 @@ one table of each command's options, and imports and builds argparse from
 that table only for help, abbreviations, ``=`` forms, ``--``, ``fuzz`` and
 errors, once per process.  It reads its input files anew on every call,
 through the one reader ``psl.stylesheet.read_text``, parsing a stylesheet
-only when its text differs from the last one parsed.  Every FILE is read,
-parsed and reported through one loader.  Importing this module loads only
-the front end every command runs (parser, validator, stylesheets,
-formatter); a command imports the compiler, the JSON writers, the renderer
-or the generator when it runs, so a ``check`` process never loads the net
-code, and a plain line never loads argparse.
+only when its text differs from the last one parsed, and writes every file
+through the one writer ``_write``; ``render`` opens its output directory
+once, writes each frame by name in it, then prints the whole listing in
+one write.  Every FILE is read, parsed and reported through one loader.
+Importing this module loads only the front end every command runs (parser,
+validator, stylesheets, formatter); a command imports the compiler, the
+JSON writers, the renderer or the generator when it runs, so a ``check``
+process never loads the net code, and a plain line never loads argparse.
 ``main`` pauses the cyclic garbage collector for the call and restores
 the caller's setting on return: the pipeline's objects form no reference
 cycles, so collections would find nothing to free.  argparse's help
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -57,6 +60,18 @@ def _read_source(path: str) -> str:
         raise _Exit(2, f"psl: {path} is not valid UTF-8: {err}") from None
     except (OSError, ValueError) as err:
         raise _cannot(f"read {path}", err) from None
+
+
+def _write(path: str, data: bytes, dir_fd: int | None = None) -> None:
+    """Write ``data`` to ``path``, a name in the directory ``dir_fd`` if given: a new file
+    gets mode 0o666 less the umask, an existing one is truncated.  OSError, or ValueError
+    for a NUL in the path, if it cannot be written."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666, dir_fd=dir_fd)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 @functools.lru_cache(maxsize=1)
@@ -118,9 +133,8 @@ def cmd_fmt(args: SimpleNamespace) -> int:
     text = format_storyboard(_load(args, "parse")) + "\n"
     if args.write:
         try:
-            with open(args.file, "w", encoding="utf-8") as file:
-                file.write(text)
-        except OSError as err:
+            _write(args.file, text.encode("utf-8"))
+        except (OSError, ValueError) as err:
             raise _cannot(f"write {args.file}", err) from None
     else:
         sys.stdout.write(text)
@@ -146,12 +160,17 @@ def cmd_render(args: SimpleNamespace) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for frame in frames:
-            (out / frame.filename).write_text(frame.svg, encoding="utf-8")
+        # O_PATH asks for no read permission on the directory, as writing into it by name did not.
+        dir_fd = os.open(out, getattr(os, "O_PATH", os.O_RDONLY) | os.O_DIRECTORY)
+        try:
+            for frame in frames:
+                _write(frame.filename, frame.svg.encode("utf-8"), dir_fd)
+        finally:
+            os.close(dir_fd)
     except (OSError, ValueError) as err:
         raise _cannot(f"write to {args.out}", err) from None
-    for frame in frames:
-        print(out / frame.filename)
+    head = str(out / "_")[:-1]  # what pathlib puts before a joined name: "" for "."
+    sys.stdout.write("".join([f"{head}{frame.filename}\n" for frame in frames]))
     return 0
 
 

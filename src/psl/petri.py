@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .diagnostics import Record
-from .stylesheet import HOLD_DURATION
+from .stylesheet import HOLD_DURATION, _exact
 
 
 class PlaceKind(Enum):
@@ -64,13 +64,17 @@ class PetriToken(Record):
 
 class Transition(Record):
     """``effect`` lists explicit tokens for some output places; the rest
-    pass through."""
+    pass through.  ``duration`` is exact and not negative: an ``int`` (not a
+    ``bool``) or a ``Fraction``, else ValueError."""
 
     __slots__ = ("id", "label", "duration", "inputs", "outputs", "effect")
 
     def __init__(self, id: str, label: str, duration: Fraction, inputs: tuple[str, ...],
                  outputs: tuple[str, ...], effect: tuple[tuple[str, PetriToken], ...] = ()) -> None:
-        if duration < 0:
+        if not _exact(duration):
+            raise ValueError(f"transition {id} duration {duration!r} is not an exact number")
+        # The reduced numerator carries the sign without a Fraction comparison.
+        if duration.numerator < 0:
             raise ValueError(f"transition {id} has negative duration")
         set_id, set_label, set_duration, set_inputs, set_outputs, set_effect = self._setters
         set_id(self, id)

@@ -14,11 +14,15 @@ a bare head.  Background planes fade by 15% opacity per plane step and
 are drawn first.
 
 Output is byte-deterministic: fixed attribute order, every coordinate
-formatted to two decimals, no timestamps, no randomness.  Escaping is
-local, so loading this module loads no XML or HTTP code.  The memos of
-``render_compiled`` live for one call: figures are memoized by value, and
-layouts by the identity of the compiler's frames, which the timeline
-shares and the call keeps alive, so no ``Composition`` is hashed.
+formatted to two decimals, no timestamps, no randomness.  A figure is
+drawn with one fill of a ``%.2f`` template, and a coordinate that prints
+as "-0.00" then reads "0.00"; the figure's name is joined after that
+mapping, so it is never rewritten.  Escaping is local, so loading this
+module loads no XML or HTTP code.  The memos of ``render_compiled`` live
+for one call: a figure's SVG is memoized by its name, the reduced terms of
+its two fractions, its profile and its plane, and a layout by the identity
+of the compiler's frame, which the timeline shares and the call keeps
+alive, so neither a ``Fraction`` nor a ``Composition`` is hashed.
 """
 from __future__ import annotations
 
@@ -92,8 +96,23 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _fmt(value: float) -> str:
-    return "0.00" if (text := f"{value:.2f}") == "-0.00" else text
+#: A figure's geometry after its name, every number a ``%.2f`` field.
+_FIGURE = "\n".join((
+    '" opacity="%.2f" stroke="#1a1a1a" stroke-width="%.2f" stroke-linecap="round" fill="none">',
+    '<circle class="head" cx="%.2f" cy="%.2f" r="%.2f"/>',
+    '<line class="torso" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f"/>',
+    '<line class="arm" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f"/>',
+    '<line class="arm" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f"/>',
+    '<line class="leg" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f"/>',
+    '<line class="leg" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f"/>',
+))
+#: The same, with a nose tick.
+_FIGURE_FACING = _FIGURE + '\n<line class="nose" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f"/>'
+
+
+def _fill(template: str, values: tuple[float, ...]) -> str:
+    """``template % values``, a field that reads "-0.00" printed as "0.00"."""
+    return (template % values).replace('"-0.00"', '"0.00"')
 
 
 def _figure_svg(fig: Figure) -> str:
@@ -102,37 +121,19 @@ def _figure_svg(fig: Figure) -> str:
     r = h / 8.0
     y_top = max(FRAME_HEIGHT - h, 0.06 * FRAME_HEIGHT)
     head_cy = y_top + r
-    opacity = 0.85 ** fig.plane
-    stroke = max(1.0, h / 60.0)
-    parts = [
-        f'<g class="figure" data-name="{_escape(fig.name)}" opacity="{_fmt(opacity)}" '
-        f'stroke="#1a1a1a" stroke-width="{_fmt(stroke)}" stroke-linecap="round" fill="none">',
-        f'<circle class="head" cx="{_fmt(x)}" cy="{_fmt(head_cy)}" r="{_fmt(r)}"/>',
-        f'<line class="torso" x1="{_fmt(x)}" y1="{_fmt(y_top + 2 * r)}" '
-        f'x2="{_fmt(x)}" y2="{_fmt(y_top + 0.55 * h)}"/>',
-    ]
     shoulder_y = y_top + 0.30 * h
     hand_y = y_top + 0.48 * h
     hip_y = y_top + 0.55 * h
     foot_y = y_top + h
-    for side in (-1, 1):
-        parts.append(
-            f'<line class="arm" x1="{_fmt(x)}" y1="{_fmt(shoulder_y)}" '
-            f'x2="{_fmt(x + side * 0.16 * h)}" y2="{_fmt(hand_y)}"/>'
-        )
-    for side in (-1, 1):
-        parts.append(
-            f'<line class="leg" x1="{_fmt(x)}" y1="{_fmt(hip_y)}" '
-            f'x2="{_fmt(x + side * 0.10 * h)}" y2="{_fmt(foot_y)}"/>'
-        )
+    values = (0.85 ** fig.plane, max(1.0, h / 60.0), x, head_cy, r, x, y_top + 2 * r, x, hip_y,
+              x, shoulder_y, x - 0.16 * h, hand_y, x, shoulder_y, x + 0.16 * h, hand_y,
+              x, hip_y, x - 0.10 * h, foot_y, x, hip_y, x + 0.10 * h, foot_y)
+    template = _FIGURE
     if fig.facing is not Profile.BACK:
         a = math.radians(fig.facing.azimuth)
-        parts.append(
-            f'<line class="nose" x1="{_fmt(x)}" y1="{_fmt(head_cy)}" '
-            f'x2="{_fmt(x - r * math.sin(a))}" y2="{_fmt(head_cy - 0.3 * r * math.cos(a))}"/>'
-        )
-    parts.append("</g>")
-    return "\n".join(parts)
+        template = _FIGURE_FACING
+        values += (x, head_cy, x - r * math.sin(a), head_cy - 0.3 * r * math.cos(a))
+    return f'<g class="figure" data-name="{_escape(fig.name)}{_fill(template, values)}\n</g>'
 
 
 def render_frame(l: FrameLayout, stamp: str | None = None) -> str:
@@ -195,7 +196,7 @@ def render_compiled(compiled: CompiledStoryboard) -> list[Frame]:
     frames: list[Frame] = []
     counts: dict[int, int] = {}
     layouts: dict[int, FrameLayout] = {}
-    drawn: dict[Figure, str] = {}
+    drawn: dict[tuple, str] = {}
     for entry in timeline(compiled):
         if entry.t0 == entry.t1:
             continue

@@ -9,7 +9,9 @@ import io
 import json
 import os
 import random
+import stat
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from conftest import BROKEN_DIR, CORPUS_DIR, broken_paths, corpus_paths, fresh_s
 from psl import analysis, cli, compiler
 from psl.cli import main
 from psl.diagnostics import in_source_order
+from psl.render import render_compiled
 from psl.stylesheet import DEFAULT_STYLESHEET, StylesheetError, load_stylesheet, parse_stylesheet
 
 CROSS = CORPUS_DIR / "07_cross.psl"
@@ -439,6 +442,84 @@ def test_render_respects_a_stylesheet(capsys, tmp_path):
     out_dir = tmp_path / "frames"
     code, out, _ = run(capsys, "render", str(CROSS), "--style", str(sheet), "--out", str(out_dir))
     assert code == 0
+
+
+def cross_frames():
+    """What ``render`` writes for ``CROSS``: each file's name and bytes."""
+    compiled = compiler.compile_storyboard(parse_ok(CROSS.read_text(encoding="utf-8")))
+    return {frame.filename: frame.svg.encode("utf-8") for frame in render_compiled(compiled)}
+
+
+def test_render_replaces_a_longer_file_at_a_frame_name(capsys, tmp_path):
+    expected = cross_frames()
+    name = sorted(expected)[0]
+    (tmp_path / name).write_bytes(b"x" * (len(expected[name]) + 1000))
+    assert run(capsys, "render", str(CROSS), "--out", str(tmp_path))[0] == 0
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == expected
+
+
+def test_render_writes_every_byte_when_each_write_is_short(capsys, monkeypatch, tmp_path):
+    real_open, real_write = os.open, os.write
+    opened, writes = [], []
+
+    def recording_open(*args, **kwargs):
+        fd = real_open(*args, **kwargs)
+        opened.append(os.get_inheritable(fd))
+        return fd
+
+    def short_write(fd, data):
+        writes.append(fd)
+        return real_write(fd, bytes(data)[:7])
+
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(os, "write", short_write)
+    code = main(["render", str(CROSS), "--out", str(tmp_path)])
+    monkeypatch.undo()
+    assert code == 0
+    expected = cross_frames()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == expected
+    assert len(writes) == sum(-(-len(svg) // 7) for svg in expected.values())
+    assert opened == [False] * (len(expected) + 1)  # the directory, then each frame
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o002], ids=oct)
+def test_render_files_get_the_mode_open_gives(capsys, tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        assert run(capsys, "render", str(CROSS), "--out", str(tmp_path / "frames"))[0] == 0
+    finally:
+        os.umask(previous)
+    mode = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+    assert [stat.S_IMODE(p.stat().st_mode) for p in (tmp_path / "frames").iterdir()] == [mode] * 3
+
+
+@pytest.mark.parametrize("spelling", [".", "", "d/", "./d", "d//e", "ABSOLUTE", "ABSOLUTE/"])
+def test_render_lists_each_file_as_pathlib_joins_it(capsys, monkeypatch, tmp_path, spelling):
+    monkeypatch.chdir(tmp_path)
+    out = spelling.replace("ABSOLUTE", str(tmp_path / "abs"))
+    code, listing, err = run(capsys, "render", str(CROSS), "--out", out)
+    assert (code, err) == (0, "")
+    names = sorted(cross_frames())
+    assert listing == "".join(f"{Path(out) / name}\n" for name in names)
+    assert all(Path(line).read_bytes().startswith(b"<svg") for line in listing.splitlines())
+
+
+def test_render_onto_a_directory_at_a_frame_name_is_an_invocation_error(capsys, tmp_path):
+    names = sorted(cross_frames())
+    (tmp_path / names[1]).mkdir()
+    code, out, err = run(capsys, "render", str(CROSS), "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"psl: cannot write to {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+    assert (tmp_path / names[0]).is_file() and (tmp_path / names[1]).is_dir()
+
+
+def test_fmt_write_replaces_a_longer_file(capsys, tmp_path):
+    path = tmp_path / "messy.psl"
+    path.write_text("ms    ON     Anna.   \n\n\n", encoding="utf-8")
+    assert run(capsys, "fmt", "--write", str(path)) == (0, "", "")
+    assert path.read_bytes() == b"MS on Anna.\n"
 
 
 def test_non_utf8_stylesheet_is_a_read_error(capsys, tmp_path):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -44,9 +45,16 @@ def test_tokens_are_value_objects():
     assert dict(b.attrs) == {"size": "MS", "slot": 0}
 
 
-def test_transition_rejects_negative_duration():
+@pytest.mark.parametrize("duration", [Fraction(-1), -1, 1.5, float("nan"), Decimal("1.5"), True, "1"])
+def test_transition_rejects_negative_duration(duration):
+    """A duration is exact and not negative: floats, Decimals and bools are refused."""
     with pytest.raises(ValueError):
-        Transition("t", "bad", Fraction(-1), ("a",), ("b",))
+        Transition("t", "bad", duration, ("a",), ("b",))
+
+
+@pytest.mark.parametrize("duration", [0, 2, Fraction(0), Fraction(3, 2)])
+def test_transition_accepts_exact_durations(duration):
+    assert Transition("t", "ok", duration, ("a",), ("b",)).duration is duration
 
 
 def test_net_rejects_duplicate_places():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import render_reference
 from conftest import corpus_paths, parse_ok
 from psl import render
 from psl.ast import Profile, Size
@@ -17,6 +18,7 @@ from psl.render import (
     CAPTION_BAND,
     FRAME_HEIGHT,
     FRAME_WIDTH,
+    Figure,
     layout,
     render_compiled,
     render_frame,
@@ -146,10 +148,16 @@ def rounded_then_formatted(value):
     return f"{round(value, 2) + 0.0:.2f}"
 
 
+def filled(value):
+    """One coordinate as a figure prints it: a quoted ``%.2f`` field of a ``_fill``."""
+    return render._fill('x="%.2f"', (value,))
+
+
 @fixed
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_fmt_matches_rounding_then_formatting(value):
-    assert render._fmt(value) == rounded_then_formatted(value)
+    assert filled(value) == f'x="{rounded_then_formatted(value)}"'
+    assert render_reference._fmt(value) == rounded_then_formatted(value)
 
 
 @pytest.mark.parametrize(
@@ -164,7 +172,49 @@ def test_fmt_matches_rounding_then_formatting(value):
     ],
 )
 def test_fmt_edge_values(value, text):
-    assert render._fmt(value) == rounded_then_formatted(value) == text
+    assert filled(value) == f'x="{text}"'
+    assert render_reference._fmt(value) == rounded_then_formatted(value) == text
+
+
+def test_a_name_that_reads_minus_zero_is_kept():
+    fig = Figure('"-0.00"', Fraction(1, 2), Fraction(1), Profile.FRONT, 0)
+    svg = render._figure_svg(fig)
+    assert svg == render_reference._figure_svg(fig)
+    assert svg.startswith('<g class="figure" data-name=""-0.00"" opacity="1.00"')
+
+
+#: How far left of its centre a hand and a foot reach, as a fraction of the
+#: frame width, per unit of figure height (a fraction of the frame height).
+_REACH = tuple(Fraction(reach, 100) * FRAME_HEIGHT / FRAME_WIDTH for reach in (16, 10))
+
+
+@st.composite
+def figures(draw):
+    """Any figure, a third of them placed so that a hand or a foot lands
+    within half a hundredth of a pixel left of the frame's left edge."""
+    height = draw(st.fractions(Fraction(1, 100), 2, max_denominator=1000))
+    x = draw(st.fractions(Fraction(1, 1000), Fraction(999, 1000), max_denominator=10**6))
+    if draw(st.integers(0, 2)) == 0:
+        reach = draw(st.sampled_from(_REACH)) * height
+        x = reach - draw(st.fractions(0, Fraction(1, 200), max_denominator=1000)) / FRAME_WIDTH
+        x = max(x, Fraction(1, 10**9))
+    name = draw(st.text(max_size=8))
+    return Figure(name, x, height, draw(st.sampled_from(list(Profile))), draw(st.integers(0, 3)))
+
+
+@fixed
+@given(figures())
+def test_a_figure_draws_as_the_reference_does(fig):
+    assert render._figure_svg(fig) == render_reference._figure_svg(fig)
+
+
+def test_the_figure_property_reaches_minus_zero():
+    """The near-edge placement above does print "-0.00" before the mapping."""
+    height = Fraction(1)
+    fig = Figure("Anna", _REACH[0] * height - Fraction(1, 1000) / FRAME_WIDTH, height,
+                 Profile.FRONT, 0)
+    assert f"{float(fig.x) * FRAME_WIDTH - 0.16 * float(height) * FRAME_HEIGHT:.2f}" == "-0.00"
+    assert 'x2="0.00"' in render._figure_svg(fig) == render_reference._figure_svg(fig)
 
 
 # --- render_compiled on generated boards ---------------------------------
