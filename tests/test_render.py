@@ -149,7 +149,7 @@ def rounded_then_formatted(value):
 
 
 def filled(value):
-    """One coordinate as a figure prints it: a quoted ``%.2f`` field of a ``_fill``."""
+    """One coordinate as a figure prints it, in a quoted ``%.2f`` field."""
     return render._fill('x="%.2f"', (value,))
 
 
