@@ -21,11 +21,12 @@ that a longest match from the first word would.
 Spans are byte offsets into the UTF-8 encoding of the source, half open.
 The scan counts characters; in an ASCII source those are the byte offsets,
 and otherwise every token is mapped through a table of byte offsets once
-at the end (a diagnostic reads the table when it is made).  Each token is
-built as ``tuple.__new__(Token, fields)``, which skips the Python-level
-``__new__`` of the named tuple.  Concatenating token lexemes plus the
-skipped gaps (whitespace, comments, characters reported as errors)
-reproduces the source exactly.
+at the end (a diagnostic reads the table when it is made).  ``lex``, which
+the parser reads, gives each token as a plain tuple ``(kind, lexeme, start,
+end, value)``; only ``tokenize`` wraps each as a ``Token``, by
+``tuple.__new__``.  Concatenating token lexemes plus the skipped gaps
+(whitespace, comments, characters reported as errors) reproduces the
+source exactly.
 """
 from __future__ import annotations
 
@@ -148,14 +149,14 @@ _COMMENT = re.compile(r"^([^\S\n]*)#[^\n]*", re.MULTILINE)
 def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
     """Lex ``source``; bad input yields diagnostics, never an exception."""
     tokens, diagnostics, _ = lex(source)
-    return tokens, diagnostics
+    return list(map(tuple.__new__, repeat(Token), tokens)), diagnostics
 
 
-def lex(source: str) -> tuple[list[Token], list[Diagnostic], int]:
-    """``tokenize``, plus the length of the source in UTF-8 bytes."""
+def lex(source: str) -> tuple[list[tuple], list[Diagnostic], int]:
+    """``tokenize`` with plain tuples for tokens, plus the source's length in UTF-8 bytes."""
     to_byte = _byte_offsets(source)
-    tokens: list[Token] = []
-    append, new = tokens.append, tuple.__new__
+    tokens: list[tuple] = []
+    append = tokens.append
     RESERVED = TokenKind.RESERVED  # read once: on Python 3.10 and 3.11 TokenKind.X is slow
     diagnostics: list[Diagnostic] = []
     bad_words: list[Diagnostic] = []  # reported after the other diagnostics
@@ -181,23 +182,23 @@ def lex(source: str) -> tuple[list[Token], list[Diagnostic], int]:
             else:
                 diagnostics.append(found)
             continue
-        if ends and len(tokens) > floor and tokens[-1].kind is RESERVED:
-            key = (tokens[-1].lexeme.lower(), lexeme.lower())
+        if ends and len(tokens) > floor and tokens[-1][0] is RESERVED:
+            key = (tokens[-1][1].lower(), lexeme.lower())
             n = 1
-            if len(tokens) - 1 > floor and tokens[-2].kind is RESERVED:
-                longer = (tokens[-2].lexeme.lower(), *key)
+            if len(tokens) - 1 > floor and tokens[-2][0] is RESERVED:
+                longer = (tokens[-2][1].lower(), *key)
                 if longer in _PHRASES:
                     key, n = longer, 2
             phrase = _PHRASES.get(key)
             if phrase is not None:
                 # the lexeme keeps what lies between the words
-                start = tokens[-n].start
+                start = tokens[-n][2]
                 lexeme = source[start:pos]
                 kind, value = phrase
                 del tokens[-n:]
-        append(new(Token, (kind, lexeme, start, pos, value)))
+        append((kind, lexeme, start, pos, value))
     if not source.isascii():
-        tokens = [new(Token, (k, w, to_byte[s], to_byte[e], v)) for k, w, s, e, v in tokens]
+        tokens = [(k, w, to_byte[s], to_byte[e], v) for k, w, s, e, v in tokens]
     return tokens, diagnostics + bad_words, to_byte[-1]
 
 

@@ -349,13 +349,16 @@ def test_fmt_write_to_the_file_and_a_slash_leaves_the_file_alone(capsys, tmp_pat
     assert path.read_bytes() == b"ms ON Anna."
 
 
-def test_fmt_is_idempotent_over_the_corpus(capsys):
+def test_fmt_is_idempotent_over_the_corpus(capsys, tmp_path):
     for path in sorted(CORPUS_DIR.glob("*.psl")):
         code, once, _ = run(capsys, "fmt", str(path))
         assert code == 0, path.name
-        # formatting canonical text changes nothing
-        tmp = path.read_text(encoding="utf-8")
         assert once.endswith("\n")
+        # formatting canonical text changes nothing
+        formatted = tmp_path / path.name
+        formatted.write_text(once, encoding="utf-8", newline="")
+        code, twice, _ = run(capsys, "fmt", str(formatted))
+        assert (code, twice) == (0, once), path.name
 
 
 # --- compile and simulate --------------------------------------------------

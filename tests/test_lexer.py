@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psl.ast import Size
-from psl.diagnostics import E_BAD_CHAR, E_BAD_WORD, E_NUMBER_RANGE
+from psl.diagnostics import E_BAD_CHAR, E_BAD_WORD, E_NUMBER_RANGE, Span
 from psl.formatter import format_storyboard
 from psl.generator import generate_storyboard
 from psl import lexer
-from psl.lexer import _PHRASES, _SPELLINGS, _WORDS, TokenKind, _classify, tokenize
+from psl.lexer import _PHRASES, _SPELLINGS, _WORDS, Token, TokenKind, _classify, lex, tokenize
 from psl.parser import parse_storyboard
 
 
@@ -270,3 +270,20 @@ def test_lexing_with_the_spelling_table_matches_classifying_every_lexeme(text):
     with_table = tokenize(text)
     with mock.patch.object(lexer, "_SPELLINGS", {}):
         assert tokenize(text) == with_table
+
+
+def test_tokenize_wraps_each_plain_tuple_that_lex_gives_as_a_token():
+    # the parser reads lex's plain tuples; only tokenize builds Tokens
+    texts = [path.read_text(encoding="utf-8") for path in corpus_paths() + broken_paths()]
+    texts += [f"Zo\u00e9 {phrase}" for phrase in (
+        "medium long shot", "Cut\n# note\nto", "big close up", "very @ long shot", "MEDIUM close-up")]
+    texts += ["MS on Zo\u00e9, \u4e2d pan to medium long shot on Anna. Dissolve to close up on Bob."]
+    for text in texts:
+        tokens, diagnostics = tokenize(text)
+        plain, lexed, nbytes = lex(text)
+        assert lexed == diagnostics and nbytes == len(text.encode("utf-8"))
+        assert len(tokens) == len(plain) > 0
+        for t, fields in zip(tokens, plain):
+            assert type(t) is Token and t.span == Span(t.start, t.end)
+            assert type(fields) is tuple and len(fields) == 5
+            assert (t.kind, t.lexeme, t.start, t.end, t.value) == fields
