@@ -9,12 +9,12 @@ it while time passes.
 Crossing those two axes gives the four per-interval states used by the
 timeline: camera static or moving, composition holding or changing.  A
 "with" camera move keeps tracking until a lock or a "to" move supersedes
-it, so actor movement under tracking counts as camera-moving;
-``event_states`` is the one fold of that tracking mode.
+it, so actor movement under tracking counts as camera-moving.
 
 ``fold_storyboard`` is the one pass over a board: it checks each
 composition and folds each shot's events over its opening frame, which
-yields the diagnostics and the completed frames the compiler lays out.
+yields the diagnostics, the completed frames and each step's state;
+``fold_shot`` folds the camera roles once, for lock scope and tracking.
 ``infer_target`` holds every continuity rule of an event step, who is
 on screen included; the fold reports what it raises.
 Each plane is checked and completed in one pass over its subjects, from
@@ -78,9 +78,11 @@ class StateId(IntEnum):
     MOVING_CHANGE = 4   # camera travels toward a new composition
 
 
-#: Each StateId at index ``value - 1``: a lookup, where calling the enum
-#: would search its members.
+#: Each StateId at index ``value - 1``, and the camera roles the fold tests:
+#: plain lookups, where calling the enum would search its members and reading
+#: a member off its class goes through the metaclass's ``__getattr__`` hook.
 _STATES = tuple(StateId)
+_NO_CAMERA, _LOCK = CameraRole.NONE, CameraRole.LOCK
 
 
 class ContinuityError(ValueError):
@@ -171,25 +173,6 @@ def _apply_exit(current: Composition, e: Exit) -> Composition:
     return Composition(tuple(planes))
 
 
-def event_states(events: tuple[ScreenEvent, ...]) -> list[StateId]:
-    """Each event's StateId, then the state of the shot's closing hold.
-
-    Folds the camera tracking mode left to right: a "with" camera move
-    starts tracking, a lock or a "to" camera move ends it, and actor
-    events run with the camera moving exactly while it tracks.
-    """
-    states: list[StateId] = []
-    tracking = False
-    for e in events:
-        moving = tracking
-        if e.camera is not CameraRole.NONE:
-            moving = e.camera is not CameraRole.LOCK
-            tracking = moving and not e.drives_frame
-        states.append(_STATES[2 * moving + e.drives_frame])
-    states.append(_STATES[2 * tracking])
-    return states
-
-
 # --- the shared pass: validate and fold ---------------------------------
 
 _FALLBACK_SPAN = Span(0, 0)
@@ -202,24 +185,25 @@ _EVEN_ROWS: dict[int, tuple[ScreenFraction, ...]] = {}
 
 def fold_storyboard(
     sb: Storyboard, s: Stylesheet = DEFAULT_STYLESHEET
-) -> tuple[list[Diagnostic], list[list[Composition]]]:
-    """Validate ``sb`` and fold each shot's frames, in one pass.
+) -> tuple[list[Diagnostic], list[list[Composition]], list[list[StateId]]]:
+    """Validate ``sb`` and fold each shot's frames and states, in one pass.
 
-    Returns the diagnostics, in a fixed order, and each shot's frames as
-    ``fold_shot`` gives them; the frames are only meaningful when no
-    diagnostic is an error.
+    Returns the diagnostics, in a fixed order, and each shot's frames and
+    states as ``fold_shot`` gives them; the frames are only meaningful
+    when no diagnostic is an error.
     """
     diagnostics: list[Diagnostic] = []
-    frames_by_shot = []
+    frames_by_shot, states_by_shot = [], []
     rows: dict[int, list[ScreenFraction]] = {}
     for shot in sb.shots:
-        found, frames = fold_shot(shot, s, rows)
+        found, frames, states = fold_shot(shot, s, rows)
         diagnostics += found
         frames_by_shot.append(frames)
+        states_by_shot.append(states)
     for join in sb.joins:
         if join.value not in s.duration_by_verb:
             diagnostics.append(_no_duration(_FALLBACK_SPAN, join.value))
-    return diagnostics, frames_by_shot
+    return diagnostics, frames_by_shot, states_by_shot
 
 
 def validate(sb: Storyboard, s: Stylesheet = DEFAULT_STYLESHEET) -> list[Diagnostic]:
@@ -229,7 +213,7 @@ def validate(sb: Storyboard, s: Stylesheet = DEFAULT_STYLESHEET) -> list[Diagnos
 
 def fold_shot(
     shot: Shot, s: Stylesheet = DEFAULT_STYLESHEET, rows: dict | None = None
-) -> tuple[list[Diagnostic], list[Composition]]:
+) -> tuple[list[Diagnostic], list[Composition], list[StateId]]:
     """Check one shot and fold its events over its opening frame.
 
     Composition shape comes first in the report (duplicates, ordering,
@@ -237,7 +221,10 @@ def fold_shot(
     event that fails is reported and skipped, so one mistake does not
     cascade.  The frames are the opening frame and the frame after each
     event, completed by the stylesheet with named anchors replaced by
-    their fractions.  ``rows`` holds the rows of ``s`` built so far, by
+    their fractions.  The states are each event's StateId, then the
+    closing hold's: a "with" camera move starts tracking, a lock or a
+    "to" one ends it, and an actor event moves the camera while it
+    tracks.  ``rows`` holds the rows of ``s`` built so far, by
     cardinality, save the even ones of up to 8 subjects that every call shares.
     """
     rows = {} if rows is None else rows
@@ -247,22 +234,30 @@ def fold_shot(
     timing: list[Diagnostic] = []
     frame = _complete(shot.initial, s, rows, fallback, shape)
     frames = [frame]
+    states: list[StateId] = []
     lock_at: int | None = None  # a lock that no later event has consumed yet
+    tracking = False
     for index, e in enumerate(shot.events):
         target = e.target
         if target is not None:
             target = _complete(target, s, rows, fallback, shape)
-        if e.camera is not CameraRole.NONE and lock_at is not None:
-            continuity.append(_lock_warning(shot, lock_at))
+        camera, moving = e.camera, tracking
+        if camera is not _NO_CAMERA:
+            if lock_at is not None:
+                continuity.append(_lock_warning(shot, lock_at))
+            moving = camera is not _LOCK
+            tracking = moving and not e.drives_frame
         # A camera move or any actor action consumes the lock.
-        lock_at = index if e.camera is CameraRole.LOCK else None
+        lock_at = index if camera is _LOCK else None
+        states.append(_STATES[2 * moving + e.drives_frame])
         frame = _apply_checked(frame, e, target, continuity)
         frames.append(frame)
         if e.verb not in s.duration_by_verb:
             timing.append(_no_duration(_span_of(e), e.verb))
     if lock_at is not None:
         continuity.append(_lock_warning(shot, lock_at))
-    return shape + continuity + timing, frames
+    states.append(_STATES[2 * tracking])
+    return shape + continuity + timing, frames, states
 
 
 def _span_of(node: Shot | ScreenEvent) -> Span:

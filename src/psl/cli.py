@@ -157,11 +157,10 @@ def cmd_simulate(args: SimpleNamespace) -> int:
 def cmd_render(args: SimpleNamespace) -> int:
     from .render import render_compiled
     frames = render_compiled(_load(args, "compile"))
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
+    try:  # the path as given: an empty one names no directory
+        os.makedirs(args.out, exist_ok=True)
         # O_PATH asks for no read permission on the directory, as writing into it by name did not.
-        dir_fd = os.open(out, getattr(os, "O_PATH", os.O_RDONLY) | os.O_DIRECTORY)
+        dir_fd = os.open(args.out, getattr(os, "O_PATH", os.O_RDONLY) | os.O_DIRECTORY)
         try:
             for frame in frames:
                 _write(frame.filename, frame.svg.encode("utf-8"), dir_fd)
@@ -169,7 +168,7 @@ def cmd_render(args: SimpleNamespace) -> int:
             os.close(dir_fd)
     except (OSError, ValueError) as err:
         raise _cannot(f"write to {args.out}", err) from None
-    head = str(out / "_")[:-1]  # what pathlib puts before a joined name: "" for "."
+    head = str(Path(args.out) / "_")[:-1]  # what pathlib puts before a joined name: "" for "."
     sys.stdout.write("".join([f"{head}{frame.filename}\n" for frame in frames]))
     return 0
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .analysis import StateId, event_states, fold_shot, fold_storyboard
+from .analysis import StateId, fold_shot, fold_storyboard
 from .ast import Composition, ScreenEvent, Shot, Storyboard, referenced_names
 from .diagnostics import Diagnostic, Record, Severity, has_errors
 from .formatter import format_event
@@ -123,7 +123,7 @@ def _reject_errors(diagnostics: list[Diagnostic]) -> None:
 
 def shot_frames(shot: Shot, s: Stylesheet = DEFAULT_STYLESHEET) -> list[Composition]:
     """Opening frame plus the frame after each event, fully defaulted."""
-    diagnostics, frames = fold_shot(shot, s)
+    diagnostics, frames, _ = fold_shot(shot, s)
     _reject_errors(diagnostics)
     return frames
 
@@ -166,7 +166,7 @@ def compile_storyboard(
     Raises CompileError, carrying every diagnostic, when the board does
     not validate; otherwise the result carries the warnings.
     """
-    diagnostics, frames_by_shot = fold_storyboard(sb, s)
+    diagnostics, frames_by_shot, states_by_shot = fold_storyboard(sb, s)
     _reject_errors(diagnostics)
 
     # Each step's metadata, label, duration and the subjects it passes
@@ -175,8 +175,7 @@ def compile_storyboard(
     steps: list[tuple[TransitionInfo, str, Fraction, tuple[str, ...]]] = []
     compositions = [frames_by_shot[0][0]]
     for i, shot in enumerate(sb.shots):
-        frames = frames_by_shot[i]
-        states = event_states(shot.events)
+        frames, states = frames_by_shot[i], states_by_shot[i]
         for j, e in enumerate(shot.events):
             meta = TransitionInfo("event", i, states[j], frames[j] != frames[j + 1], e.verb)
             steps.append((meta, format_event(e), _duration(s, e.verb), _reads(e)))
@@ -199,9 +198,9 @@ def compile_storyboard(
 
     # The camera token always describes the interval its marking spans, so
     # each transition installs the motion flag of the step that follows it;
-    # after the last one, the last shot's closing hold (``states[-1]``).
+    # after the last one, the last shot's closing hold.
     motion = [meta.state >= StateId.MOVING_HOLD for meta, *_ in steps]
-    motion.append(states[-1] is StateId.MOVING_HOLD)
+    motion.append(states_by_shot[-1][-1] is StateId.MOVING_HOLD)
 
     transitions: list[Transition] = []
     info: dict[str, TransitionInfo] = {}

@@ -9,15 +9,18 @@ continuity checks are copied too, as they were before ``infer_target``
 took over the on-screen checks (E101, E103) and the fold kept its lock
 scope in one variable: ``ContinuityError``, ``infer_target``,
 ``_apply_cross``, ``_apply_exit``, ``_apply_checked`` and the lock
-bookkeeping of ``fold_shot``.  Only the wording of the warnings is
-imported from ``psl.analysis``.  The differential test in
-``test_fold_differential.py`` checks the fold against it, diagnostic for
-diagnostic and frame for frame.  Do not optimise it: its worth is that
-it is the old definition, line for line.
+bookkeeping of ``fold_shot``.  ``event_states`` is the fold of the
+camera tracking mode as it was before ``fold_shot`` took it over, in a
+second walk over each shot's events.  Only the wording of the warnings
+and the ``StateId`` names are imported from ``psl.analysis``.  The
+differential test in ``test_fold_differential.py`` checks the fold
+against it, diagnostic for diagnostic, frame for frame and state for
+state.  Do not optimise it: its worth is that it is the old definition,
+line for line.
 """
 from __future__ import annotations
 
-from psl.analysis import _lock_warning, _no_duration, _span_of
+from psl.analysis import StateId, _lock_warning, _no_duration, _span_of
 from psl.ast import (
     CameraRole,
     Composition,
@@ -209,6 +212,28 @@ def _complete(
     if len(planes) < len(comp.planes):
         return comp
     return normalize_positions(Composition(tuple(planes)))
+
+
+# --- the four interval states: copied, save that each state is looked up
+# by calling the enum rather than through the fold's table; do not optimise
+
+def event_states(events: tuple[ScreenEvent, ...]) -> list[StateId]:
+    """Each event's StateId, then the state of the shot's closing hold.
+
+    Folds the camera tracking mode left to right: a "with" camera move
+    starts tracking, a lock or a "to" camera move ends it, and actor
+    events run with the camera moving exactly while it tracks.
+    """
+    states: list[StateId] = []
+    tracking = False
+    for e in events:
+        moving = tracking
+        if e.camera is not CameraRole.NONE:
+            moving = e.camera is not CameraRole.LOCK
+            tracking = moving and not e.drives_frame
+        states.append(StateId(1 + 2 * moving + e.drives_frame))
+    states.append(StateId(1 + 2 * tracking))
+    return states
 
 
 # --- continuity: copied verbatim; do not optimise ----------------------

@@ -14,7 +14,7 @@ from psl.analysis import (
     ShotCategory,
     StateId,
     classify_shot,
-    event_states,
+    fold_shot,
     fold_storyboard,
     infer_target,
     validate,
@@ -190,12 +190,12 @@ def test_infer_target_checks_who_is_on_screen():
 # --- four interval states -------------------------------------------------
 
 def test_event_states_walkthrough():
-    events = events_of(
+    shot = shot_of(
         "MS on Anna and Boris, Anna speaks, Anna crosses Boris,"
         " pan with Anna, Boris speaks, Anna crosses Boris, lock,"
         " Anna crosses Boris, pan to CU on Anna and Boris."
     )
-    assert event_states(events) == [
+    assert fold_shot(shot)[2] == [
         StateId.STATIC_HOLD,     # speak, camera parked
         StateId.STATIC_CHANGE,   # cross rearranges the frame
         StateId.MOVING_HOLD,     # tracking starts
@@ -214,7 +214,7 @@ def test_state_ids_are_small_ints():
 
 def test_final_camera_state():
     def closing(text):
-        return event_states(events_of(text))[-1]
+        return fold_shot(shot_of(text))[2][-1]
 
     assert closing("MS on Anna.") is StateId.STATIC_HOLD
     assert closing("MS on Anna, pan with Anna.") is StateId.MOVING_HOLD
@@ -258,7 +258,7 @@ def test_apply_stylesheet_keeps_every_explicit_value():
 
 def folded_positions(text, s=DEFAULT_STYLESHEET):
     """Each frame's screen positions, plane by plane, from an error-free fold."""
-    diagnostics, frames_by_shot = fold_storyboard(parse_ok(text), s)
+    diagnostics, frames_by_shot, _ = fold_storyboard(parse_ok(text), s)
     assert not has_errors(diagnostics)
     return [
         [[subject.screen for subject in plane.subjects] for plane in frame.planes]

@@ -498,7 +498,7 @@ def test_render_files_get_the_mode_open_gives(capsys, tmp_path, umask):
     assert [stat.S_IMODE(p.stat().st_mode) for p in (tmp_path / "frames").iterdir()] == [mode] * 3
 
 
-@pytest.mark.parametrize("spelling", [".", "", "d/", "./d", "d//e", "ABSOLUTE", "ABSOLUTE/"])
+@pytest.mark.parametrize("spelling", [".", "d/", "./d", "d//e", "ABSOLUTE", "ABSOLUTE/"])
 def test_render_lists_each_file_as_pathlib_joins_it(capsys, monkeypatch, tmp_path, spelling):
     monkeypatch.chdir(tmp_path)
     out = spelling.replace("ABSOLUTE", str(tmp_path / "abs"))
@@ -507,6 +507,39 @@ def test_render_lists_each_file_as_pathlib_joins_it(capsys, monkeypatch, tmp_pat
     names = sorted(cross_frames())
     assert listing == "".join(f"{Path(out) / name}\n" for name in names)
     assert all(Path(line).read_bytes().startswith(b"<svg") for line in listing.splitlines())
+
+
+def test_render_to_an_empty_path_is_an_invocation_error(capsys, monkeypatch, tmp_path):
+    # An empty --out names no directory, as an empty FILE names no file:
+    # the path is used as given, not read as pathlib's ".".
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "render", str(CROSS), "--out", "")
+    assert (code, out) == (2, "")
+    assert err == f"psl: cannot write to : {os.strerror(errno.ENOENT)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_render_without_o_path_opens_the_directory_read_only(capsys, monkeypatch, tmp_path):
+    # Where os has no O_PATH, --out is opened with O_RDONLY | O_DIRECTORY
+    # and the sketches and the listing come out the same.
+    def rendered(out):
+        code, listing, err = run(capsys, "render", str(CROSS), "--out", str(out))
+        assert (code, err) == (0, "")
+        return listing.replace(str(out), "OUT"), {p.name: p.read_bytes() for p in out.iterdir()}
+
+    with_o_path = rendered(tmp_path / "a")
+    assert with_o_path[1] == cross_frames()
+    flags = []
+    real_open = os.open
+
+    def spying_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.delattr(os, "O_PATH", raising=False)
+    monkeypatch.setattr(os, "open", spying_open)
+    assert rendered(tmp_path / "b") == with_o_path
+    assert [flag for flag in flags if flag & os.O_DIRECTORY] == [os.O_RDONLY | os.O_DIRECTORY]
 
 
 def test_render_onto_a_directory_at_a_frame_name_is_an_invocation_error(capsys, tmp_path):

@@ -1,10 +1,12 @@
 """The validate-and-fold pass against the reference copy of the old one.
 
 ``fold_reference.fold_storyboard`` is the fold as it was before each
-composition was completed in one pass over shared screen positions.
+composition was completed in one pass over shared screen positions, and
+``fold_reference.event_states`` the fold of the camera tracking mode as
+it was before the same pass took it over.
 Both must give the same diagnostics (code, severity, span, message), in
-the same order, and the same frames, on the texts of the lexer's
-differential test, on seeded compositions that aim at completion
+the same order, the same frames and the same states, on the texts of the
+lexer's differential test, on seeded compositions that aim at completion
 (duplicates, misordered and colliding positions, anchors and blanks),
 and on seeded events that aim at continuity.
 Frame equality ignores spans and cannot tell a named anchor from its
@@ -20,6 +22,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from fold_reference import event_states
 from fold_reference import fold_storyboard as reference_fold
 from test_lexer_differential import broken_corpus, corpus, generated, inserts_alone, mutated
 
@@ -142,22 +145,28 @@ def shape(frame: Composition):
     ]
 
 
+def reference_fold_with_states(sb: Storyboard, s: Stylesheet):
+    """The reference fold, with each shot's states from the old second walk."""
+    return (*reference_fold(sb, s), [event_states(shot.events) for shot in sb.shots])
+
+
 def folded(fold, sb: Storyboard, s: Stylesheet):
     try:
-        diagnostics, frames_by_shot = fold(sb, s)
+        diagnostics, frames_by_shot, states_by_shot = fold(sb, s)
     except Exception as failure:  # the failure itself is compared
         return "raised", type(failure), str(failure)
     return (
         [(d.code, d.severity, d.span.start, d.span.end, d.message) for d in diagnostics],
         frames_by_shot,
         [[shape(frame) for frame in frames] for frames in frames_by_shot],
+        [[(type(state), state) for state in states] for states in states_by_shot],
     )
 
 
 def assert_same_fold(sb: Storyboard, where) -> None:
     for name, s in STYLESHEETS.items():
         got = folded(fold_storyboard, sb, s)
-        assert got == folded(reference_fold, sb, s), (name, where)
+        assert got == folded(reference_fold_with_states, sb, s), (name, where)
         if got[0] != "raised" and not any(severity is ERROR for _, severity, *_ in got[0]):
             for frames in got[1]:
                 for frame in frames:
