@@ -83,6 +83,7 @@ class StateId(IntEnum):
 #: a member off its class goes through the metaclass's ``__getattr__`` hook.
 _STATES = tuple(StateId)
 _NO_CAMERA, _LOCK = CameraRole.NONE, CameraRole.LOCK
+_TRAVEL, _FIXED = CameraRole.TRAVEL, CameraRole.FIXED
 
 
 class ContinuityError(ValueError):
@@ -98,9 +99,9 @@ def classify_shot(shot: Shot) -> ShotCategory:
     """Category from the strongest camera move anywhere in the shot."""
     category = ShotCategory.SIMPLE
     for e in shot.events:
-        if e.camera is CameraRole.TRAVEL:
+        if e.camera is _TRAVEL:
             return ShotCategory.COMPOSITE
-        if e.camera is CameraRole.FIXED:
+        if e.camera is _FIXED:
             category = ShotCategory.COMPLEX
     return category
 

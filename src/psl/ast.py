@@ -59,16 +59,8 @@ class Profile(Enum):
         return _AZIMUTH[self]
 
 
-_AZIMUTH = {
-    Profile.FRONT: 0,
-    Profile.THREE_QUARTER_LEFT: 45,
-    Profile.LEFT: 90,
-    Profile.THREE_QUARTER_BACK_LEFT: 135,
-    Profile.BACK: 180,
-    Profile.THREE_QUARTER_BACK_RIGHT: 225,
-    Profile.RIGHT: 270,
-    Profile.THREE_QUARTER_RIGHT: 315,
-}
+#: The members are listed counter-clockwise from the camera, 45 degrees apart.
+_AZIMUTH = {profile: 45 * k for k, profile in enumerate(Profile)}
 
 
 class ScreenAnchor(Enum):
@@ -85,13 +77,8 @@ class ScreenAnchor(Enum):
         return _ANCHOR_FRACTION[self]
 
 
-_ANCHOR_FRACTION = {
-    ScreenAnchor.FAR_LEFT: Fraction(1, 6),
-    ScreenAnchor.LEFT: Fraction(1, 3),
-    ScreenAnchor.CENTER: Fraction(1, 2),
-    ScreenAnchor.RIGHT: Fraction(2, 3),
-    ScreenAnchor.FAR_RIGHT: Fraction(5, 6),
-}
+#: The members are listed left to right, a sixth of the frame apart.
+_ANCHOR_FRACTION = {anchor: Fraction(k, 6) for k, anchor in enumerate(ScreenAnchor, 1)}
 
 
 class ScreenFraction(Record):

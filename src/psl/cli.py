@@ -13,9 +13,11 @@ that table only for help, abbreviations, ``=`` forms, ``--``, ``fuzz`` and
 errors, once per process.  It reads its input files anew on every call,
 through the one reader ``psl.stylesheet.read_text``, parsing a stylesheet
 only when its text differs from the last one parsed, and writes every file
-through the one writer ``_write``; ``render`` opens its output directory
-once, writes each frame by name in it, then prints the whole listing in
-one write.  Every FILE is read, parsed and reported through one loader.
+through the one writer ``_write``.  Output is written as it is made:
+``compile`` and ``simulate`` write one record per write to standard output,
+``render`` writes each frame by name in its output directory, opened first,
+before drawing the next, then lists them in one write, and a closed standard
+output is exit 2 and one line.  One loader reads, parses and reports FILE.
 Importing this module loads only the front end every command runs (parser,
 validator, stylesheets, formatter); a command imports the compiler, the
 JSON writers, the renderer or the generator when it runs, so a ``check``
@@ -142,34 +144,40 @@ def cmd_fmt(args: SimpleNamespace) -> int:
 
 
 def cmd_compile(args: SimpleNamespace) -> int:
-    from .jsonio import net_json
-    print(net_json(_load(args, "compile")))
+    from .jsonio import net_pieces
+    sys.stdout.writelines(net_pieces(_load(args, "compile")))  # one write per piece
+    print()
     return 0
 
 
 def cmd_simulate(args: SimpleNamespace) -> int:
     from .compiler import timeline
-    from .jsonio import timeline_json
-    print(timeline_json(timeline(_load(args, "compile"))))
+    from .jsonio import timeline_pieces
+    sys.stdout.writelines(timeline_pieces(timeline(_load(args, "compile"))))
+    print()
     return 0
 
 
 def cmd_render(args: SimpleNamespace) -> int:
-    from .render import render_compiled
-    frames = render_compiled(_load(args, "compile"))
+    from .render import iter_frames
+    compiled = _load(args, "compile")
     try:  # the path as given: an empty one names no directory
         os.makedirs(args.out, exist_ok=True)
         # O_PATH asks for no read permission on the directory, as writing into it by name did not.
         dir_fd = os.open(args.out, getattr(os, "O_PATH", os.O_RDONLY) | os.O_DIRECTORY)
-        try:
-            for frame in frames:
-                _write(frame.filename, frame.svg.encode("utf-8"), dir_fd)
-        finally:
-            os.close(dir_fd)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError) as err:  # ValueError: a NUL in the path
         raise _cannot(f"write to {args.out}", err) from None
+    names = []
+    try:
+        for frame in iter_frames(compiled):  # each sketch is written before the next is drawn
+            _write(frame.filename, frame.svg.encode("utf-8"), dir_fd)
+            names.append(frame.filename)
+    except OSError as err:
+        raise _cannot(f"write to {args.out}", err) from None
+    finally:
+        os.close(dir_fd)
     head = str(Path(args.out) / "_")[:-1]  # what pathlib puts before a joined name: "" for "."
-    sys.stdout.write("".join([f"{head}{frame.filename}\n" for frame in frames]))
+    sys.stdout.write("".join([f"{head}{name}\n" for name in names]))
     return 0
 
 
@@ -295,12 +303,19 @@ def main(argv: list[str] | None = None) -> int:
             gc.collect()
             raise
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # a reader that stopped early fails the last write here, not at exit
+            return code
+        except BrokenPipeError as err:  # standard output's reader stopped early
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())  # later flushes, the one at exit too, go nowhere
+            os.close(devnull)
+            code, message = _cannot("write to standard output", err).args
         except _Exit as stop:
             code, message = stop.args
-            if message:
-                print(message, file=sys.stderr)
-            return code
+        if message:
+            print(message, file=sys.stderr)
+        return code
     finally:
         if collecting:
             gc.enable()

@@ -35,16 +35,7 @@ from .analysis import StateId, fold_shot, fold_storyboard
 from .ast import Composition, ScreenEvent, Shot, Storyboard, referenced_names
 from .diagnostics import Diagnostic, Record, Severity, has_errors
 from .formatter import format_event
-from .petri import (
-    Marking,
-    Net,
-    NetStructureError,
-    PetriToken,
-    Place,
-    PlaceKind,
-    Transition,
-    simulate,
-)
+from .petri import Marking, Net, NetStructureError, PetriToken, Place, PlaceKind, Transition, replay
 from .stylesheet import DEFAULT_STYLESHEET, HOLD_DURATION, Stylesheet
 
 
@@ -60,6 +51,8 @@ class CompileError(ValueError):
 
 
 CAMERA_PLACE = "camera"
+#: Enum members read per place or step, bound once: a read off the class is slow.
+_CONTROL, _MOVING_HOLD = PlaceKind.CONTROL, StateId.MOVING_HOLD
 
 
 def subject_place(name: str) -> str:
@@ -194,13 +187,13 @@ def compile_storyboard(
     controls = [control_place(k) for k in range(len(steps) + 1)]
     places = [Place(CAMERA_PLACE, PlaceKind.CAMERA)]
     places += [Place(subject_place(n), PlaceKind.SUBJECT) for n in subject_names]
-    places += [Place(pid, PlaceKind.CONTROL) for pid in controls]
+    places += [Place(pid, _CONTROL) for pid in controls]
 
     # The camera token always describes the interval its marking spans, so
     # each transition installs the motion flag of the step that follows it;
     # after the last one, the last shot's closing hold.
-    motion = [meta.state >= StateId.MOVING_HOLD for meta, *_ in steps]
-    motion.append(states_by_shot[-1][-1] is StateId.MOVING_HOLD)
+    motion = [meta.state >= _MOVING_HOLD for meta, *_ in steps]
+    motion.append(states_by_shot[-1][-1] is _MOVING_HOLD)
 
     transitions: list[Transition] = []
     info: dict[str, TransitionInfo] = {}
@@ -268,18 +261,18 @@ def timeline(compiled: CompiledStoryboard) -> list[TimelineEntry]:
     Raises NetStructureError when the replay stalls before every
     transition has fired, as it does when a token it needs is missing.
     """
-    intervals = simulate(compiled.net)
-    fired, total = len(intervals) - 1, len(compiled.net.transitions)
-    if fired < total:
-        raise NetStructureError(f"replay stalled: {fired} of {total} transitions fired")
     frames = compiled.compositions
     entries: list[TimelineEntry] = []
     last_shot = len(compiled.storyboard.shots) - 1
-    camera = compiled.net.initial[CAMERA_PLACE]
-    for k, interval in enumerate(intervals):
+    total = len(compiled.net.transitions)
+    camera = None  # the camera's tokens after the last firing that changed them
+    for k, interval in enumerate(replay(compiled.net)):
         camera = interval.changes.get(CAMERA_PLACE, camera)
-        if interval.fired is None:
-            closing = StateId.MOVING_HOLD if camera[0].get("moving") else StateId.STATIC_HOLD
+        if interval.fired is None:  # the closing hold, after k firings
+            if k < total:
+                raise NetStructureError(f"replay stalled: {k} of {total} transitions fired")
+            camera = compiled.net.initial[CAMERA_PLACE] if camera is None else camera
+            closing = _MOVING_HOLD if camera[0].get("moving") else StateId.STATIC_HOLD
             entries.append(
                 TimelineEntry(interval.t0, interval.t1, last_shot, closing, False, frames[k])
             )

@@ -18,6 +18,10 @@ class Severity(Enum):
     WARNING = "warning"
 
 
+#: The members as plain names: reading one off its class goes through the metaclass.
+_ERROR, _WARNING = Severity.ERROR, Severity.WARNING
+
+
 class _DataclassFields:
     """A record class's ``__dataclass_fields__``: built the first time a
     tool reads it, so that ``dataclasses.fields`` walks a syntax tree
@@ -159,15 +163,15 @@ class Diagnostic(Record):
 
 
 def error(code: str, span: Span, message: str) -> Diagnostic:
-    return Diagnostic(Severity.ERROR, code, span, message)
+    return Diagnostic(_ERROR, code, span, message)
 
 
 def warning(code: str, span: Span, message: str) -> Diagnostic:
-    return Diagnostic(Severity.WARNING, code, span, message)
+    return Diagnostic(_WARNING, code, span, message)
 
 
 def has_errors(diagnostics: list[Diagnostic]) -> bool:
-    return any(d.severity is Severity.ERROR for d in diagnostics)
+    return any(d.severity is _ERROR for d in diagnostics)
 
 
 def in_source_order(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:

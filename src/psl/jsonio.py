@@ -12,7 +12,9 @@ no dict tree, and none of the reference cycles ``json``'s indenting
 encoder leaves.  A record (place, transition, token, entry, frame,
 subject) sits at one depth of its document, so one template carries its
 indentation; strings from the board go through ``json``'s C escaper.  A
-frame shown by several entries is written once per document.
+frame shown by several entries is written once per document.  The net and
+timeline documents are made in pieces, one per record, by ``net_pieces``
+and ``timeline_pieces``, which ``net_json`` and ``timeline_json`` join.
 ``net_to_dict`` and ``timeline_to_dict`` parse that text back.
 """
 from __future__ import annotations
@@ -20,13 +22,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from .ast import Composition, Profile, Size, SubjectSpec
 
 if TYPE_CHECKING:
-    from .compiler import CompiledStoryboard, TimelineEntry
-    from .petri import PetriToken
+    from .compiler import CompiledStoryboard, TimelineEntry, TransitionInfo
+    from .petri import PetriToken, Transition
 
 SCHEMA_VERSION = 1
 
@@ -74,34 +76,50 @@ def _token(token: PetriToken, pad: str) -> str:
     return _block(attrs, pad, "{}")
 
 
-def net_json(compiled: CompiledStoryboard) -> str:
+def _document(**fields: tuple[Iterable[str], str]) -> Iterator[str]:
+    """A document's text in pieces: its schema line, then each field's items (an iterable and
+    its brackets) laid out as ``_block`` does, one piece per item, each made when asked for."""
+    yield '{\n  "psl_schema": %d' % SCHEMA_VERSION
+    for key, (items, brackets) in fields.items():
+        before = ',\n  "%s": %s\n    ' % (key, brackets[0])
+        for item in items:
+            yield before + item
+            before = ",\n    "
+        yield "\n  " + brackets[1] if before == ",\n    " else ',\n  "%s": %s' % (key, brackets)
+    yield "\n}"
+
+
+def _transition(t: Transition, meta: TransitionInfo) -> str:
+    effect = [_string(pid) + ": " + _token(token, "\n          ") for pid, token in t.effect]
+    return _TRANSITION % (
+        _string(t.id), _string(t.label), _string(meta.kind), _string(meta.verb),
+        meta.shot_index, meta.state, _BOOL[meta.changes], t.duration,
+        _block(list(map(_string, t.inputs)), "\n        ", "[]"),
+        _block(list(map(_string, t.outputs)), "\n        ", "[]"),
+        _block(effect, "\n        ", "{}"),
+    )
+
+
+def net_pieces(compiled: CompiledStoryboard) -> Iterator[str]:
+    """``net_json(compiled)`` in pieces, one per place, transition and initial entry."""
     net, info = compiled.net, compiled.info
-    places = [_PLACE % (_string(p.id), _string(p.kind.value)) for p in net.places]
-    transitions = []
-    for t in net.transitions:
-        meta = info[t.id]
-        effect = [_string(pid) + ": " + _token(token, "\n          ") for pid, token in t.effect]
-        transitions.append(_TRANSITION % (
-            _string(t.id), _string(t.label), _string(meta.kind), _string(meta.verb),
-            meta.shot_index, meta.state, _BOOL[meta.changes], t.duration,
-            _block(list(map(_string, t.inputs)), "\n        ", "[]"),
-            _block(list(map(_string, t.outputs)), "\n        ", "[]"),
-            _block(effect, "\n        ", "{}"),
-        ))
-    initial = [
-        _string(pid) + ": " + _block([_token(t, "\n        ") for t in tokens], "\n      ", "[]")
-        for pid, tokens in net.initial.items()
-        if tokens
-    ]
-    return '{\n  "psl_schema": %d,\n  "places": %s,\n  "transitions": %s,\n  "initial": %s\n}' % (
-        SCHEMA_VERSION, _block(places, "\n    ", "[]"), _block(transitions, "\n    ", "[]"),
-        _block(initial, "\n    ", "{}"))
+    return _document(
+        places=((_PLACE % (_string(p.id), _string(p.kind._value_)) for p in net.places), "[]"),
+        transitions=((_transition(t, info[t.id]) for t in net.transitions), "[]"),
+        initial=((_string(pid) + ": " + _block([_token(t, "\n        ") for t in tokens],
+                                               "\n      ", "[]")
+                  for pid, tokens in net.initial.items() if tokens), "{}"),
+    )
+
+
+def net_json(compiled: CompiledStoryboard) -> str:
+    return "".join(net_pieces(compiled))
 
 
 def _subject(s: SubjectSpec) -> str:
     text = '{\n                "name": ' + _string(s.name)
     if s.profile is not None:
-        text += ',\n                "profile": ' + _string(s.profile.value)
+        text += ',\n                "profile": ' + _string(s.profile._value_)
     if s.screen is not None:
         text += _SCREEN % s.screen.fraction
     return text + "\n              }"
@@ -115,17 +133,18 @@ def _frame(c: Composition) -> str:
     return '{\n        "planes": ' + _block(planes, "\n          ", "[]") + "\n      }"
 
 
+def timeline_pieces(entries: Iterable[TimelineEntry]) -> Iterator[str]:
+    """``timeline_json(entries)`` in pieces, one per entry."""
+    frames: dict[int, str] = {}  # each frame's text, by the frame's identity
+    return _document(entries=((_ENTRY % (
+        e.t0, e.t1, e.shot_index, e.state, _BOOL[e.in_transition],
+        frames.get(id(e.composition)) or frames.setdefault(id(e.composition), _frame(e.composition)),
+    ) for e in entries), "[]"))
+
+
 def timeline_json(entries: Sequence[TimelineEntry]) -> str:
     """Each distinct frame object is written once, wherever its entries sit."""
-    frames: dict[int, str] = {}
-    out = []
-    for e in entries:
-        frame = frames.get(id(e.composition))
-        if frame is None:
-            frame = frames[id(e.composition)] = _frame(e.composition)
-        out.append(_ENTRY % (e.t0, e.t1, e.shot_index, e.state, _BOOL[e.in_transition], frame))
-    return '{\n  "psl_schema": %d,\n  "entries": %s\n}' % (
-        SCHEMA_VERSION, _block(out, "\n    ", "[]"))
+    return "".join(timeline_pieces(entries))
 
 
 def stats_json(shots: int, categories: dict[str, int], sizes: dict[str, int],

@@ -8,13 +8,14 @@ explicit tokens for some output places; other outputs pass the consumed
 token through unchanged, or get a blank token if nothing was consumed from
 that place.
 
-`simulate` accepts nets in which each transition fires at most once and
-at most one transition is enabled at every step, and returns the firing
-trace: one interval per firing, recording the new tuple of each place
-that firing changed, closing with a final hold so the last marking
-occupies a real interval.  It keeps transitions on waiting lists of empty
+`replay` accepts nets in which each transition fires at most once and at
+most one transition is enabled at every step, and yields the firing trace
+as it fires: one interval per firing, recording the new tuple of each
+place that firing changed, closing with a final hold so the last marking
+occupies a real interval; `simulate` is its list, and ``compiler.timeline``
+consumes it as it fires.  It keeps transitions on waiting lists of empty
 places instead of rescanning the net, and one working marking that it
-changes in place, so a replay stores O(arcs) tuples, which is
+changes in place, so a replay's intervals hold O(arcs) tuples, which is
 O(transitions) for nets whose transitions have a bounded number of arcs,
 as compiled storyboards do.  The marking over any interval is the
 initial marking with the changes of every earlier interval applied.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from typing import Iterator
 
 from .diagnostics import Record
 from .stylesheet import HOLD_DURATION, _exact
@@ -168,7 +170,12 @@ class MarkingInterval(Record):
 
 
 def simulate(net: Net) -> list[MarkingInterval]:
-    """Run the unique enabled transition to quiescence.
+    """The intervals of ``replay(net)``, as a list."""
+    return list(replay(net))
+
+
+def replay(net: Net) -> Iterator[MarkingInterval]:
+    """Run the unique enabled transition to quiescence, yielding each interval as it fires.
 
     Each interval spans the named transition's run and records what its
     firing changed; the last interval holds the final marking for
@@ -185,7 +192,6 @@ def simulate(net: Net) -> list[MarkingInterval]:
     one working marking, so a step costs O(arcs touched) time and memory.
     """
     bound = len(net.transitions) + 1
-    trajectory: list[MarkingInterval] = []
     marking = dict(net.initial)
     clock = Fraction(0)
     ready: list[int] = []
@@ -206,12 +212,12 @@ def simulate(net: Net) -> list[MarkingInterval]:
             names = ", ".join(net.transitions[i].id for i in sorted(ready))
             raise NetStructureError(f"not a chain: {names} are enabled together")
         if not ready:
-            trajectory.append(MarkingInterval(clock, clock + HOLD_DURATION, {}, None))
-            return trajectory
+            yield MarkingInterval(clock, clock + HOLD_DURATION, {}, None)
+            return
         t = net.transitions[ready[0]]
         end = clock + t.duration
         changes = _changes(marking, t)
-        trajectory.append(MarkingInterval(clock, end, changes, t.id))
+        yield MarkingInterval(clock, end, changes, t.id)
         marking.update(changes)
         clock = end
         woken = ready + [i for pid in t.outputs for i in waiting.pop(pid, ())]

@@ -18,16 +18,18 @@ formatted to two decimals, no timestamps, no randomness.  A figure is
 drawn with one fill of a ``%.2f`` template, and a coordinate that prints
 as "-0.00" then reads "0.00"; the figure's name is joined after that
 mapping, so it is never rewritten.  Escaping is local, so loading this
-module loads no XML or HTTP code.  The memos of ``render_compiled`` live
-for one call: a figure's SVG is memoized by its name, the reduced terms of
-its two fractions, its profile and its plane, and a layout by the identity
-of the compiler's frame, which the timeline shares and the call keeps
-alive, so neither a ``Fraction`` nor a ``Composition`` is hashed.
+module loads no XML or HTTP code.  ``iter_frames`` makes frames one at a
+time, and ``render_compiled`` is their list.  Its memos live for one run:
+a figure's SVG is memoized by its name, the reduced terms of its two
+fractions, its profile and its plane, and a layout by the identity of the
+compiler's frame, which the timeline shares and the run keeps alive, so
+neither a ``Fraction`` nor a ``Composition`` is hashed.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterator
 
 from .ast import Composition, Profile, Storyboard
 from .compiler import CompiledStoryboard, compile_storyboard, timeline
@@ -187,13 +189,17 @@ def render_storyboard(sb: Storyboard, s: Stylesheet = DEFAULT_STYLESHEET) -> lis
 
 
 def render_compiled(compiled: CompiledStoryboard) -> list[Frame]:
-    """One plain frame per stable entry, a stamped one per visible change.
+    """The frames of ``iter_frames(compiled)``, as a list."""
+    return list(iter_frames(compiled))
+
+
+def iter_frames(compiled: CompiledStoryboard) -> Iterator[Frame]:
+    """One plain frame per stable entry, a stamped one per visible change, drawn when asked for.
 
     Zero-length entries (cuts) draw nothing; file names count frames
     within each shot, starting over after every join.
     """
     s = compiled.stylesheet
-    frames: list[Frame] = []
     counts: dict[int, int] = {}
     layouts: dict[int, FrameLayout] = {}
     drawn: dict[tuple, str] = {}
@@ -206,5 +212,4 @@ def render_compiled(compiled: CompiledStoryboard) -> list[Frame]:
         stamp = "in transition" if entry.in_transition else None
         if (l := layouts.get(id(entry.composition))) is None:
             l = layouts[id(entry.composition)] = layout(entry.composition, s)
-        frames.append(Frame(filename, _frame_svg(l, stamp, drawn)))
-    return frames
+        yield Frame(filename, _frame_svg(l, stamp, drawn))

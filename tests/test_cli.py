@@ -10,7 +10,9 @@ import json
 import os
 import random
 import stat
+import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -1005,16 +1007,23 @@ def test_a_nested_call_keeps_the_collector_paused(capsys, monkeypatch, collector
     capsys.readouterr()
 
 
-def test_simulate_runs_no_collection(capsys, collector, tmp_path):
+@pytest.fixture(scope="module")
+def reel(tmp_path_factory):
+    """A 300-shot board: the shots of generated boards, seeds 0, 1, ..., cut
+    together, as ``tests/test_slope._board`` builds its boards."""
     shots, joins, seed = [], [], 0
     while len(shots) < 300:
         sb = psl.generate_storyboard(random.Random(seed), 6)
         joins += ([psl.ShotTransition.CUT] if shots else []) + list(sb.joins)
         shots += sb.shots
         seed += 1
-    reel = tmp_path / "reel.psl"
+    path = tmp_path_factory.mktemp("reel") / "reel.psl"
     text = psl.format_storyboard(psl.Storyboard(tuple(shots[:300]), tuple(joins[:299])))
-    reel.write_text(text + "\n", encoding="utf-8")
+    path.write_text(text + "\n", encoding="utf-8")
+    return path
+
+
+def test_simulate_runs_no_collection(capsys, collector, reel):
     collections = []
 
     def record(phase, info):
@@ -1031,6 +1040,81 @@ def test_simulate_runs_no_collection(capsys, collector, tmp_path):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert len(json.loads(out)["entries"]) > 300
+
+
+@pytest.mark.parametrize("command", ["compile", "simulate"])
+def test_a_reader_that_stops_early_gets_one_line_and_exit_2(reel, command):
+    # The document outgrows the pipe's buffer, so the child is still
+    # writing when the reader closes its end.
+    src = str(Path(psl.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen([sys.executable, "-m", "psl", command, str(reel)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env={**os.environ, "PYTHONPATH": path})
+    try:
+        assert child.stdout.read(20) == b'{\n  "psl_schema": 1,'
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    finally:
+        child.kill()
+        child.stdout.close()
+        child.stderr.close()
+    assert (code, err) == (2, b"psl: cannot write to standard output: Broken pipe\n")
+
+
+class _CountingSink(io.TextIOBase):
+    """A standard output that counts the UTF-8 bytes written to it and keeps none."""
+
+    def __init__(self):
+        super().__init__()
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text.encode("utf-8"))
+        return len(text)
+
+
+def _traced(argv):
+    """The tracemalloc peak of one ``main(argv)`` call, and the bytes it wrote to stdout."""
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, sink.written
+
+
+def _argv(command, file, out):
+    """``command FILE``, with ``--out OUT`` for render."""
+    return [command, str(file)] + (["--out", str(out)] if command == "render" else [])
+
+
+@pytest.fixture(scope="module")
+def check_peak(reel, tmp_path_factory):
+    """``check``'s peak on the reel, after one call of every command on a
+    small board has imported what it runs."""
+    out = tmp_path_factory.mktemp("warm")
+    for command in ("check", "compile", "simulate", "render"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(_argv(command, CROSS, out)) == 0
+    return _traced(["check", str(reel)])[0]
+
+
+@pytest.mark.parametrize("command", ["compile", "simulate", "render"])
+def test_output_is_written_as_it_is_made(reel, check_peak, tmp_path, command):
+    """A command's traced peak exceeds ``check``'s by less than the bytes it
+    writes (its stdout, or the sketches for render): no command holds its
+    whole output at once."""
+    out = tmp_path / "frames"
+    peak, written = _traced(_argv(command, reel, out))
+    if command == "render":
+        written = sum(p.stat().st_size for p in out.iterdir())
+    assert peak - check_peak < written, (
+        f"{command}: peak {peak} B, check's {check_peak} B, {written} B written")
 
 
 def test_the_library_and_the_command_line_read_a_stylesheet_alike(capsys, tmp_path):
