@@ -250,7 +250,7 @@ class TimelineEntry(Record):
 
 
 def timeline(compiled: CompiledStoryboard) -> list[TimelineEntry]:
-    """Replay the net; one entry per interval the viewer can see.
+    """Consume the replay as it fires; one entry per interval the viewer can see.
 
     Zero-length intervals that change nothing (a lock firing, say) are
     dropped; zero-length changes (a cut) stay as boundary markers.  The
